@@ -1,20 +1,11 @@
 """Bit-exact, cycle-accurate simulator of shift-and-add multiplier datapaths
 with per-block switching-activity ledgers and dynamic-energy estimation."""
 
-from .bits import AdderState, Word, full_add, get_bit, hamming, ripple_carry_add
-from .counters import (
-    BinaryCounter,
-    RingCostModel,
-    RingState,
-    binary_counter_step,
-    hot_one_select,
-    ring_conventional_step,
-    ring_lowpower_step,
-    unnecessary_ring_transitions,
-)
+from .bits import Word
 from .datapath import (
     ArchConfig,
     CycleTrace,
+    RingCostModel,
     SimResult,
     ToggleLedger,
     Variant,
@@ -35,26 +26,20 @@ from .harness import (
 )
 from .power import (
     AreaInventory,
-    Comparison,
     PowerModel,
     area_proxy,
     average_power,
-    compare,
     estimate_energy,
 )
 
 __all__ = [
-    "AdderState",
     "ArchConfig",
     "AreaInventory",
-    "BinaryCounter",
-    "Comparison",
     "CycleTrace",
     "OperandDistribution",
     "PowerModel",
     "ReportRow",
     "RingCostModel",
-    "RingState",
     "SimResult",
     "ToggleLedger",
     "Variant",
@@ -62,26 +47,16 @@ __all__ = [
     "Word",
     "area_proxy",
     "average_power",
-    "binary_counter_step",
-    "compare",
     "emit_report",
     "estimate_energy",
     "exhaustive_verify",
-    "full_add",
     "gen_operands",
-    "get_bit",
-    "hamming",
-    "hot_one_select",
     "make_config",
     "render_trace",
-    "ring_conventional_step",
-    "ring_lowpower_step",
-    "ripple_carry_add",
     "run_conventional",
     "run_lowpower",
     "simulate",
     "sweep",
-    "unnecessary_ring_transitions",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Fixed-width bit vectors, transition counting, and a ripple-carry adder model.
+"""Fixed-width bit vectors.
 
 Transition counts everywhere in this package use the zero-delay activity
 convention: the cost of one evaluation step of a combinational block is the
@@ -33,87 +33,9 @@ class Word:
     def mask(self) -> int:
         return (1 << self.width) - 1
 
-    def bit(self, i: int) -> int:
-        return get_bit(self, i)
-
     def to_bin(self) -> str:
         """MSB-first binary string, zero-padded to the full width."""
         return format(self.value, f"0{self.width}b")
 
     def __str__(self) -> str:
         return self.to_bin()
-
-
-def get_bit(w: Word, i: int) -> int:
-    """Bit ``i`` of ``w`` (LSB = index 0)."""
-    if not 0 <= i < w.width:
-        raise ValueError(f"bit index {i} out of range for width {w.width}")
-    return (w.value >> i) & 1
-
-
-def hamming(a: Word, b: Word) -> int:
-    """Number of bit positions where ``a`` and ``b`` differ."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} != {b.width}")
-    return (a.value ^ b.value).bit_count()
-
-
-def full_add(a: int, b: int, cin: int) -> tuple[int, int]:
-    """One full adder: returns ``(sum, carry_out)`` for single-bit inputs."""
-    if a not in (0, 1) or b not in (0, 1) or cin not in (0, 1):
-        raise ValueError("full_add inputs must be single bits")
-    return a ^ b ^ cin, (a & b) | (a & cin) | (b & cin)
-
-
-@dataclass(frozen=True, slots=True)
-class AdderState:
-    """Steady-state internal signals of an n-stage full-adder chain.
-
-    ``sum_bits`` holds each stage's sum output; ``carry_bits`` holds each
-    stage's carry output, so the MSB of ``carry_bits`` is the chain's
-    carry-out.  A freshly reset adder is all-zero.
-    """
-
-    sum_bits: Word
-    carry_bits: Word
-
-    def __post_init__(self) -> None:
-        if self.sum_bits.width != self.carry_bits.width:
-            raise ValueError("sum_bits and carry_bits must share one width")
-
-    @classmethod
-    def zero(cls, width: int) -> AdderState:
-        return cls(Word(0, width), Word(0, width))
-
-    @property
-    def width(self) -> int:
-        return self.sum_bits.width
-
-
-def ripple_carry_add(
-    state: AdderState, x: Word, y: Word, cin: int = 0
-) -> tuple[Word, int, int, AdderState]:
-    """Add ``x + y + cin`` through a ripple-carry chain, counting transitions.
-
-    Returns ``(sum, carry_out, transitions, new_state)`` where ``transitions``
-    is the Hamming distance between the old and new internal signal vectors
-    (sum chain plus carry chain).  Re-evaluating with unchanged inputs
-    therefore costs zero transitions.
-    """
-    n = x.width
-    if y.width != n or state.width != n:
-        raise ValueError(f"width mismatch: x={x.width} y={y.width} state={state.width}")
-    if cin not in (0, 1):
-        raise ValueError("cin must be a single bit")
-    total = x.value + y.value + cin
-    sum_value = total & x.mask
-    cout = total >> n
-    # carry into stage i recovered from sum_i = x_i ^ y_i ^ cin_i; the carry
-    # out of stage i is the carry into stage i+1, topped by the chain cout.
-    carry_ins = x.value ^ y.value ^ sum_value
-    carry_outs = (carry_ins >> 1) | (cout << (n - 1))
-    new_state = AdderState(Word(sum_value, n), Word(carry_outs, n))
-    transitions = hamming(state.sum_bits, new_state.sum_bits) + hamming(
-        state.carry_bits, new_state.carry_bits
-    )
-    return new_state.sum_bits, cout, transitions, new_state

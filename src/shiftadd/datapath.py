@@ -17,15 +17,21 @@ and counter registers all pay the clock cost every cycle, on top of their
 data activity.  The low-power datapath keeps the multiplier register
 un-clocked, lets a gated ring counter pick the multiplier bit, and clocks
 its feeder/bypass storage only on add cycles.
+
+Each datapath's registers are listed once, in ``register_inventory``: width,
+clocking rule and ledger category.  The inventory drives both the flip-flop
+count of ``power.area_proxy`` and ``fixed_charges``, the per-config ledger of
+every charge that does not depend on the operands.  The kernels simulate
+only the data-dependent work and add that ledger once per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 from .bits import Word
-from .counters import RingCostModel, num_blocks
 
 MAX_OPERAND_WIDTH = 32
 
@@ -36,12 +42,39 @@ class Variant(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
+class RingCostModel:
+    """Clocking cost parameters.
+
+    ``s``: internal transitions per clocked flip-flop per pulse.
+    ``g``: transitions in one block's clock-gating logic per pulse.
+    ``block_size``: flip-flops per gated block of the low-power ring.
+    """
+
+    s: int = 2
+    g: int = 1
+    block_size: int = 4
+
+    def __post_init__(self) -> None:
+        if self.s < 1:
+            raise ValueError("s must be >= 1")
+        if self.g < 0:
+            raise ValueError("g must be >= 0")
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
+
+
+def num_blocks(width: int, block_size: int) -> int:
+    return -(-width // block_size)
+
+
+@dataclass(frozen=True)
 class ArchConfig:
     """Architecture variant, operand width and cost parameters.
 
     ``effective_width`` is the number of multiplier bits processed (and thus
     the cycle count); it defaults to the full width.  Truncated runs compute
-    ``a * (b mod 2**effective_width)``.
+    ``a * (b mod 2**effective_width)``.  Not slotted, because ``charges``
+    is cached in the instance's ``__dict__``.
     """
 
     variant: Variant
@@ -62,6 +95,15 @@ class ArchConfig:
             raise ValueError(
                 f"block_size {self.cost.block_size} exceeds width {self.width}"
             )
+
+    @cached_property
+    def charges(self) -> tuple[ToggleLedger, int]:
+        """``(fixed_charges(self), flip-flops clocked on each add cycle)``,
+        computed on first use and kept on the instance.  The kernels read
+        this on every run; the ledger is shared, so it is never mutated."""
+        add_ffs = sum(reg.width for reg in register_inventory(self)
+                      if reg.clocking is Clocking.ADD_CYCLES)
+        return fixed_charges(self), add_ffs
 
 
 def make_config(
@@ -109,6 +151,120 @@ class ToggleLedger:
 LEDGER_CATEGORIES: tuple[str, ...] = tuple(f.name for f in fields(ToggleLedger))
 
 
+class Clocking(Enum):
+    """Which clock pulses reach a register's flip-flops."""
+
+    EVERY_CYCLE = "every cycle"
+    # on a bypass cycle its clock gate switches instead, costing g
+    ADD_CYCLES = "add cycles only"
+    # the hot bit's block, plus the block it moves into
+    RING_BLOCK = "gated ring block"
+    NEVER = "never"
+
+
+@dataclass(frozen=True, slots=True)
+class Register:
+    """``width`` flip-flops that take the pulses ``clocking`` names, each
+    pulse charged to ledger ``category`` at ``s`` transitions per flip-flop
+    (``g`` for the latches of clock gates).  A ``category`` of None marks a
+    register that counts towards area but whose pulses are not charged."""
+
+    name: str
+    width: int
+    clocking: Clocking
+    category: str | None
+    gate_latch: bool = False
+
+
+def register_inventory(cfg: ArchConfig) -> tuple[Register, ...]:
+    """Every register of ``cfg``'s datapath.  This is the one place a
+    register width is written: the clock charges and the flip-flop count of
+    ``power.area_proxy`` both derive from it."""
+    n = cfg.width
+    if cfg.variant is Variant.CONVENTIONAL:
+        return (
+            Register("multiplier", n, Clocking.EVERY_CYCLE, "multiplier_shift"),
+            Register("partial product", 2 * n + 1, Clocking.EVERY_CYCLE,
+                     "partial_product_shift"),
+            Register("cycle counter", (n - 1).bit_length(), Clocking.EVERY_CYCLE,
+                     "counter_internal"),
+        )
+    return (
+        Register("multiplier", n, Clocking.NEVER, None),
+        Register("ring counter", n, Clocking.RING_BLOCK, "counter_internal"),
+        Register("feeder/bypass", n + 1, Clocking.ADD_CYCLES, "feeder_bypass_clock"),
+        # one product bit is latched per cycle; those pulses are not charged
+        Register("product bits", n, Clocking.EVERY_CYCLE, None),
+        Register("ring gate latches", num_blocks(n, cfg.cost.block_size),
+                 Clocking.EVERY_CYCLE, "gating", gate_latch=True),
+    )
+
+
+def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
+    """Every charge of one run under ``cfg`` that does not depend on the
+    operands: the clock pulses of the inventory's registers (those clocked
+    on add cycles excepted) and the counter's own output toggles.
+
+    Kernels read it through ``cfg.charges``, so it is computed once per
+    config.
+    """
+    n, e = cfg.width, cfg.effective_width
+    cost = cfg.cost
+    ledger = ToggleLedger()
+    for reg in register_inventory(cfg):
+        if reg.category is None:
+            continue
+        if reg.clocking is Clocking.EVERY_CYCLE:
+            pulses = e * reg.width
+        elif reg.clocking is Clocking.RING_BLOCK:
+            pulses = _ring_pulses(reg.width, e, cost.block_size)
+        else:  # add-cycle pulses depend on the multiplier; NEVER gets none
+            continue
+        charge = pulses * (cost.g if reg.gate_latch else cost.s)
+        setattr(ledger, reg.category, getattr(ledger, reg.category) + charge)
+    if cfg.variant is Variant.CONVENTIONAL:
+        ledger.counter_internal += _count_toggles(n, e)
+    elif n > 1:
+        # each step moves the hot bit: two ring outputs toggle, and so do the
+        # two one-hot select lines of the mux tree they drive
+        ledger.counter_output = ledger.mux_select = 2 * e
+    return ledger
+
+
+def _count_toggles(modulus: int, steps: int) -> int:
+    """Output bits a modulo-``modulus`` binary counter flips over ``steps``
+    increments from zero, ``steps <= modulus``.  Counting from 0 up to m
+    flips 2m - popcount(m) bits; a full cycle's wrap from modulus - 1 back to
+    zero flips popcount(modulus - 1) bits, which leaves 2(modulus - 1)."""
+    if steps == modulus:
+        return 2 * (modulus - 1)
+    return 2 * steps - steps.bit_count()
+
+
+def _ring_pulses(n: int, steps: int, block_size: int) -> int:
+    """Flip-flop clock pulses of an ``n``-bit block-gated ring over ``steps``
+    steps from reset: each step clocks the hot bit's block, and a step that
+    moves the hot bit into another block clocks that block too."""
+
+    def size(block: int) -> int:  # the trailing block may be short
+        return min(block_size, n - block * block_size)
+
+    full, part = divmod(steps, block_size)
+    held = full * block_size * block_size + part * size(full)
+    entered = sum(size(block) for block in range(1, num_blocks(n, block_size))
+                  if block * block_size <= steps)
+    if steps == n and n > block_size:  # the wrap back into block 0
+        entered += block_size
+    return held + entered
+
+
+def _counter_width(cfg: ArchConfig) -> int:
+    """Flip-flops of the register charged to ``counter_internal``: the
+    cycle counter or the ring."""
+    return next(reg.width for reg in register_inventory(cfg)
+                if reg.category == "counter_internal")
+
+
 @dataclass(frozen=True, slots=True)
 class CycleTrace:
     """One simulated cycle: counter state, selected bit, and running values."""
@@ -141,34 +297,30 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     product, binary cycle counter, 0/A multiplexer feeding the adder.
 
     Per cycle: the current LSB of B drives the mux select; the adder sums the
-    partial product's high half with the mux output; the 2n+1-bit partial
-    product register (carry, sum, low half) captures the result shifted right
-    by one; B shifts right; the counter increments.  All three registers are
-    clocked every cycle.
+    partial product's high half with the mux output; the partial product
+    register (carry, sum, low half) captures the result shifted right by
+    one; B shifts right; the counter increments.  All three registers are
+    clocked every cycle; those clock charges and the counter's toggles come
+    from ``cfg.charges``, so the loop covers only the data-dependent work.
     """
     _check_operands(a, b, cfg)
     n = cfg.width
     e = cfg.effective_width
-    s = cfg.cost.s
     mask_n = (1 << n) - 1
-    counter_ffs = (n - 1).bit_length()
+    fixed, _ = cfg.charges
 
-    # per-cycle clock charges for the ungated registers
-    b_clock = n * s
-    pp_clock = (2 * n + 1) * s
-    counter_clock = counter_ffs * s
-
-    reg_p = 0  # 2n+1-bit partial product register (carry : high : low)
+    reg_p = 0  # partial product register (carry : high : low)
     reg_b = b.value
-    count = 0
     adder_sum = 0
     adder_carry = 0
     prev_select = 0
     prev_mux = 0
 
-    multiplier_shift = partial_product_shift = adder = counter_internal = 0
+    multiplier_shift = partial_product_shift = adder = 0
     mux_select = mux_data = 0
     rows = [] if trace else None
+    if trace:
+        counter_width = max(1, _counter_width(cfg))
 
     for i in range(e):
         select = reg_b & 1
@@ -188,22 +340,18 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
         adder_sum, adder_carry = new_sum, new_carry
 
         new_p = ((cout << (2 * n)) | (new_sum << n) | (reg_p & mask_n)) >> 1
-        partial_product_shift += (reg_p ^ new_p).bit_count() + pp_clock
+        partial_product_shift += (reg_p ^ new_p).bit_count()
         reg_p = new_p
 
         new_b = reg_b >> 1
-        multiplier_shift += (reg_b ^ new_b).bit_count() + b_clock
+        multiplier_shift += (reg_b ^ new_b).bit_count()
         reg_b = new_b
-
-        new_count = (count + 1) % n if n > 1 else 0
-        counter_internal += (count ^ new_count).bit_count() + counter_clock
-        count = new_count
 
         if trace:
             rows.append(
                 CycleTrace(
                     cycle=i,
-                    counter_state=Word(i % n, max(1, counter_ffs)),
+                    counter_state=Word(i, counter_width),
                     selected_bit=select,
                     adder_fired=bool(select),
                     running_sum=Word((cout << n) | new_sum, n + 1),
@@ -212,10 +360,10 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
             )
 
     ledger = ToggleLedger(
-        multiplier_shift=multiplier_shift,
-        partial_product_shift=partial_product_shift,
+        multiplier_shift=fixed.multiplier_shift + multiplier_shift,
+        partial_product_shift=fixed.partial_product_shift + partial_product_shift,
         adder=adder,
-        counter_internal=counter_internal,
+        counter_internal=fixed.counter_internal,
         mux_select=mux_select,
         mux_data=mux_data,
     )
@@ -228,40 +376,38 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     counter selecting the multiplier bit through a one-hot mux tree, and a
     feeder/bypass pair around the adder.
 
-    Per cycle: the bit at the ring's hot position decides the path.  On a '1'
-    the adder sums the running high part with A and the feeder captures
-    (carry, sum), clocking n+1 flip-flops; on a '0' the bypass holds and only
-    the gating latch switches.  The shift down to the next cycle's adder
-    input is fixed wiring, and each cycle latches one product low bit.  B is
-    never shifted or clocked, so ``multiplier_shift`` stays zero.
+    Per cycle: the bit at the ring's hot position (bit i on cycle i) decides
+    the path.  On a '1' the adder sums the running high part with A and the
+    feeder captures (carry, sum), clocking its flip-flops; on a '0' the
+    bypass holds and only its clock gate switches.  The shift down to the
+    next cycle's adder input is fixed wiring, and each cycle latches one
+    product low bit.  B is never shifted or clocked, so ``multiplier_shift``
+    stays zero.  The ring, gating and select charges come from
+    ``cfg.charges``; the feeder's clock and the mux data line are closed
+    forms in the multiplier bits, so the loop covers only the adder and the
+    feeder's data toggles.
     """
     _check_operands(a, b, cfg)
     n = cfg.width
     e = cfg.effective_width
-    s = cfg.cost.s
-    g = cfg.cost.g
-    bsz = cfg.cost.block_size
     mask_n = (1 << n) - 1
-    blocks = num_blocks(n, bsz)
-    output_toggles = 2 if n > 1 else 0
+    fixed, add_ffs = cfg.charges
+    mask_e = (1 << e) - 1
+    bits = b.value & mask_e  # the multiplier bits the ring selects, in order
+    fired = bits.bit_count()
 
-    pos = 0  # ring hot-bit position; reset state selects bit 0
-    reg_fb = 0  # n+1-bit feeder/bypass storage (carry : sum)
+    reg_fb = 0  # feeder/bypass storage (carry : sum)
     low_bits = 0
     adder_sum = 0
     adder_carry = 0
-    prev_bit = 0
 
-    partial_product_shift = adder = counter_internal = counter_output = 0
-    mux_select = mux_data = feeder_bypass_clock = gating = 0
+    partial_product_shift = adder = 0
     rows = [] if trace else None
+    if trace:
+        ring_width = _counter_width(cfg)
 
     for i in range(e):
-        bit = (b.value >> pos) & 1
-        mux_select += output_toggles
-        mux_data += bit != prev_bit
-        prev_bit = bit
-
+        bit = (bits >> i) & 1
         x = reg_fb >> 1  # wired shift: last cycle's (carry : sum) minus its LSB
         if bit:
             total = x + a.value
@@ -272,11 +418,9 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
             adder += (adder_sum ^ new_sum).bit_count() + (adder_carry ^ new_carry).bit_count()
             adder_sum, adder_carry = new_sum, new_carry
             pair = (cout << n) | new_sum
-            feeder_bypass_clock += (n + 1) * s
         else:
             # adder inputs are frozen: zero transitions, state kept
             pair = x
-            feeder_bypass_clock += g
 
         low_bits |= (pair & 1) << i
         partial_product_shift += (reg_fb ^ pair).bit_count()
@@ -286,7 +430,7 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
             rows.append(
                 CycleTrace(
                     cycle=i,
-                    counter_state=Word(1 << pos, n),
+                    counter_state=Word(1 << i, ring_width),
                     selected_bit=bit,
                     adder_fired=bool(bit),
                     running_sum=Word(pair, n + 1),
@@ -294,26 +438,17 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
                 )
             )
 
-        # ring advances at the end of the cycle; the reset state serves cycle 0
-        nxt = (pos + 1) % n
-        src, dst = pos // bsz, nxt // bsz
-        events = min(bsz, n - src * bsz)
-        if dst != src:
-            events += min(bsz, n - dst * bsz)
-        counter_internal += events * s
-        gating += g * blocks
-        counter_output += output_toggles
-        pos = nxt
-
     ledger = ToggleLedger(
         partial_product_shift=partial_product_shift,
         adder=adder,
-        counter_internal=counter_internal,
-        counter_output=counter_output,
-        mux_select=mux_select,
-        mux_data=mux_data,
-        feeder_bypass_clock=feeder_bypass_clock,
-        gating=gating,
+        counter_internal=fixed.counter_internal,
+        counter_output=fixed.counter_output,
+        mux_select=fixed.mux_select,
+        # the mux output switches whenever the selected bit differs from the
+        # previous cycle's (reset: 0)
+        mux_data=((bits ^ (bits << 1)) & mask_e).bit_count(),
+        feeder_bypass_clock=fired * add_ffs * cfg.cost.s + (e - fired) * cfg.cost.g,
+        gating=fixed.gating,
     )
     product = Word(((reg_fb >> 1) << e) | low_bits, 2 * n)
     return SimResult(product, ledger, e, tuple(rows) if trace else None)

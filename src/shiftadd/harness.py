@@ -26,9 +26,8 @@ RNG_ALGORITHM = "python-random-mersenne-twister"
 DIST_KINDS = ("uniform", "sparse", "dense", "exhaustive", "fixed")
 SPARSE_P1 = 0.25
 DENSE_P1 = 0.75
-EXHAUSTIVE_WIDTH_LIMIT = 12
+EXHAUSTIVE_WIDTH_LIMIT = 8
 SWEEP_RANDOM_WIDTH_LIMIT = 16
-VERIFY_WIDTH_LIMIT = 8
 
 # FPGA synthesis figures reported for the original 4- and 8-bit designs;
 # printed next to modeled reductions for reference, never asserted against.
@@ -70,7 +69,9 @@ def gen_operands(
     """Deterministic stream of (a, b) pairs for ``dist``.
 
     ``exhaustive`` ignores ``trials`` and yields all ``2**(2*width)`` pairs in
-    lexicographic order; it refuses widths above 12 to bound the explosion.
+    lexicographic order; it refuses widths above ``EXHAUSTIVE_WIDTH_LIMIT``
+    to bound the explosion.  ``exhaustive_verify`` and exhaustive sweeps rely
+    on this guard.
     """
     if dist.kind == "exhaustive":
         if width > EXHAUSTIVE_WIDTH_LIMIT:
@@ -131,8 +132,6 @@ def exhaustive_verify(
 ) -> VerifyOutcome:
     """Run both datapaths over every operand pair and check products against
     native integer multiplication.  Mismatches are collected, not raised."""
-    if width > VERIFY_WIDTH_LIMIT:
-        raise ValueError(f"exhaustive verification limited to width <= {VERIFY_WIDTH_LIMIT}")
     conv_cfg = make_config(Variant.CONVENTIONAL, width, s=s, g=g, block_size=block_size)
     low_cfg = make_config(Variant.LOW_POWER, width, s=s, g=g, block_size=block_size)
     mismatches: list[Mismatch] = []
@@ -210,10 +209,7 @@ def sweep(
     model = model or PowerModel()
     rows: list[ReportRow] = []
     for width in widths:
-        if dist.kind == "exhaustive":
-            if width > VERIFY_WIDTH_LIMIT:
-                raise ValueError(f"exhaustive sweep limited to width <= {VERIFY_WIDTH_LIMIT}")
-        elif width > SWEEP_RANDOM_WIDTH_LIMIT:
+        if dist.kind != "exhaustive" and width > SWEEP_RANDOM_WIDTH_LIMIT:
             raise ValueError(f"sweep limited to width <= {SWEEP_RANDOM_WIDTH_LIMIT}")
         operands = list(gen_operands(dist, width, trials))
         cells: dict[str, tuple] = {}  # arch -> (counts, energy, power, area)

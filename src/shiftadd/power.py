@@ -1,4 +1,4 @@
-"""Dynamic-energy estimates, structural area inventories, and comparisons.
+"""Dynamic-energy estimates and structural area inventories.
 
 Energy is the switched-capacitance form: each ledger category contributes
 ``count * C_category * vdd**2``, with the activity factor realised as the
@@ -9,12 +9,19 @@ category, so with the default model energy equals the raw transition total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .counters import num_blocks
-from .datapath import LEDGER_CATEGORIES, ArchConfig, ToggleLedger, Variant
+from .datapath import (
+    LEDGER_CATEGORIES,
+    ArchConfig,
+    ToggleLedger,
+    Variant,
+    num_blocks,
+    register_inventory,
+)
 
 DEFAULT_WEIGHT = 1.0
 
@@ -25,8 +32,8 @@ def _complete_weights(weights: Mapping[str, float] | None) -> dict[str, float]:
         for key, value in weights.items():
             if key not in out:
                 raise ValueError(f"unknown ledger category {key!r}")
-            if value < 0:
-                raise ValueError(f"weight for {key!r} must be >= 0, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"weight for {key!r} must be finite and >= 0, got {value}")
             out[key] = float(value)
     return out
 
@@ -41,37 +48,41 @@ class PowerModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _complete_weights(self.weights))
-        if self.vdd <= 0:
-            raise ValueError("vdd must be > 0")
-        if self.f_clk <= 0:
-            raise ValueError("f_clk must be > 0")
+        if not (math.isfinite(self.vdd) and self.vdd > 0):
+            raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
+        if not (math.isfinite(self.f_clk) and self.f_clk > 0):
+            raise ValueError(f"f_clk must be finite and > 0, got {self.f_clk}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> PowerModel:
         """Load ``key = value`` lines; keys are ledger categories, plus the
-        reserved keys ``vdd`` and ``f_clk``.  ``#`` starts a comment."""
-        weights: dict[str, float] = {}
-        vdd = 1.0
-        f_clk = 1.0
+        reserved keys ``vdd`` and ``f_clk``.  ``#`` starts a comment.  A bad
+        line (unknown or repeated key, a value that is not a finite number)
+        raises ValueError naming ``path:line``."""
+        values: dict[str, float] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
+            if key not in LEDGER_CATEGORIES and key not in ("vdd", "f_clk"):
+                raise ValueError(f"{where}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{where}: duplicate key {key!r}")
             try:
-                number = float(value.strip())
+                number = float(value)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
-            if key == "vdd":
-                vdd = number
-            elif key == "f_clk":
-                f_clk = number
-            else:
-                weights[key] = number
-        return cls(weights, vdd, f_clk)
+                raise ValueError(f"{where}: bad number {value!r}") from exc
+            if not math.isfinite(number):
+                raise ValueError(f"{where}: {key} must be finite, got {value!r}")
+            values[key] = number
+        vdd = values.pop("vdd", 1.0)
+        f_clk = values.pop("f_clk", 1.0)
+        return cls(values, vdd, f_clk)
 
 
 def estimate_energy(ledger: ToggleLedger, model: PowerModel) -> float:
@@ -105,65 +116,24 @@ class AreaInventory:
 def area_proxy(cfg: ArchConfig) -> AreaInventory:
     """Element inventory for a configuration; independent of operand values.
 
-    Conventional: B register, 2n+1-bit partial product, binary counter,
-    n-bit adder, n-bit 2:1 mux, one control gate.  Low-power: B register,
-    n-bit ring, n+1-bit feeder/bypass, n product-bit latches and one gating
-    latch per ring block, n-bit adder, one-hot mux tree, one clock gate per
-    block plus the feeder/bypass gate.
+    ``flip_flops`` is the sum over ``datapath.register_inventory``.
+    Conventional: n-bit adder, n-bit 2:1 mux, one control gate.  Low-power:
+    n-bit adder, one-hot mux tree, one clock gate per ring block plus the
+    feeder/bypass gate.
 
     The low-power variant can inventory MORE flip-flops than the
     conventional one; its headline area win comes from technology mapping,
     which this proxy deliberately does not model.
     """
     n = cfg.width
+    flip_flops = sum(reg.width for reg in register_inventory(cfg))
     if cfg.variant is Variant.CONVENTIONAL:
-        return AreaInventory(
-            flip_flops=n + (2 * n + 1) + (n - 1).bit_length(),
-            full_adders=n,
-            mux_inputs=2 * n,
-            gates=1,
-        )
+        return AreaInventory(flip_flops, full_adders=n, mux_inputs=2 * n, gates=1)
     blocks = num_blocks(n, cfg.cost.block_size)
-    return AreaInventory(
-        flip_flops=n + n + (n + 1) + n + blocks,
-        full_adders=n,
-        mux_inputs=n,
-        gates=blocks + 1,
-    )
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """Reduction percentages of a new design against a baseline."""
-
-    energy_reduction_percent: float
-    area_reduction_percent: float
-    category_deltas: dict[str, int]
+    return AreaInventory(flip_flops, full_adders=n, mux_inputs=n, gates=blocks + 1)
 
 
 def reduction_percent(base: float, new: float) -> float:
     if base == 0:
         raise ValueError("reduction undefined for zero baseline")
     return 100.0 * (base - new) / base
-
-
-def compare(
-    base_energy: float,
-    new_energy: float,
-    base_area: AreaInventory | None = None,
-    new_area: AreaInventory | None = None,
-    base_ledger: ToggleLedger | None = None,
-    new_ledger: ToggleLedger | None = None,
-) -> Comparison:
-    if base_energy == 0:
-        raise ValueError("comparison undefined: baseline energy is zero")
-    energy_red = reduction_percent(base_energy, new_energy)
-    area_red = 0.0
-    if base_area is not None and new_area is not None and base_area.total > 0:
-        area_red = reduction_percent(base_area.total, new_area.total)
-    deltas: dict[str, int] = {}
-    if base_ledger is not None and new_ledger is not None:
-        base_counts = base_ledger.as_dict()
-        new_counts = new_ledger.as_dict()
-        deltas = {cat: base_counts[cat] - new_counts[cat] for cat in LEDGER_CATEGORIES}
-    return Comparison(energy_red, area_red, deltas)

@@ -1,0 +1,194 @@
+"""Independent reference models that the tests compare the simulator against.
+
+The simulator's kernels inline the adder and never step a counter: the
+counter and ring charges are per-config closed forms
+(``shiftadd.datapath.fixed_charges``).  The models here compute the same
+quantities the slow, explicit way (gate-level adder state, stepped counter
+and ring states) so a test can replay them and demand equal results.
+
+Transition counts use the zero-delay activity convention: one evaluation of
+a combinational block costs the Hamming distance between its previous and
+current steady-state internal signals.  Counter step functions return raw
+flip-flop clock event counts, leaving the multiplication by ``s`` to the
+caller.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from shiftadd.bits import Word
+from shiftadd.datapath import RingCostModel
+
+
+def get_bit(w: Word, i: int) -> int:
+    """Bit ``i`` of ``w`` (LSB = index 0)."""
+    if not 0 <= i < w.width:
+        raise ValueError(f"bit index {i} out of range for width {w.width}")
+    return (w.value >> i) & 1
+
+
+def hamming(a: Word, b: Word) -> int:
+    """Number of bit positions where ``a`` and ``b`` differ."""
+    if a.width != b.width:
+        raise ValueError(f"width mismatch: {a.width} != {b.width}")
+    return (a.value ^ b.value).bit_count()
+
+
+def full_add(a: int, b: int, cin: int) -> tuple[int, int]:
+    """One full adder: returns ``(sum, carry_out)`` for single-bit inputs."""
+    if a not in (0, 1) or b not in (0, 1) or cin not in (0, 1):
+        raise ValueError("full_add inputs must be single bits")
+    return a ^ b ^ cin, (a & b) | (a & cin) | (b & cin)
+
+
+@dataclass(frozen=True, slots=True)
+class AdderState:
+    """Steady-state internal signals of an n-stage full-adder chain.
+
+    ``sum_bits`` holds each stage's sum output; ``carry_bits`` holds each
+    stage's carry output, so the MSB of ``carry_bits`` is the chain's
+    carry-out.  A freshly reset adder is all-zero.
+    """
+
+    sum_bits: Word
+    carry_bits: Word
+
+    def __post_init__(self) -> None:
+        if self.sum_bits.width != self.carry_bits.width:
+            raise ValueError("sum_bits and carry_bits must share one width")
+
+    @classmethod
+    def zero(cls, width: int) -> AdderState:
+        return cls(Word(0, width), Word(0, width))
+
+    @property
+    def width(self) -> int:
+        return self.sum_bits.width
+
+
+def ripple_carry_add(
+    state: AdderState, x: Word, y: Word, cin: int = 0
+) -> tuple[Word, int, int, AdderState]:
+    """Add ``x + y + cin`` through a ripple-carry chain, counting transitions.
+
+    Returns ``(sum, carry_out, transitions, new_state)`` where ``transitions``
+    is the Hamming distance between the old and new internal signal vectors
+    (sum chain plus carry chain).  Re-evaluating with unchanged inputs
+    therefore costs zero transitions.
+    """
+    n = x.width
+    if y.width != n or state.width != n:
+        raise ValueError(f"width mismatch: x={x.width} y={y.width} state={state.width}")
+    if cin not in (0, 1):
+        raise ValueError("cin must be a single bit")
+    total = x.value + y.value + cin
+    sum_value = total & x.mask
+    cout = total >> n
+    # carry into stage i recovered from sum_i = x_i ^ y_i ^ cin_i; the carry
+    # out of stage i is the carry into stage i+1, topped by the chain cout.
+    carry_ins = x.value ^ y.value ^ sum_value
+    carry_outs = (carry_ins >> 1) | (cout << (n - 1))
+    new_state = AdderState(Word(sum_value, n), Word(carry_outs, n))
+    transitions = hamming(state.sum_bits, new_state.sum_bits) + hamming(
+        state.carry_bits, new_state.carry_bits
+    )
+    return new_state.sum_bits, cout, transitions, new_state
+
+
+@dataclass(frozen=True, slots=True)
+class BinaryCounter:
+    """A modulo-``modulus`` up counter over ceil(log2(modulus)) flip-flops."""
+
+    state: Word
+    modulus: int
+
+    def __post_init__(self) -> None:
+        if self.modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        if self.state.value >= self.modulus:
+            raise ValueError(f"state {self.state.value} out of range for modulus {self.modulus}")
+
+    @classmethod
+    def start(cls, modulus: int) -> BinaryCounter:
+        width = max(1, (modulus - 1).bit_length())
+        return cls(Word(0, width), modulus)
+
+
+def binary_counter_step(c: BinaryCounter) -> tuple[BinaryCounter, int]:
+    """Increment (wrapping at the modulus); toggles = changed state bits."""
+    nxt = Word((c.state.value + 1) % c.modulus, c.state.width)
+    return BinaryCounter(nxt, c.modulus), hamming(c.state, nxt)
+
+
+@dataclass(frozen=True, slots=True)
+class RingState:
+    """One-hot ring counter state; exactly one bit is set."""
+
+    state: Word
+    position: int
+
+    def __post_init__(self) -> None:
+        if self.state.value.bit_count() != 1:
+            raise ValueError(f"ring state {self.state.to_bin()} is not one-hot")
+        if self.state.value != 1 << self.position:
+            raise ValueError(f"position {self.position} does not match state {self.state.to_bin()}")
+
+    @classmethod
+    def start(cls, width: int) -> RingState:
+        """Reset state: hot bit at position 0."""
+        return cls(Word(1, width), 0)
+
+
+def _rotated(r: RingState) -> RingState:
+    n = r.state.width
+    nxt = (r.position + 1) % n
+    return RingState(Word(1 << nxt, n), nxt)
+
+
+def ring_conventional_step(r: RingState, cost: RingCostModel) -> tuple[RingState, int, int]:
+    """One step of an ungated ring: every flip-flop is clocked.
+
+    Returns ``(next_state, clock_events, output_toggles)`` with
+    ``clock_events == n``.  Each event costs ``cost.s`` internal transitions.
+    """
+    nxt = _rotated(r)
+    return nxt, r.state.width, hamming(r.state, nxt.state)
+
+
+def unnecessary_ring_transitions(width: int, cost: RingCostModel) -> int:
+    """Internal transitions per pulse spent on flip-flops that need no clock.
+
+    Only the two flip-flops around the hot bit have to be clocked; the other
+    ``width - 2`` are clocked for nothing, at ``s`` transitions apiece.
+    """
+    return (width - 2) * cost.s
+
+
+def _block_ff_count(width: int, block_size: int, block: int) -> int:
+    # the trailing block may be smaller when block_size does not divide width
+    return min(block_size, width - block * block_size)
+
+
+def ring_lowpower_step(
+    r: RingState, cost: RingCostModel
+) -> tuple[RingState, int, int, int]:
+    """One step of the block-clock-gated ring.
+
+    Only the block holding the hot bit is clocked; when the hot bit crosses a
+    block boundary both source and destination blocks are clocked.  Every
+    block's gate re-evaluates each pulse, costing ``g`` apiece.
+
+    Returns ``(next_state, clock_events, gating_transitions, output_toggles)``.
+    """
+    n = r.state.width
+    b = cost.block_size
+    if b > n:
+        raise ValueError(f"block_size {b} exceeds ring width {n}")
+    nxt = _rotated(r)
+    src, dst = r.position // b, nxt.position // b
+    events = _block_ff_count(n, b, src)
+    if dst != src:
+        events += _block_ff_count(n, b, dst)
+    blocks = len(range(0, n, b))
+    return nxt, events, cost.g * blocks, hamming(r.state, nxt.state)

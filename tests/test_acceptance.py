@@ -8,10 +8,18 @@ import time
 
 import pytest
 
-from shiftadd.bits import AdderState, Word, ripple_carry_add
+from oracles import (
+    AdderState,
+    RingState,
+    ring_conventional_step,
+    ring_lowpower_step,
+    ripple_carry_add,
+    unnecessary_ring_transitions,
+)
+
+from shiftadd.bits import Word
 from shiftadd.cli import main
-from shiftadd.counters import RingCostModel, RingState, ring_conventional_step, ring_lowpower_step, unnecessary_ring_transitions
-from shiftadd.datapath import Variant, make_config, run_lowpower
+from shiftadd.datapath import RingCostModel, Variant, make_config, run_lowpower
 from shiftadd.harness import (
     REPORTED_FPGA_REDUCTION,
     OperandDistribution,

@@ -115,6 +115,22 @@ class TestSweepCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("adder = nan\n", 1),
+        ("vdd = 1.0\nf_clk = inf\n", 2),
+        ("adder = 2\nadder = 0\n", 2),
+    ], ids=["nan", "inf", "duplicate"])
+    def test_bad_model_file_usage_error(self, tmp_path, capsys, text, lineno):
+        model = tmp_path / "model.cfg"
+        model.write_text(text)
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10", "--seed", "2",
+                    "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert f"model.cfg:{lineno}: " in capsys.readouterr().err
+        assert not out_file.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation_usage_error_exit_code(self):

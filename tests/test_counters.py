@@ -1,19 +1,20 @@
+"""The counter oracles (tests/oracles.py) and the ring cost parameters."""
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftadd.bits import Word, get_bit
-from shiftadd.counters import (
+from oracles import (
     BinaryCounter,
-    RingCostModel,
     RingState,
     binary_counter_step,
-    hot_one_select,
-    num_blocks,
     ring_conventional_step,
     ring_lowpower_step,
     unnecessary_ring_transitions,
 )
+
+from shiftadd.bits import Word
+from shiftadd.datapath import RingCostModel, num_blocks
 
 
 class TestBinaryCounter:
@@ -174,32 +175,6 @@ class TestRingLowPower:
             r_low, _, _, _ = ring_lowpower_step(r_low, cost)
             assert r_conv.state.value.bit_count() == 1
             assert r_conv == r_low
-
-
-class TestHotOneSelect:
-    @pytest.mark.parametrize(
-        "hot,data,expected",
-        [
-            (0, 0b010, 0),
-            (1, 0b010, 1),
-            (2, 0b110, 1),
-        ],
-    )
-    def test_examples(self, hot, data, expected):
-        sel = RingState(Word(1 << hot, 3), hot)
-        assert hot_one_select(sel, Word(data, 3)) == expected
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            hot_one_select(RingState.start(3), Word(0, 4))
-
-    @given(st.integers(1, 16).flatmap(
-        lambda n: st.tuples(st.integers(0, n - 1), st.builds(Word, st.integers(0, (1 << n) - 1), st.just(n)))
-    ))
-    def test_matches_get_bit(self, args):
-        pos, data = args
-        sel = RingState(Word(1 << pos, data.width), pos)
-        assert hot_one_select(sel, data) == get_bit(data, pos)
 
 
 class TestRingCostModel:

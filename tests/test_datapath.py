@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftadd.bits import Word, get_bit
-from shiftadd.counters import RingCostModel, RingState, ring_lowpower_step
+from oracles import BinaryCounter, RingState, binary_counter_step, get_bit, ring_lowpower_step
+
+from shiftadd.bits import Word
 from shiftadd.datapath import (
     ArchConfig,
+    RingCostModel,
     ToggleLedger,
     Variant,
+    fixed_charges,
     make_config,
     render_trace,
     run_conventional,
@@ -165,8 +168,8 @@ class TestLowPower:
         assert result.product.value == 0
 
     def test_ring_accounting_matches_counter_model(self):
-        # the datapath's inlined ring charges must replay exactly from the
-        # counters module's step function
+        # the datapath's closed-form ring charges must replay exactly from
+        # the oracle's step function
         n = 11
         cfg = make_config(Variant.LOW_POWER, n, block_size=4)
         result = run_lowpower(Word(1234 & ((1 << n) - 1), n), Word(1717 & ((1 << n) - 1), n), cfg)
@@ -187,6 +190,73 @@ class TestLowPower:
         result = run_lowpower(Word(19, 5), b, cfg, trace=True)
         for row in result.trace:
             assert row.selected_bit == get_bit(b, row.cycle)
+
+
+COSTS = [(2, 1), (3, 0), (1, 2)]
+
+
+def replay_conventional(n, s):
+    """Fixed charges after each of n cycles, from the oracle counter."""
+    counter = BinaryCounter.start(n)
+    # a modulo-1 counter has a single state and is built with no flip-flops
+    counter_ffs = counter.state.width if n > 1 else 0
+    toggles = 0
+    for e in range(1, n + 1):
+        counter, t = binary_counter_step(counter)
+        toggles += t
+        yield ToggleLedger(
+            multiplier_shift=e * n * s,  # B: n flip-flops
+            partial_product_shift=e * (2 * n + 1) * s,  # carry, n sum, n low bits
+            counter_internal=e * counter_ffs * s + toggles,
+        )
+
+
+def replay_lowpower(n, block_size, s, g):
+    """Fixed charges after each of n cycles, from the oracle ring."""
+    cost = RingCostModel(s, g, block_size)
+    ring = RingState.start(n)
+    events = gating = toggles = 0
+    for _ in range(n):
+        ring, ev, gt, tg = ring_lowpower_step(ring, cost)
+        events += ev
+        gating += gt
+        toggles += tg
+        # the ring's output lines are the one-hot mux's select lines
+        yield ToggleLedger(counter_internal=events * s, counter_output=toggles,
+                           mux_select=toggles, gating=gating)
+
+
+class TestFixedCharges:
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_closed_forms_match_oracle_replay(self, n):
+        for s, g in COSTS:
+            for bsz in range(1, n + 1):
+                replays = {
+                    Variant.CONVENTIONAL: replay_conventional(n, s),
+                    Variant.LOW_POWER: replay_lowpower(n, bsz, s, g),
+                }
+                for variant, replay in replays.items():
+                    for e, expected in enumerate(replay, start=1):
+                        cfg = make_config(variant, n, s=s, g=g, block_size=bsz,
+                                          effective_width=e)
+                        assert fixed_charges(cfg) == expected, (variant, n, bsz, e, s, g)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_zero_operands_cost_only_fixed_charges(self, variant):
+        # with a = b = 0 nothing data-dependent moves, except that every
+        # low-power cycle is a bypass cycle and pays its gate
+        for n in (1, 3, 8, 13):
+            for e in (1, n):
+                cfg = make_config(variant, n, s=3, g=2, effective_width=e)
+                expected = fixed_charges(cfg)
+                if variant is Variant.LOW_POWER:
+                    expected.feeder_bypass_clock = e * cfg.cost.g
+                assert simulate(Word(0, n), Word(0, n), cfg).ledger == expected
+
+    def test_cached_per_config(self):
+        cfg = make_config(Variant.LOW_POWER, 9, block_size=4)
+        assert cfg.charges is cfg.charges
+        assert cfg.charges[0] == fixed_charges(cfg)
 
 
 class TestEquivalence:
