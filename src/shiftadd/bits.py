@@ -13,7 +13,7 @@ from dataclasses import dataclass
 MAX_WIDTH = 64
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Word:
     """An unsigned bit vector with a fixed width of 1..64 bits.
 
@@ -24,10 +24,14 @@ class Word:
     value: int
     width: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
-        object.__setattr__(self, "value", self.value & self.mask)
+    def __init__(self, value: int, width: int) -> None:
+        # written by hand: the simulator builds three Words per multiplication,
+        # and setting the slots directly costs a third of the generated
+        # frozen __init__ plus __post_init__
+        if not 1 <= width <= MAX_WIDTH:
+            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
+        _set_value(self, value & ((1 << width) - 1))
+        _set_width(self, width)
 
     @property
     def mask(self) -> int:
@@ -39,3 +43,8 @@ class Word:
 
     def __str__(self) -> str:
         return self.to_bin()
+
+
+# the slot descriptors, which bypass the frozen __setattr__
+_set_value = Word.value.__set__
+_set_width = Word.width.__set__

@@ -22,7 +22,10 @@ Each datapath's registers are listed once, in ``register_inventory``: width,
 clocking rule and ledger category.  The inventory drives both the flip-flop
 count of ``power.area_proxy`` and ``fixed_charges``, the per-config ledger of
 every charge that does not depend on the operands.  The kernels simulate
-only the data-dependent work and add that ledger once per run.
+only the data-dependent work and add that ledger once per run.  They do
+that work for all cycles of a run at once, with no per-cycle loop: cycle i
+is lane i of one packed int (``Lanes``), and each category's per-cycle
+Hamming sum is one popcount.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .bits import Word
 
@@ -74,7 +78,7 @@ class ArchConfig:
     ``effective_width`` is the number of multiplier bits processed (and thus
     the cycle count); it defaults to the full width.  Truncated runs compute
     ``a * (b mod 2**effective_width)``.  Not slotted, because ``charges``
-    is cached in the instance's ``__dict__``.
+    and ``lanes`` are cached in the instance's ``__dict__``.
     """
 
     variant: Variant
@@ -104,6 +108,12 @@ class ArchConfig:
         add_ffs = sum(reg.width for reg in register_inventory(self)
                       if reg.clocking is Clocking.ADD_CYCLES)
         return fixed_charges(self), add_ffs
+
+    @cached_property
+    def lanes(self) -> Lanes:
+        """The kernels' lane constants, built on first use and kept on the
+        instance, like ``charges``."""
+        return Lanes.build(self.width, self.effective_width)
 
 
 def make_config(
@@ -144,8 +154,17 @@ class ToggleLedger:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def add(self, other: ToggleLedger) -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        # one line per category: called once per simulated multiplication,
+        # where a loop over fields() costs several times as much
+        self.multiplier_shift += other.multiplier_shift
+        self.partial_product_shift += other.partial_product_shift
+        self.adder += other.adder
+        self.counter_internal += other.counter_internal
+        self.counter_output += other.counter_output
+        self.mux_select += other.mux_select
+        self.mux_data += other.mux_data
+        self.feeder_bypass_clock += other.feeder_bypass_clock
+        self.gating += other.gating
 
 
 LEDGER_CATEGORIES: tuple[str, ...] = tuple(f.name for f in fields(ToggleLedger))
@@ -265,6 +284,42 @@ def _counter_width(cfg: ArchConfig) -> int:
                 if reg.category == "counter_internal")
 
 
+class Lanes(NamedTuple):
+    """Constants that pack all e cycles of one n-bit multiplication into one
+    int, cycle i in lane i: bits [L*i, L*(i+1)), L = 2n + 1.
+
+    ``b * copies`` lays copy i of b at bit 2n*i = L*i - i, with room for its
+    product by a, so copy i's bit i is lane i's bottom bit, the multiplier
+    bit cycle i selects.  Keeping bits [0, i] of copy i (``prefixes``) and
+    multiplying by a leaves a*(b mod 2^(i+1)) at L*i - i: its top n + 1 bits
+    (``running``) are cycle i's adder output, bottom-aligned in lane i.  A
+    per-cycle sum of Hamming distances is then one popcount of
+    ``(V ^ (V << L)) & lanes``: lane i of ``V << L`` is cycle i - 1's state,
+    and lane 0's is the reset state 0.
+    """
+
+    L: int  # lane width, 2n + 1
+    copies: int  # bit 2n*i set for each lane i < e
+    prefixes: int  # bits [0, i] of copy i
+    selects: int  # bit 0 of each lane
+    low: int  # bits [0, n) of each lane
+    running: int  # bits [0, n] of each lane
+    lanes: int  # all e lanes
+    top: int  # 2n*(e - 1): where the last copy starts
+
+    @classmethod
+    def build(cls, n: int, e: int) -> Lanes:
+        L = 2 * n + 1
+
+        def every_lane(pattern: int, stride: int = L) -> int:
+            return sum(pattern << stride * i for i in range(e))
+
+        prefixes = sum(((2 << i) - 1) << 2 * n * i for i in range(e))
+        return cls(L, every_lane(1, 2 * n), prefixes, every_lane(1),
+                   every_lane((1 << n) - 1), every_lane((2 << n) - 1),
+                   (1 << L * e) - 1, 2 * n * (e - 1))
+
+
 @dataclass(frozen=True, slots=True)
 class CycleTrace:
     """One simulated cycle: counter state, selected bit, and running values."""
@@ -277,7 +332,7 @@ class CycleTrace:
     product_so_far: Word
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SimResult:
     product: Word
     ledger: ToggleLedger
@@ -301,74 +356,42 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     register (carry, sum, low half) captures the result shifted right by
     one; B shifts right; the counter increments.  All three registers are
     clocked every cycle; those clock charges and the counter's toggles come
-    from ``cfg.charges``, so the loop covers only the data-dependent work.
+    from ``cfg.charges``.  The data-dependent work is computed for all
+    cycles at once on packed lanes (see ``Lanes``).
     """
     _check_operands(a, b, cfg)
     n = cfg.width
     e = cfg.effective_width
-    mask_n = (1 << n) - 1
     fixed, _ = cfg.charges
+    L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
+    av = a.value
+    copied = b.value * copies
+    partial = av * (copied & prefixes)
+    # lane i: the partial product register after cycle i, a*(b mod 2^(i+1))
+    # shifted up by the n - 1 - i cycles still to run
+    reg = partial << (n - 1)
+    out = partial & running  # lane i: the adder's output (carry : sum)
+    adder = _adder_lanes(out, L, low, n)
 
-    reg_p = 0  # partial product register (carry : high : low)
-    reg_b = b.value
-    adder_sum = 0
-    adder_carry = 0
-    prev_select = 0
-    prev_mux = 0
-
-    multiplier_shift = partial_product_shift = adder = 0
-    mux_select = mux_data = 0
-    rows = [] if trace else None
+    bits = b.value & ((1 << e) - 1)
+    mux_select = ((bits ^ (bits << 1)) & ((1 << e) - 1)).bit_count()
+    ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
+        fixed.multiplier_shift + (((b.value ^ (b.value >> 1)) * copies) & low).bit_count(),
+        fixed.partial_product_shift + ((reg ^ (reg << L)) & lanes).bit_count(),
+        ((adder ^ (adder << L)) & lanes).bit_count(),
+        fixed.counter_internal,
+        0,  # counter_output
+        mux_select,
+        # mux_data: the mux output swings between 0 and A on a select change
+        mux_select * av.bit_count(),
+    )
+    rows = None
     if trace:
         counter_width = max(1, _counter_width(cfg))
-
-    for i in range(e):
-        select = reg_b & 1
-        mux_select += select != prev_select
-        prev_select = select
-        mux_out = a.value if select else 0
-        mux_data += (prev_mux ^ mux_out).bit_count()
-        prev_mux = mux_out
-
-        x = (reg_p >> n) & mask_n
-        total = x + mux_out
-        new_sum = total & mask_n
-        cout = total >> n
-        carry_ins = x ^ mux_out ^ new_sum
-        new_carry = (carry_ins >> 1) | (cout << (n - 1))
-        adder += (adder_sum ^ new_sum).bit_count() + (adder_carry ^ new_carry).bit_count()
-        adder_sum, adder_carry = new_sum, new_carry
-
-        new_p = ((cout << (2 * n)) | (new_sum << n) | (reg_p & mask_n)) >> 1
-        partial_product_shift += (reg_p ^ new_p).bit_count()
-        reg_p = new_p
-
-        new_b = reg_b >> 1
-        multiplier_shift += (reg_b ^ new_b).bit_count()
-        reg_b = new_b
-
-        if trace:
-            rows.append(
-                CycleTrace(
-                    cycle=i,
-                    counter_state=Word(i, counter_width),
-                    selected_bit=select,
-                    adder_fired=bool(select),
-                    running_sum=Word((cout << n) | new_sum, n + 1),
-                    product_so_far=Word(reg_p >> (n - i - 1), 2 * n),
-                )
-            )
-
-    ledger = ToggleLedger(
-        multiplier_shift=fixed.multiplier_shift + multiplier_shift,
-        partial_product_shift=fixed.partial_product_shift + partial_product_shift,
-        adder=adder,
-        counter_internal=fixed.counter_internal,
-        mux_select=mux_select,
-        mux_data=mux_data,
-    )
-    product = Word(reg_p >> (n - e), 2 * n)
-    return SimResult(product, ledger, e, tuple(rows) if trace else None)
+        lane = (1 << L) - 1
+        rows = _trace_rows(cfg, copied & selects, out, lambda i: Word(i, counter_width),
+                           lambda i: (reg >> L * i & lane) >> (n - 1 - i))
+    return SimResult(Word(partial >> top, 2 * n), ledger, e, rows)
 
 
 def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
@@ -384,74 +407,86 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     product low bit.  B is never shifted or clocked, so ``multiplier_shift``
     stays zero.  The ring, gating and select charges come from
     ``cfg.charges``; the feeder's clock and the mux data line are closed
-    forms in the multiplier bits, so the loop covers only the adder and the
-    feeder's data toggles.
+    forms in the multiplier bits.  The adder and the feeder's data toggles
+    are computed for all cycles at once on packed lanes (see ``Lanes``).
     """
     _check_operands(a, b, cfg)
     n = cfg.width
     e = cfg.effective_width
-    mask_n = (1 << n) - 1
     fixed, add_ffs = cfg.charges
-    mask_e = (1 << e) - 1
-    bits = b.value & mask_e  # the multiplier bits the ring selects, in order
-    fired = bits.bit_count()
+    L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
+    copied = b.value * copies
+    # lane i: the feeder/bypass storage (carry : sum) after cycle i, which
+    # is what the conventional adder outputs on that cycle
+    feeder = (a.value * (copied & prefixes)) & running
+    fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
+    adder = _adder_lanes(feeder, L, low, n) & fired
+    # a bypass cycle holds the adder's state: fill each other lane from the
+    # nearest add lane below it, doubling the reach per step
+    step = L
+    while step < L * e:
+        adder |= (adder << step) & (lanes ^ fired)
+        fired = (fired | fired << step) & lanes
+        step <<= 1
 
-    reg_fb = 0  # feeder/bypass storage (carry : sum)
-    low_bits = 0
-    adder_sum = 0
-    adder_carry = 0
-
-    partial_product_shift = adder = 0
-    rows = [] if trace else None
+    bits = b.value & ((1 << e) - 1)
+    adds = bits.bit_count()
+    ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
+        0,  # multiplier_shift
+        ((feeder ^ (feeder << L)) & lanes).bit_count(),
+        ((adder ^ (adder << L)) & lanes).bit_count(),
+        fixed.counter_internal,
+        fixed.counter_output,
+        fixed.mux_select,
+        # mux_data: the mux output switches whenever the selected bit differs
+        # from the previous cycle's (reset: 0)
+        ((bits ^ (bits << 1)) & ((1 << e) - 1)).bit_count(),
+        adds * add_ffs * cfg.cost.s + (e - adds) * cfg.cost.g,
+        fixed.gating,
+    )
+    # the bit latched on cycle i is bit 0 of lane i; multiplying by
+    # ``copies`` lines those bits up in order above bit ``top``
+    latched = ((feeder & selects) * copies >> top) & ((1 << e) - 1)
+    rows = None
     if trace:
         ring_width = _counter_width(cfg)
+        lane = (1 << L) - 1
+        rows = _trace_rows(cfg, copied & selects, feeder, lambda i: Word(1 << i, ring_width),
+                           lambda i: ((feeder >> L * i & lane) >> 1 << (i + 1))
+                           | (latched & ((2 << i) - 1)))
+    return SimResult(Word((feeder >> (top + e)) << e | latched, 2 * n), ledger, e, rows)
 
-    for i in range(e):
-        bit = (bits >> i) & 1
-        x = reg_fb >> 1  # wired shift: last cycle's (carry : sum) minus its LSB
-        if bit:
-            total = x + a.value
-            new_sum = total & mask_n
-            cout = total >> n
-            carry_ins = x ^ a.value ^ new_sum
-            new_carry = (carry_ins >> 1) | (cout << (n - 1))
-            adder += (adder_sum ^ new_sum).bit_count() + (adder_carry ^ new_carry).bit_count()
-            adder_sum, adder_carry = new_sum, new_carry
-            pair = (cout << n) | new_sum
-        else:
-            # adder inputs are frozen: zero transitions, state kept
-            pair = x
 
-        low_bits |= (pair & 1) << i
-        partial_product_shift += (reg_fb ^ pair).bit_count()
-        reg_fb = pair
+def _adder_lanes(out: int, L: int, low: int, n: int) -> int:
+    """The adder's internal signals, (carry chain : sum) in bits [n, 2n) and
+    [0, n) of each lane, given its output (carry : sum) in ``out``.  Its
+    inputs are the previous lane's output shifted down one and the addend,
+    their difference; the carry out of stage j is bit j + 1 of
+    ``input ^ addend ^ output``."""
+    high = (out << L) >> 1 & low
+    return (out & low) | (((high ^ (out - high) ^ out) >> 1 & low) << n)
 
-        if trace:
-            rows.append(
-                CycleTrace(
-                    cycle=i,
-                    counter_state=Word(1 << i, ring_width),
-                    selected_bit=bit,
-                    adder_fired=bool(bit),
-                    running_sum=Word(pair, n + 1),
-                    product_so_far=Word(((pair >> 1) << (i + 1)) | low_bits, 2 * n),
-                )
-            )
 
-    ledger = ToggleLedger(
-        partial_product_shift=partial_product_shift,
-        adder=adder,
-        counter_internal=fixed.counter_internal,
-        counter_output=fixed.counter_output,
-        mux_select=fixed.mux_select,
-        # the mux output switches whenever the selected bit differs from the
-        # previous cycle's (reset: 0)
-        mux_data=((bits ^ (bits << 1)) & mask_e).bit_count(),
-        feeder_bypass_clock=fired * add_ffs * cfg.cost.s + (e - fired) * cfg.cost.g,
-        gating=fixed.gating,
-    )
-    product = Word(((reg_fb >> 1) << e) | low_bits, 2 * n)
-    return SimResult(product, ledger, e, tuple(rows) if trace else None)
+def _trace_rows(cfg: ArchConfig, selected: int, out: int, counter_state, so_far) -> tuple[CycleTrace, ...]:
+    """One ``CycleTrace`` per cycle, read from the kernel's lanes:
+    ``selected`` has each cycle's multiplier bit at the bottom of its lane,
+    ``out`` the adder output or feeder (carry : sum).  ``counter_state(i)``
+    and ``so_far(i)`` give cycle i's counter Word and settled product."""
+    n = cfg.width
+    L = cfg.lanes.L
+    lane = (1 << L) - 1
+    rows = []
+    for i in range(cfg.effective_width):
+        bit = selected >> L * i & 1
+        rows.append(CycleTrace(
+            cycle=i,
+            counter_state=counter_state(i),
+            selected_bit=bit,
+            adder_fired=bool(bit),
+            running_sum=Word(out >> L * i & lane, n + 1),
+            product_so_far=Word(so_far(i), 2 * n),
+        ))
+    return tuple(rows)
 
 
 def simulate(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:

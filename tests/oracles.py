@@ -1,10 +1,13 @@
 """Independent reference models that the tests compare the simulator against.
 
-The simulator's kernels inline the adder and never step a counter: the
-counter and ring charges are per-config closed forms
-(``shiftadd.datapath.fixed_charges``).  The models here compute the same
+The simulator's kernels inline the adder, never step a counter and have no
+per-cycle loop: the counter and ring charges are per-config closed forms
+(``shiftadd.datapath.fixed_charges``), and the data-dependent work is done
+for all cycles at once on packed lanes.  The models here compute the same
 quantities the slow, explicit way (gate-level adder state, stepped counter
-and ring states) so a test can replay them and demand equal results.
+and ring states, and ``loop_conventional`` / ``loop_lowpower``, which walk
+the datapaths one cycle at a time) so a test can replay them and demand
+equal results.
 
 Transition counts use the zero-delay activity convention: one evaluation of
 a combinational block costs the Hamming distance between its previous and
@@ -18,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from shiftadd.bits import Word
-from shiftadd.datapath import RingCostModel
+from shiftadd.datapath import (
+    ArchConfig,
+    CycleTrace,
+    RingCostModel,
+    SimResult,
+    ToggleLedger,
+    _check_operands,
+    _counter_width,
+)
 
 
 def get_bit(w: Word, i: int) -> int:
@@ -192,3 +203,165 @@ def ring_lowpower_step(
         events += _block_ff_count(n, b, dst)
     blocks = len(range(0, n, b))
     return nxt, events, cost.g * blocks, hamming(r.state, nxt.state)
+
+
+def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
+    """Simulate the conventional datapath: shifting B, shifting partial
+    product, binary cycle counter, 0/A multiplexer feeding the adder.
+
+    Per cycle: the current LSB of B drives the mux select; the adder sums the
+    partial product's high half with the mux output; the partial product
+    register (carry, sum, low half) captures the result shifted right by
+    one; B shifts right; the counter increments.  All three registers are
+    clocked every cycle; those clock charges and the counter's toggles come
+    from ``cfg.charges``, so the loop covers only the data-dependent work.
+    """
+    _check_operands(a, b, cfg)
+    n = cfg.width
+    e = cfg.effective_width
+    mask_n = (1 << n) - 1
+    fixed, _ = cfg.charges
+
+    reg_p = 0  # partial product register (carry : high : low)
+    reg_b = b.value
+    adder_sum = 0
+    adder_carry = 0
+    prev_select = 0
+    prev_mux = 0
+
+    multiplier_shift = partial_product_shift = adder = 0
+    mux_select = mux_data = 0
+    rows = [] if trace else None
+    if trace:
+        counter_width = max(1, _counter_width(cfg))
+
+    for i in range(e):
+        select = reg_b & 1
+        mux_select += select != prev_select
+        prev_select = select
+        mux_out = a.value if select else 0
+        mux_data += (prev_mux ^ mux_out).bit_count()
+        prev_mux = mux_out
+
+        x = (reg_p >> n) & mask_n
+        total = x + mux_out
+        new_sum = total & mask_n
+        cout = total >> n
+        carry_ins = x ^ mux_out ^ new_sum
+        new_carry = (carry_ins >> 1) | (cout << (n - 1))
+        adder += (adder_sum ^ new_sum).bit_count() + (adder_carry ^ new_carry).bit_count()
+        adder_sum, adder_carry = new_sum, new_carry
+
+        new_p = ((cout << (2 * n)) | (new_sum << n) | (reg_p & mask_n)) >> 1
+        partial_product_shift += (reg_p ^ new_p).bit_count()
+        reg_p = new_p
+
+        new_b = reg_b >> 1
+        multiplier_shift += (reg_b ^ new_b).bit_count()
+        reg_b = new_b
+
+        if trace:
+            rows.append(
+                CycleTrace(
+                    cycle=i,
+                    counter_state=Word(i, counter_width),
+                    selected_bit=select,
+                    adder_fired=bool(select),
+                    running_sum=Word((cout << n) | new_sum, n + 1),
+                    product_so_far=Word(reg_p >> (n - i - 1), 2 * n),
+                )
+            )
+
+    ledger = ToggleLedger(
+        multiplier_shift=fixed.multiplier_shift + multiplier_shift,
+        partial_product_shift=fixed.partial_product_shift + partial_product_shift,
+        adder=adder,
+        counter_internal=fixed.counter_internal,
+        mux_select=mux_select,
+        mux_data=mux_data,
+    )
+    product = Word(reg_p >> (n - e), 2 * n)
+    return SimResult(product, ledger, e, tuple(rows) if trace else None)
+
+
+def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
+    """Simulate the low-power datapath: static B register, block-gated ring
+    counter selecting the multiplier bit through a one-hot mux tree, and a
+    feeder/bypass pair around the adder.
+
+    Per cycle: the bit at the ring's hot position (bit i on cycle i) decides
+    the path.  On a '1' the adder sums the running high part with A and the
+    feeder captures (carry, sum), clocking its flip-flops; on a '0' the
+    bypass holds and only its clock gate switches.  The shift down to the
+    next cycle's adder input is fixed wiring, and each cycle latches one
+    product low bit.  B is never shifted or clocked, so ``multiplier_shift``
+    stays zero.  The ring, gating and select charges come from
+    ``cfg.charges``; the feeder's clock and the mux data line are closed
+    forms in the multiplier bits, so the loop covers only the adder and the
+    feeder's data toggles.
+    """
+    _check_operands(a, b, cfg)
+    n = cfg.width
+    e = cfg.effective_width
+    mask_n = (1 << n) - 1
+    fixed, add_ffs = cfg.charges
+    mask_e = (1 << e) - 1
+    bits = b.value & mask_e  # the multiplier bits the ring selects, in order
+    fired = bits.bit_count()
+
+    reg_fb = 0  # feeder/bypass storage (carry : sum)
+    low_bits = 0
+    adder_sum = 0
+    adder_carry = 0
+
+    partial_product_shift = adder = 0
+    rows = [] if trace else None
+    if trace:
+        ring_width = _counter_width(cfg)
+
+    for i in range(e):
+        bit = (bits >> i) & 1
+        x = reg_fb >> 1  # wired shift: last cycle's (carry : sum) minus its LSB
+        if bit:
+            total = x + a.value
+            new_sum = total & mask_n
+            cout = total >> n
+            carry_ins = x ^ a.value ^ new_sum
+            new_carry = (carry_ins >> 1) | (cout << (n - 1))
+            adder += (adder_sum ^ new_sum).bit_count() + (adder_carry ^ new_carry).bit_count()
+            adder_sum, adder_carry = new_sum, new_carry
+            pair = (cout << n) | new_sum
+        else:
+            # adder inputs are frozen: zero transitions, state kept
+            pair = x
+
+        low_bits |= (pair & 1) << i
+        partial_product_shift += (reg_fb ^ pair).bit_count()
+        reg_fb = pair
+
+        if trace:
+            rows.append(
+                CycleTrace(
+                    cycle=i,
+                    counter_state=Word(1 << i, ring_width),
+                    selected_bit=bit,
+                    adder_fired=bool(bit),
+                    running_sum=Word(pair, n + 1),
+                    product_so_far=Word(((pair >> 1) << (i + 1)) | low_bits, 2 * n),
+                )
+            )
+
+    ledger = ToggleLedger(
+        partial_product_shift=partial_product_shift,
+        adder=adder,
+        counter_internal=fixed.counter_internal,
+        counter_output=fixed.counter_output,
+        mux_select=fixed.mux_select,
+        # the mux output switches whenever the selected bit differs from the
+        # previous cycle's (reset: 0)
+        mux_data=((bits ^ (bits << 1)) & mask_e).bit_count(),
+        feeder_bypass_clock=fired * add_ffs * cfg.cost.s + (e - fired) * cfg.cost.g,
+        gating=fixed.gating,
+    )
+    product = Word(((reg_fb >> 1) << e) | low_bits, 2 * n)
+    return SimResult(product, ledger, e, tuple(rows) if trace else None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +46,18 @@ class TestWord:
 
     def test_to_bin(self):
         assert Word(6, 5).to_bin() == "00110"
+
+    def test_replace_masks_and_validates(self):
+        w = Word(3, 4)
+        assert dataclasses.replace(w, value=0b10110) == Word(0b0110, 4)
+        assert dataclasses.replace(w, width=2) == Word(3, 2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(w, width=0)
+
+    def test_equal_values_hash_equal(self):
+        assert Word(19, 4) == Word(3, 4)
+        assert hash(Word(19, 4)) == hash(Word(3, 4))
+        assert Word(3, 4) != Word(3, 5)
 
 
 class TestGetBit:

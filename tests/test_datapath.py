@@ -2,10 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import BinaryCounter, RingState, binary_counter_step, get_bit, ring_lowpower_step
+import random
+
+from oracles import (
+    BinaryCounter,
+    RingState,
+    binary_counter_step,
+    get_bit,
+    loop_conventional,
+    loop_lowpower,
+    ring_lowpower_step,
+)
 
 from shiftadd.bits import Word
 from shiftadd.datapath import (
+    LEDGER_CATEGORIES,
     ArchConfig,
     RingCostModel,
     ToggleLedger,
@@ -257,6 +268,67 @@ class TestFixedCharges:
         cfg = make_config(Variant.LOW_POWER, 9, block_size=4)
         assert cfg.charges is cfg.charges
         assert cfg.charges[0] == fixed_charges(cfg)
+
+
+KERNELS = {
+    Variant.CONVENTIONAL: (run_conventional, loop_conventional),
+    Variant.LOW_POWER: (run_lowpower, loop_lowpower),
+}
+
+
+def oracle_operands(n, seed):
+    full = (1 << n) - 1
+    rng = random.Random(seed)
+    return [(0, 0), (full, full), (0, full), (full, 0)] + [
+        (rng.getrandbits(n), rng.getrandbits(n)) for _ in range(4)
+    ]
+
+
+class TestAgainstLoopOracle:
+    """The packed kernels against the per-cycle loops they replaced: equal
+    products, ledgers, cycle counts and every ``CycleTrace`` field."""
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_grid(self, n):
+        for e in sorted({1, max(1, n // 2), n}):
+            for bsz in sorted({1, min(4, n), n}):
+                for s, g in COSTS:
+                    for variant, (packed, loop) in KERNELS.items():
+                        cfg = make_config(variant, n, s=s, g=g, block_size=bsz,
+                                          effective_width=e)
+                        for av, bv in oracle_operands(n, seed=n):
+                            a, b = Word(av, n), Word(bv, n)
+                            expected = loop(a, b, cfg, trace=True)
+                            assert packed(a, b, cfg, trace=True) == expected, (
+                                variant, n, e, bsz, s, g, av, bv)
+                            assert packed(a, b, cfg).ledger == expected.ledger
+
+    @given(
+        operand_pairs(max_width=32).flatmap(
+            lambda t: st.tuples(st.just(t), st.integers(1, t[0]))
+        ),
+        st.sampled_from(list(Variant)),
+    )
+    @settings(max_examples=200)
+    def test_random(self, args, variant):
+        (n, av, bv), e = args
+        packed, loop = KERNELS[variant]
+        cfg = make_config(variant, n, effective_width=e)
+        a, b = Word(av, n), Word(bv, n)
+        assert packed(a, b, cfg, trace=True) == loop(a, b, cfg, trace=True)
+
+    def test_lanes_cached_per_config(self):
+        cfg = make_config(Variant.CONVENTIONAL, 9, effective_width=5)
+        assert cfg.lanes is cfg.lanes
+        assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 95) - 1
+
+
+class TestLedgerAdd:
+    def test_adds_every_category(self):
+        total = ToggleLedger(*range(1, len(LEDGER_CATEGORIES) + 1))
+        total.add(ToggleLedger(*(10 * k for k in range(1, len(LEDGER_CATEGORIES) + 1))))
+        assert list(total.as_dict().values()) == [
+            11 * k for k in range(1, len(LEDGER_CATEGORIES) + 1)]
 
 
 class TestEquivalence:
