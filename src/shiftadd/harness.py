@@ -12,6 +12,7 @@ from typing import Callable, Iterator, Sequence
 
 from .bits import Word
 from .datapath import (
+    MAX_OPERAND_WIDTH,
     SimResult,
     ToggleLedger,
     Variant,
@@ -27,7 +28,6 @@ DIST_KINDS = ("uniform", "sparse", "dense", "exhaustive", "fixed")
 SPARSE_P1 = 0.25
 DENSE_P1 = 0.75
 EXHAUSTIVE_WIDTH_LIMIT = 8
-SWEEP_RANDOM_WIDTH_LIMIT = 16
 
 # FPGA synthesis figures reported for the original 4- and 8-bit designs;
 # printed next to modeled reductions for reference, never asserted against.
@@ -206,11 +206,12 @@ def sweep(
     Emits two rows per width (conventional first); the low-power row carries
     the energy reduction against the conventional baseline.
     """
+    for width in widths:  # all of them, before any operand is generated
+        if not 1 <= width <= MAX_OPERAND_WIDTH:
+            raise ValueError(f"sweep width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
     model = model or PowerModel()
     rows: list[ReportRow] = []
     for width in widths:
-        if dist.kind != "exhaustive" and width > SWEEP_RANDOM_WIDTH_LIMIT:
-            raise ValueError(f"sweep limited to width <= {SWEEP_RANDOM_WIDTH_LIMIT}")
         operands = list(gen_operands(dist, width, trials))
         cells: dict[str, tuple] = {}  # arch -> (counts, energy, power, area)
         for variant, runner in (

@@ -92,10 +92,12 @@ class TestSweepCommand:
         assert excinfo.value.code == 2
 
     def test_oversized_width_usage_error(self, tmp_path):
+        # every width is checked before width 4 runs
         with pytest.raises(SystemExit) as excinfo:
-            run_cli("sweep", "--widths", "20", "--trials", "10",
+            run_cli("sweep", "--widths", "4,33", "--trials", "10",
                     "--out", str(tmp_path / "x.csv"))
         assert excinfo.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_destination_fails(self, tmp_path, capsys):
         code = run_cli(

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from oracles import loop_conventional, loop_lowpower
+
+from shiftadd import harness
 from shiftadd.bits import Word
-from shiftadd.datapath import SimResult, ToggleLedger, Variant
+from shiftadd.datapath import LEDGER_CATEGORIES, SimResult, ToggleLedger, Variant, make_config
 from shiftadd.harness import (
     REPORT_COLUMNS,
     OperandDistribution,
@@ -117,9 +120,32 @@ class TestSweep:
 
     def test_width_caps(self):
         with pytest.raises(ValueError):
-            sweep([17], OperandDistribution("uniform"), 10)
+            sweep([33], OperandDistribution("uniform"), 10)
         with pytest.raises(ValueError):
             sweep([9], OperandDistribution("exhaustive"), 0)
+
+    @pytest.mark.parametrize("widths", [[4, 33], [0, 4], [4, -1]])
+    def test_widths_checked_before_any_operand(self, widths, monkeypatch):
+        def no_operands(*args):
+            raise AssertionError("operands generated before the widths were checked")
+
+        monkeypatch.setattr(harness, "gen_operands", no_operands)
+        with pytest.raises(ValueError, match="1..32"):
+            sweep(widths, OperandDistribution("uniform"), 10)
+
+    def test_wide_sweep_matches_loop_oracle(self):
+        # widths above the old random-sweep cap of 16: the report's ledger
+        # columns equal the per-cycle loop models' totals on the same operands
+        dist = OperandDistribution("uniform", seed=20250811)
+        rows = sweep([24, 32], dist, 150)
+        for row in rows:
+            variant = Variant(row.arch)
+            loop = loop_conventional if variant is Variant.CONVENTIONAL else loop_lowpower
+            cfg = make_config(variant, row.width)
+            totals = ToggleLedger()
+            for av, bv in gen_operands(dist, row.width, 150):
+                totals.add(loop(Word(av, row.width), Word(bv, row.width), cfg).ledger)
+            assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
 
     def test_deterministic(self):
         dist = OperandDistribution("uniform", seed=31)
