@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -257,23 +258,31 @@ def emit_report(
 
     CSV is header plus one line per row; when ``metadata`` is given it is
     recorded first as a single ``#`` comment line (CSV) or a ``metadata``
-    object (JSON).
+    object (JSON).  The report is written to a temporary file beside
+    ``destination`` and renamed over it, so a failed write leaves any
+    previous report as it was.
     """
     if not rows:
         raise ValueError("no rows to emit")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
     path = Path(destination)
-    if fmt == "csv":
-        with path.open("w", newline="") as fh:
-            if metadata:
-                fh.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(REPORT_COLUMNS)
-            for row in rows:
-                writer.writerow([getattr(row, col) for col in REPORT_COLUMNS])
-    else:
-        payload: object = [row.as_dict() for row in rows]
-        if metadata:
-            payload = {"metadata": metadata, "rows": payload}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with tmp.open("x", newline="" if fmt == "csv" else None) as fh:
+            if fmt == "csv":
+                if metadata:
+                    fh.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(REPORT_COLUMNS)
+                for row in rows:
+                    writer.writerow([getattr(row, col) for col in REPORT_COLUMNS])
+            else:
+                payload: object = [row.as_dict() for row in rows]
+                if metadata:
+                    payload = {"metadata": metadata, "rows": payload}
+                fh.write(json.dumps(payload, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

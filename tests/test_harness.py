@@ -196,6 +196,20 @@ class TestEmitReport:
         assert payload["metadata"] == {"seed": 3}
         assert len(payload["rows"]) == len(rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_keeps_previous_report(self, rows, tmp_path, fmt):
+        class Unserialisable:
+            def __getattr__(self, name):
+                raise RuntimeError(f"cannot serialise {name}")
+
+        out = tmp_path / f"r.{fmt}"
+        emit_report(rows, fmt, out, metadata={"seed": 3})
+        before = out.read_bytes()
+        with pytest.raises(RuntimeError, match="cannot serialise"):
+            emit_report([rows[0], Unserialisable()], fmt, out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
     def test_baseline_rows_report_zero_reduction(self, rows):
         assert all(row.reduction_pct == 0.0 for row in rows if row.arch == "conv")
 
