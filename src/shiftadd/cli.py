@@ -133,6 +133,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "gate_cost": args.gate_cost,
         "block_size": block_size,
     }
+    if args.dist == "exhaustive":
+        # every pair runs whatever --trials says; each row records its count
+        del metadata["trials"]
     emit_report(rows, args.format, args.out, metadata=metadata)
     print(f"wrote {len(rows)} rows to {args.out} ({args.format})")
     print("width  modeled reduction   FPGA-reported")

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -78,6 +79,16 @@ class TestSweepCommand:
         )
         assert code == 0
         assert out_file.exists()
+
+    def test_exhaustive_metadata_omits_trials(self, tmp_path):
+        # an exhaustive sweep ignores --trials, so the report must not record it
+        out_file = tmp_path / "report.json"
+        code = run_cli("sweep", "--widths", "2,3", "--dist", "exhaustive", "--trials", "7",
+                       "--out", str(out_file), "--format", "json")
+        assert code == 0
+        payload = json.loads(out_file.read_text())
+        assert "trials" not in payload["metadata"]
+        assert [row["trials"] for row in payload["rows"]] == [16, 16, 64, 64]
 
     def test_fixed_dist_requires_operands(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
