@@ -454,6 +454,8 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
         rows = _trace_rows(cfg, copied & selects, feeder, lambda i: Word(1 << i, ring_width),
                            lambda i: ((feeder >> L * i & lane) >> 1 << (i + 1))
                            | (latched & ((2 << i) - 1)))
+    # above the latched bits: the last lane's (carry : sum) minus its LSB,
+    # which starts at L*(e - 1) + 1 = top + e
     return SimResult(Word((feeder >> (top + e)) << e | latched, 2 * n), ledger, e, rows)
 
 
@@ -467,7 +469,8 @@ def _adder_lanes(out: int, L: int, low: int, n: int) -> int:
     return (out & low) | (((high ^ (out - high) ^ out) >> 1 & low) << n)
 
 
-def _trace_rows(cfg: ArchConfig, selected: int, out: int, counter_state, so_far) -> tuple[CycleTrace, ...]:
+def _trace_rows(cfg: ArchConfig, selected: int, out: int,
+                counter_state, so_far) -> tuple[CycleTrace, ...]:
     """One ``CycleTrace`` per cycle, read from the kernel's lanes:
     ``selected`` has each cycle's multiplier bit at the bottom of its lane,
     ``out`` the adder output or feeder (carry : sum).  ``counter_state(i)``

@@ -317,8 +317,9 @@ class TestAgainstLoopOracle:
         a, b = Word(av, n), Word(bv, n)
         assert packed(a, b, cfg, trace=True) == loop(a, b, cfg, trace=True)
 
-    def test_lanes_cached_per_config(self):
+    def test_lanes_built_on_first_use_and_cached(self):
         cfg = make_config(Variant.CONVENTIONAL, 9, effective_width=5)
+        assert "lanes" not in vars(cfg)
         assert cfg.lanes is cfg.lanes
         assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 95) - 1
 
