@@ -341,6 +341,8 @@ class SimResult:
 
 
 def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
+    """Raise for operands whose width is not the config's.  The kernels
+    compare the widths inline first and call this only on a mismatch."""
     if a.width != cfg.width or b.width != cfg.width:
         raise ValueError(
             f"operand widths ({a.width}, {b.width}) do not match config width {cfg.width}"
@@ -359,8 +361,9 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     from ``cfg.charges``.  The data-dependent work is computed for all
     cycles at once on packed lanes (see ``Lanes``).
     """
-    _check_operands(a, b, cfg)
     n = cfg.width
+    if a.width != n or b.width != n:
+        _check_operands(a, b, cfg)
     e = cfg.effective_width
     fixed, _ = cfg.charges
     L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
@@ -410,8 +413,9 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     forms in the multiplier bits.  The adder and the feeder's data toggles
     are computed for all cycles at once on packed lanes (see ``Lanes``).
     """
-    _check_operands(a, b, cfg)
     n = cfg.width
+    if a.width != n or b.width != n:
+        _check_operands(a, b, cfg)
     e = cfg.effective_width
     fixed, add_ffs = cfg.charges
     L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
@@ -422,11 +426,14 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
     adder = _adder_lanes(feeder, L, low, n) & fired
     # a bypass cycle holds the adder's state: fill each other lane from the
-    # nearest add lane below it, doubling the reach per step
+    # nearest add lane below it, doubling the reach per step.  The lanes
+    # below the first add lane hold the reset state 0 and count as filled
+    # (all lanes, when no cycle adds), so the fill stops once nothing is left
+    filled = fired | ((fired & -fired) - 1) & lanes
     step = L
-    while step < L * e:
-        adder |= (adder << step) & (lanes ^ fired)
-        fired = (fired | fired << step) & lanes
+    while filled != lanes:
+        adder |= (adder << step) & (lanes ^ filled)
+        filled = (filled | filled << step) & lanes
         step <<= 1
 
     bits = b.value & ((1 << e) - 1)

@@ -13,6 +13,7 @@ from typing import Callable, Iterator, Sequence
 
 from .bits import Word
 from .datapath import (
+    LEDGER_CATEGORIES,
     MAX_OPERAND_WIDTH,
     SimResult,
     ToggleLedger,
@@ -29,6 +30,8 @@ DIST_KINDS = ("uniform", "sparse", "dense", "exhaustive", "fixed")
 SPARSE_P1 = 0.25
 DENSE_P1 = 0.75
 EXHAUSTIVE_WIDTH_LIMIT = 8
+# operand pairs a sweep holds at once: its memory does not grow with trials
+SWEEP_CHUNK = 4096
 
 # FPGA synthesis figures reported for the original 4- and 8-bit designs;
 # printed next to modeled reductions for reference, never asserted against.
@@ -137,10 +140,11 @@ def exhaustive_verify(
     low_cfg = make_config(Variant.LOW_POWER, width, s=s, g=g, block_size=block_size)
     mismatches: list[Mismatch] = []
     total = 0
+    words = [Word(v, width) for v in range(1 << width)]  # each operand wrapped once
     for av, bv in gen_operands(OperandDistribution("exhaustive"), width, 0):
         total += 1
         expected = av * bv
-        a, b = Word(av, width), Word(bv, width)
+        a, b = words[av], words[bv]
         got = conventional(a, b, conv_cfg).product.value
         if got != expected:
             mismatches.append(Mismatch("conv", av, bv, got, expected))
@@ -180,13 +184,12 @@ REPORT_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ReportRow))
 
 
 def _aggregate(
-    cfg, operands: Sequence[tuple[int, int]], runner: Runner
+    cfg, operands: Sequence[tuple[Word, Word]], runner: Runner
 ) -> tuple[dict[str, int], int]:
     totals = ToggleLedger()
     cycles = 0
-    width = cfg.width
-    for av, bv in operands:
-        result = runner(Word(av, width), Word(bv, width), cfg)
+    for a, b in operands:
+        result = runner(a, b, cfg)
         totals.add(result.ledger)
         cycles += result.cycles
     return totals.as_dict(), cycles
@@ -205,38 +208,49 @@ def sweep(
     """Run both architectures over the same operand stream at each width.
 
     Emits two rows per width (conventional first); the low-power row carries
-    the energy reduction against the conventional baseline.
+    the energy reduction against the conventional baseline.  Operands are
+    streamed in chunks of at most ``SWEEP_CHUNK`` pairs, each operand
+    wrapped in one ``Word`` that both architectures share.
     """
     for width in widths:  # all of them, before any operand is generated
         if not 1 <= width <= MAX_OPERAND_WIDTH:
             raise ValueError(f"sweep width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
     model = model or PowerModel()
+    variants = (
+        (Variant.CONVENTIONAL, run_conventional),
+        (Variant.LOW_POWER, run_lowpower),
+    )
     rows: list[ReportRow] = []
     for width in widths:
-        operands = list(gen_operands(dist, width, trials))
-        cells: dict[str, tuple] = {}  # arch -> (counts, energy, power, area)
-        for variant, runner in (
-            (Variant.CONVENTIONAL, run_conventional),
-            (Variant.LOW_POWER, run_lowpower),
-        ):
-            cfg = make_config(variant, width, s=s, g=g, block_size=min(block_size, width))
-            counts, cycles = _aggregate(cfg, operands, runner)
-            ledger = ToggleLedger(**counts)
-            energy = estimate_energy(ledger, model)
-            power = average_power(energy, cycles, model)
+        cfgs = [make_config(variant, width, s=s, g=g, block_size=min(block_size, width))
+                for variant, _ in variants]
+        totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in variants]
+        cycles = [0] * len(variants)
+        count = 0
+        stream = gen_operands(dist, width, trials)
+        while chunk := [(Word(av, width), Word(bv, width))
+                        for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
+            count += len(chunk)
+            for k, (cfg, (_, runner)) in enumerate(zip(cfgs, variants)):
+                counts, chunk_cycles = _aggregate(cfg, chunk, runner)
+                for category, value in counts.items():
+                    totals[k][category] += value
+                cycles[k] += chunk_cycles
+        conv_energy = 0.0
+        for cfg, counts, arch_cycles in zip(cfgs, totals, cycles):
+            energy = estimate_energy(ToggleLedger(**counts), model)
+            power = average_power(energy, arch_cycles, model)
             area = area_proxy(cfg)
-            cells[variant.value] = (counts, energy, power, area)
-        conv_energy = cells[Variant.CONVENTIONAL.value][1]
-        for arch in (Variant.CONVENTIONAL.value, Variant.LOW_POWER.value):
-            counts, energy, power, area = cells[arch]
             reduction = 0.0
-            if arch == Variant.LOW_POWER.value:
+            if cfg.variant is Variant.CONVENTIONAL:
+                conv_energy = energy
+            else:
                 reduction = reduction_percent(conv_energy, energy)
             rows.append(
                 ReportRow(
                     width=width,
-                    arch=arch,
-                    trials=len(operands),
+                    arch=cfg.variant.value,
+                    trials=count,
                     energy=energy,
                     avg_power=power,
                     flip_flops=area.flip_flops,

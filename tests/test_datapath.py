@@ -317,6 +317,19 @@ class TestAgainstLoopOracle:
         a, b = Word(av, n), Word(bv, n)
         assert packed(a, b, cfg, trace=True) == loop(a, b, cfg, trace=True)
 
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_lowpower_fill_edges(self, n):
+        # no add lane; one add lane on top, below the longest run of lanes
+        # holding the reset state; one add lane at the bottom, below the
+        # longest run of lanes filled from it
+        for e in sorted({1, max(1, n // 2), n}):
+            cfg = make_config(Variant.LOW_POWER, n, effective_width=e)
+            for bv in (0, 1 << (e - 1), 1):
+                for av in (1, (1 << n) - 1):
+                    a, b = Word(av, n), Word(bv, n)
+                    assert run_lowpower(a, b, cfg, trace=True) == loop_lowpower(
+                        a, b, cfg, trace=True), (n, e, av, bv)
+
     def test_lanes_built_on_first_use_and_cached(self):
         cfg = make_config(Variant.CONVENTIONAL, 9, effective_width=5)
         assert "lanes" not in vars(cfg)

@@ -6,9 +6,17 @@ from oracles import loop_conventional, loop_lowpower
 
 from shiftadd import harness
 from shiftadd.bits import Word
-from shiftadd.datapath import LEDGER_CATEGORIES, SimResult, ToggleLedger, Variant, make_config
+from shiftadd.datapath import (
+    LEDGER_CATEGORIES,
+    SimResult,
+    ToggleLedger,
+    Variant,
+    make_config,
+    simulate,
+)
 from shiftadd.harness import (
     REPORT_COLUMNS,
+    SWEEP_CHUNK,
     OperandDistribution,
     emit_report,
     exhaustive_verify,
@@ -77,6 +85,18 @@ def carryless_conventional(a: Word, b: Word, cfg) -> SimResult:
     return SimResult(Word(acc, 2 * cfg.width), ToggleLedger(), cfg.effective_width)
 
 
+def count_words(monkeypatch) -> list[int]:
+    """Count the operand ``Word``s the harness builds."""
+    built = [0]
+
+    def counting(value, width):
+        built[0] += 1
+        return Word(value, width)
+
+    monkeypatch.setattr(harness, "Word", counting)
+    return built
+
+
 class TestExhaustiveVerify:
     def test_width3_all_pass(self):
         outcome = exhaustive_verify(3)
@@ -87,6 +107,11 @@ class TestExhaustiveVerify:
     def test_width_guard(self):
         with pytest.raises(ValueError):
             exhaustive_verify(9)
+
+    def test_wraps_each_operand_once(self, monkeypatch):
+        built = count_words(monkeypatch)
+        assert exhaustive_verify(4).passed
+        assert built == [16]
 
     def test_detects_injected_fault(self):
         outcome = exhaustive_verify(3, conventional=carryless_conventional)
@@ -146,6 +171,49 @@ class TestSweep:
             for av, bv in gen_operands(dist, row.width, 150):
                 totals.add(loop(Word(av, row.width), Word(bv, row.width), cfg).ledger)
             assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
+
+    def test_chunk_boundaries(self):
+        # two full chunks and a short one: the sums equal one pass over the
+        # whole, unchunked operand list
+        dist = OperandDistribution("sparse", seed=4)
+        trials = 2 * SWEEP_CHUNK + 3
+        rows = sweep([5], dist, trials)
+        operands = list(gen_operands(dist, 5, trials))
+        for row in rows:
+            cfg = make_config(row.arch, 5)
+            totals = ToggleLedger()
+            for av, bv in operands:
+                totals.add(simulate(Word(av, 5), Word(bv, 5), cfg).ledger)
+            assert row.trials == trials
+            assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
+
+    def test_pairs_held_bounded_by_chunk(self, monkeypatch):
+        pulled = simulated = held = 0
+
+        def counting_operands(*args):
+            nonlocal pulled, held
+            for pair in gen_operands(*args):
+                pulled += 1
+                held = max(held, pulled - simulated)
+                yield pair
+
+        run_conventional = harness.run_conventional
+
+        def counting_conventional(a, b, cfg):
+            nonlocal simulated
+            simulated += 1
+            return run_conventional(a, b, cfg)
+
+        monkeypatch.setattr(harness, "gen_operands", counting_operands)
+        monkeypatch.setattr(harness, "run_conventional", counting_conventional)
+        sweep([3], OperandDistribution("uniform", seed=2), 2 * SWEEP_CHUNK + 3)
+        assert simulated == pulled == 2 * SWEEP_CHUNK + 3
+        assert held == SWEEP_CHUNK
+
+    def test_wraps_each_operand_once(self, monkeypatch):
+        built = count_words(monkeypatch)
+        sweep([3, 6], OperandDistribution("uniform", seed=8), 50)
+        assert built == [2 * 2 * 50]
 
     def test_deterministic(self):
         dist = OperandDistribution("uniform", seed=31)
