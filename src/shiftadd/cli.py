@@ -56,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="report file path")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--model", default=None, help="power model config file")
-    p_sweep.add_argument("--a", type=int, default=None, help="multiplicand for --dist fixed")
-    p_sweep.add_argument("--b", type=int, default=None, help="multiplier for --dist fixed")
+    p_sweep.add_argument("--a", type=int, default=None,
+                         help="multiplicand for --dist fixed, in 0..2^w-1 at every width")
+    p_sweep.add_argument("--b", type=int, default=None,
+                         help="multiplier for --dist fixed, in 0..2^w-1 at every width")
     _add_cost_flags(p_sweep)
 
     return parser

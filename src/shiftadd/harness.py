@@ -59,6 +59,15 @@ class OperandDistribution:
             raise ValueError("fixed distribution needs both a and b")
 
 
+def _check_fixed_operands(dist: OperandDistribution, width: int) -> None:
+    limit = 1 << width
+    if not (0 <= dist.a < limit and 0 <= dist.b < limit):
+        raise ValueError(
+            f"fixed operands must be in 0..{limit - 1} for width {width}, "
+            f"got a={dist.a}, b={dist.b}"
+        )
+
+
 def _biased_bits(rng: random.Random, width: int, p1: float) -> int:
     value = 0
     for i in range(width):
@@ -71,6 +80,8 @@ def gen_operands(
     dist: OperandDistribution, width: int, trials: int
 ) -> Iterator[tuple[int, int]]:
     """Deterministic stream of (a, b) pairs for ``dist``.
+
+    ``fixed`` refuses operands outside ``0..2**width - 1``.
 
     ``exhaustive`` ignores ``trials`` and yields all ``2**(2*width)`` pairs in
     lexicographic order; it refuses widths above ``EXHAUSTIVE_WIDTH_LIMIT``
@@ -87,8 +98,8 @@ def gen_operands(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if dist.kind == "fixed":
-        mask = (1 << width) - 1
-        pair = (dist.a & mask, dist.b & mask)
+        _check_fixed_operands(dist, width)
+        pair = (dist.a, dist.b)
         for _ in range(trials):
             yield pair
         return
@@ -215,6 +226,8 @@ def sweep(
     for width in widths:  # all of them, before any operand is generated
         if not 1 <= width <= MAX_OPERAND_WIDTH:
             raise ValueError(f"sweep width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
+        if dist.kind == "fixed":
+            _check_fixed_operands(dist, width)
     model = model or PowerModel()
     variants = (
         (Variant.CONVENTIONAL, run_conventional),

@@ -96,6 +96,15 @@ class TestSweepCommand:
                     "--out", str(tmp_path / "x.csv"))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("widths, a", [("4", "-1"), ("4,8", "200"), ("8,4", "200")])
+    def test_fixed_operand_outside_width_usage_error(self, tmp_path, widths, a):
+        # rejected, not masked to the width, before any width runs
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", widths, "--dist", "fixed", "--a", a, "--b", "3",
+                    "--trials", "10", "--out", str(tmp_path / "x.csv"))
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_widths_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "4,eight", "--trials", "10",

@@ -63,6 +63,11 @@ class TestGenOperands:
         dist = OperandDistribution("fixed", a=3, b=2)
         assert list(gen_operands(dist, 8, 3)) == [(3, 2)] * 3
 
+    @pytest.mark.parametrize("a, b", [(-1, 3), (16, 3), (3, 16), (3, -2)])
+    def test_fixed_refuses_operands_wider_than_width(self, a, b):
+        with pytest.raises(ValueError, match="0..15 for width 4"):
+            list(gen_operands(OperandDistribution("fixed", a=a, b=b), 4, 3))
+
     def test_fixed_requires_operands(self):
         with pytest.raises(ValueError):
             OperandDistribution("fixed", a=3)
@@ -157,6 +162,15 @@ class TestSweep:
         monkeypatch.setattr(harness, "gen_operands", no_operands)
         with pytest.raises(ValueError, match="1..32"):
             sweep(widths, OperandDistribution("uniform"), 10)
+
+    @pytest.mark.parametrize("widths", [[4], [8, 4], [4, 8]])
+    def test_fixed_operands_checked_before_any_operand(self, widths, monkeypatch):
+        def no_operands(*args):
+            raise AssertionError("operands generated before the fixed pair was checked")
+
+        monkeypatch.setattr(harness, "gen_operands", no_operands)
+        with pytest.raises(ValueError, match="for width 4"):
+            sweep(widths, OperandDistribution("fixed", a=200, b=3), 10)
 
     def test_wide_sweep_matches_loop_oracle(self):
         # widths above the old random-sweep cap of 16: the report's ledger
