@@ -135,6 +135,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "gate_cost": args.gate_cost,
         "block_size": block_size,
     }
+    if args.block_size is not None:
+        # a width below --block-size runs with blocks of that width
+        ran = [min(block_size, width) for width in widths]
+        if any(size != block_size for size in ran):
+            metadata["block_size"] = ran
     if args.dist == "exhaustive":
         # every pair runs whatever --trials says; each row records its count
         del metadata["trials"]

@@ -284,8 +284,8 @@ def emit_report(
     """Write rows as CSV or JSON.
 
     CSV is header plus one line per row; when ``metadata`` is given it is
-    recorded first as a single ``#`` comment line (CSV) or a ``metadata``
-    object (JSON).  The report is written to a temporary file beside
+    recorded first as a single ``#`` comment line (CSV, list values
+    comma-separated) or a ``metadata`` object (JSON).  The report is written to a temporary file beside
     ``destination`` and renamed over it, so a failed write leaves any
     previous report as it was.
     """
@@ -299,7 +299,9 @@ def emit_report(
         with tmp.open("x", newline="" if fmt == "csv" else None) as fh:
             if fmt == "csv":
                 if metadata:
-                    fh.write("# " + " ".join(f"{k}={v}" for k, v in metadata.items()) + "\n")
+                    fh.write("# " + " ".join(
+                        f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
+                        for k, v in metadata.items()) + "\n")
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(REPORT_COLUMNS)
                 for row in rows:

@@ -90,6 +90,22 @@ class TestSweepCommand:
         assert "trials" not in payload["metadata"]
         assert [row["trials"] for row in payload["rows"]] == [16, 16, 64, 64]
 
+    @pytest.mark.parametrize("widths, recorded", [
+        ("1,2,3,4", [1, 2, 3, 3]),
+        ("4,2", [3, 2]),
+        ("3,8", 3),
+    ])
+    def test_metadata_records_block_sizes_that_ran(self, tmp_path, widths, recorded):
+        # an explicit --block-size runs clamped to each narrower width
+        argv = ["sweep", "--widths", widths, "--block-size", "3", "--trials", "5"]
+        assert run_cli(*argv, "--out", str(tmp_path / "r.json"), "--format", "json") == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["metadata"]["block_size"] == recorded
+        assert run_cli(*argv, "--out", str(tmp_path / "r.csv")) == 0
+        comment = (tmp_path / "r.csv").read_text().splitlines()[0]
+        text = ",".join(map(str, recorded)) if isinstance(recorded, list) else str(recorded)
+        assert comment.split()[-1] == f"block_size={text}"
+
     def test_fixed_dist_requires_operands(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "8", "--dist", "fixed", "--trials", "10",
