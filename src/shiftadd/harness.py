@@ -229,28 +229,27 @@ def sweep(
         if dist.kind == "fixed":
             _check_fixed_operands(dist, width)
     model = model or PowerModel()
-    variants = (
-        (Variant.CONVENTIONAL, run_conventional),
-        (Variant.LOW_POWER, run_lowpower),
-    )
     rows: list[ReportRow] = []
     for width in widths:
-        cfgs = [make_config(variant, width, s=s, g=g, block_size=min(block_size, width))
-                for variant, _ in variants]
-        totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in variants]
-        cycles = [0] * len(variants)
+        runs = [
+            (make_config(variant, width, s=s, g=g, block_size=min(block_size, width)), runner)
+            for variant, runner in ((Variant.CONVENTIONAL, run_conventional),
+                                    (Variant.LOW_POWER, run_lowpower))
+        ]
+        totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in runs]
+        cycles = [0 for _ in runs]
         count = 0
         stream = gen_operands(dist, width, trials)
         while chunk := [(Word(av, width), Word(bv, width))
                         for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
             count += len(chunk)
-            for k, (cfg, (_, runner)) in enumerate(zip(cfgs, variants)):
+            for k, (cfg, runner) in enumerate(runs):
                 counts, chunk_cycles = _aggregate(cfg, chunk, runner)
                 for category, value in counts.items():
                     totals[k][category] += value
                 cycles[k] += chunk_cycles
         conv_energy = 0.0
-        for cfg, counts, arch_cycles in zip(cfgs, totals, cycles):
+        for (cfg, _), counts, arch_cycles in zip(runs, totals, cycles):
             energy = estimate_energy(ToggleLedger(**counts), model)
             power = average_power(energy, arch_cycles, model)
             area = area_proxy(cfg)
