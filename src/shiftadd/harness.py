@@ -284,9 +284,9 @@ def emit_report(
 
     CSV is header plus one line per row; when ``metadata`` is given it is
     recorded first as a single ``#`` comment line (CSV, list values
-    comma-separated) or a ``metadata`` object (JSON).  The report is written to a temporary file beside
-    ``destination`` and renamed over it, so a failed write leaves any
-    previous report as it was.
+    comma-separated) or a ``metadata`` object (JSON).  The report is
+    written to a temporary file beside ``destination`` and renamed over
+    it, so a failed write leaves any previous report as it was.
     """
     if not rows:
         raise ValueError("no rows to emit")
