@@ -75,26 +75,18 @@ def num_blocks(width: int, block_size: int) -> int:
 class ArchConfig:
     """Architecture variant, operand width and cost parameters.
 
-    ``effective_width`` is the number of multiplier bits processed (and thus
-    the cycle count); it defaults to the full width.  Truncated runs compute
-    ``a * (b mod 2**effective_width)``.  Not slotted, because ``charges``
-    and ``lanes`` are cached in the instance's ``__dict__``.
+    A run processes every multiplier bit, one per cycle, so it takes
+    ``width`` cycles.  Not slotted, because ``charges`` and ``lanes`` are
+    cached in the instance's ``__dict__``.
     """
 
     variant: Variant
     width: int
     cost: RingCostModel = RingCostModel()
-    effective_width: int | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.width <= MAX_OPERAND_WIDTH:
             raise ValueError(f"width must be in 1..{MAX_OPERAND_WIDTH}, got {self.width}")
-        if self.effective_width is None:
-            object.__setattr__(self, "effective_width", self.width)
-        if not 1 <= self.effective_width <= self.width:
-            raise ValueError(
-                f"effective_width {self.effective_width} out of range 1..{self.width}"
-            )
         if self.cost.block_size > self.width:
             raise ValueError(
                 f"block_size {self.cost.block_size} exceeds width {self.width}"
@@ -113,7 +105,7 @@ class ArchConfig:
     def lanes(self) -> Lanes:
         """The kernels' lane constants, built on first use and kept on the
         instance, like ``charges``."""
-        return Lanes.build(self.width, self.effective_width)
+        return Lanes.build(self.width)
 
 
 def make_config(
@@ -123,14 +115,11 @@ def make_config(
     s: int = 2,
     g: int = 1,
     block_size: int | None = None,
-    effective_width: int | None = None,
 ) -> ArchConfig:
     """Build an ArchConfig with the default block size clamped to the width."""
     if block_size is None:
         block_size = min(4, width)
-    return ArchConfig(
-        Variant(variant), width, RingCostModel(s, g, block_size), effective_width
-    )
+    return ArchConfig(Variant(variant), width, RingCostModel(s, g, block_size))
 
 
 @dataclass(slots=True)
@@ -227,54 +216,40 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     Kernels read it through ``cfg.charges``, so it is computed once per
     config.
     """
-    n, e = cfg.width, cfg.effective_width
+    n = cfg.width
     cost = cfg.cost
     ledger = ToggleLedger()
     for reg in register_inventory(cfg):
         if reg.category is None:
             continue
         if reg.clocking is Clocking.EVERY_CYCLE:
-            pulses = e * reg.width
+            pulses = n * reg.width
         elif reg.clocking is Clocking.RING_BLOCK:
-            pulses = _ring_pulses(reg.width, e, cost.block_size)
+            pulses = _ring_pulses(reg.width, cost.block_size)
         else:  # add-cycle pulses depend on the multiplier; NEVER gets none
             continue
         charge = pulses * (cost.g if reg.gate_latch else cost.s)
         setattr(ledger, reg.category, getattr(ledger, reg.category) + charge)
     if cfg.variant is Variant.CONVENTIONAL:
-        ledger.counter_internal += _count_toggles(n, e)
+        # counting from 0 up to n - 1 flips 2(n - 1) - popcount(n - 1) bits,
+        # and the wrap back to 0 flips the popcount(n - 1) bits still set
+        ledger.counter_internal += 2 * (n - 1)
     elif n > 1:
         # each step moves the hot bit: two ring outputs toggle, and so do the
         # two one-hot select lines of the mux tree they drive
-        ledger.counter_output = ledger.mux_select = 2 * e
+        ledger.counter_output = ledger.mux_select = 2 * n
     return ledger
 
 
-def _count_toggles(modulus: int, steps: int) -> int:
-    """Output bits a modulo-``modulus`` binary counter flips over ``steps``
-    increments from zero, ``steps <= modulus``.  Counting from 0 up to m
-    flips 2m - popcount(m) bits; a full cycle's wrap from modulus - 1 back to
-    zero flips popcount(modulus - 1) bits, which leaves 2(modulus - 1)."""
-    if steps == modulus:
-        return 2 * (modulus - 1)
-    return 2 * steps - steps.bit_count()
-
-
-def _ring_pulses(n: int, steps: int, block_size: int) -> int:
-    """Flip-flop clock pulses of an ``n``-bit block-gated ring over ``steps``
-    steps from reset: each step clocks the hot bit's block, and a step that
-    moves the hot bit into another block clocks that block too."""
-
-    def size(block: int) -> int:  # the trailing block may be short
-        return min(block_size, n - block * block_size)
-
-    full, part = divmod(steps, block_size)
-    held = full * block_size * block_size + part * size(full)
-    entered = sum(size(block) for block in range(1, num_blocks(n, block_size))
-                  if block * block_size <= steps)
-    if steps == n and n > block_size:  # the wrap back into block 0
-        entered += block_size
-    return held + entered
+def _ring_pulses(n: int, block_size: int) -> int:
+    """Flip-flop clock pulses of an ``n``-bit block-gated ring over the n
+    steps of a run from reset.  Each step clocks the hot bit's block: a
+    block of size k holds the hot bit for k steps, k * k pulses.  A step
+    that moves the hot bit into another block clocks that block too: with
+    more than one block, each is entered once (block 0 by the wrap), n
+    pulses in all."""
+    full, part = divmod(n, block_size)  # the trailing block may be short
+    return full * block_size * block_size + part * part + (n if n > block_size else 0)
 
 
 def _counter_width(cfg: ArchConfig) -> int:
@@ -285,7 +260,7 @@ def _counter_width(cfg: ArchConfig) -> int:
 
 
 class Lanes(NamedTuple):
-    """Constants that pack all e cycles of one n-bit multiplication into one
+    """Constants that pack all n cycles of one n-bit multiplication into one
     int, cycle i in lane i: bits [L*i, L*(i+1)), L = 2n + 1.
 
     ``b * copies`` lays copy i of b at bit 2n*i = L*i - i, with room for its
@@ -299,25 +274,25 @@ class Lanes(NamedTuple):
     """
 
     L: int  # lane width, 2n + 1
-    copies: int  # bit 2n*i set for each lane i < e
+    copies: int  # bit 2n*i set for each lane i < n
     prefixes: int  # bits [0, i] of copy i
     selects: int  # bit 0 of each lane
     low: int  # bits [0, n) of each lane
     running: int  # bits [0, n] of each lane
-    lanes: int  # all e lanes
-    top: int  # 2n*(e - 1): where the last copy starts
+    lanes: int  # all n lanes
+    top: int  # 2n*(n - 1): where the last copy starts
 
     @classmethod
-    def build(cls, n: int, e: int) -> Lanes:
+    def build(cls, n: int) -> Lanes:
         L = 2 * n + 1
 
         def every_lane(pattern: int, stride: int = L) -> int:
-            return sum(pattern << stride * i for i in range(e))
+            return sum(pattern << stride * i for i in range(n))
 
-        prefixes = sum(((2 << i) - 1) << 2 * n * i for i in range(e))
+        prefixes = sum(((2 << i) - 1) << 2 * n * i for i in range(n))
         return cls(L, every_lane(1, 2 * n), prefixes, every_lane(1),
                    every_lane((1 << n) - 1), every_lane((2 << n) - 1),
-                   (1 << L * e) - 1, 2 * n * (e - 1))
+                   (1 << L * n) - 1, 2 * n * (n - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -364,11 +339,10 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
-    e = cfg.effective_width
     fixed, _ = cfg.charges
     L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
-    av = a.value
-    copied = b.value * copies
+    av, bv = a.value, b.value
+    copied = bv * copies
     partial = av * (copied & prefixes)
     # lane i: the partial product register after cycle i, a*(b mod 2^(i+1))
     # shifted up by the n - 1 - i cycles still to run
@@ -376,10 +350,9 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     out = partial & running  # lane i: the adder's output (carry : sum)
     adder = _adder_lanes(out, L, low, n)
 
-    bits = b.value & ((1 << e) - 1)
-    mux_select = ((bits ^ (bits << 1)) & ((1 << e) - 1)).bit_count()
+    mux_select = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
     ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
-        fixed.multiplier_shift + (((b.value ^ (b.value >> 1)) * copies) & low).bit_count(),
+        fixed.multiplier_shift + (((bv ^ (bv >> 1)) * copies) & low).bit_count(),
         fixed.partial_product_shift + ((reg ^ (reg << L)) & lanes).bit_count(),
         ((adder ^ (adder << L)) & lanes).bit_count(),
         fixed.counter_internal,
@@ -394,7 +367,7 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
         lane = (1 << L) - 1
         rows = _trace_rows(cfg, copied & selects, out, lambda i: Word(i, counter_width),
                            lambda i: (reg >> L * i & lane) >> (n - 1 - i))
-    return SimResult(Word(partial >> top, 2 * n), ledger, e, rows)
+    return SimResult(Word(partial >> top, 2 * n), ledger, n, rows)
 
 
 def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
@@ -416,10 +389,10 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
-    e = cfg.effective_width
     fixed, add_ffs = cfg.charges
     L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
-    copied = b.value * copies
+    bv = b.value
+    copied = bv * copies
     # lane i: the feeder/bypass storage (carry : sum) after cycle i, which
     # is what the conventional adder outputs on that cycle
     feeder = (a.value * (copied & prefixes)) & running
@@ -436,8 +409,7 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
         filled = (filled | filled << step) & lanes
         step <<= 1
 
-    bits = b.value & ((1 << e) - 1)
-    adds = bits.bit_count()
+    adds = bv.bit_count()
     ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
         0,  # multiplier_shift
         ((feeder ^ (feeder << L)) & lanes).bit_count(),
@@ -447,13 +419,13 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
         fixed.mux_select,
         # mux_data: the mux output switches whenever the selected bit differs
         # from the previous cycle's (reset: 0)
-        ((bits ^ (bits << 1)) & ((1 << e) - 1)).bit_count(),
-        adds * add_ffs * cfg.cost.s + (e - adds) * cfg.cost.g,
+        ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count(),
+        adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g,
         fixed.gating,
     )
     # the bit latched on cycle i is bit 0 of lane i; multiplying by
     # ``copies`` lines those bits up in order above bit ``top``
-    latched = ((feeder & selects) * copies >> top) & ((1 << e) - 1)
+    latched = ((feeder & selects) * copies >> top) & ((1 << n) - 1)
     rows = None
     if trace:
         ring_width = _counter_width(cfg)
@@ -462,8 +434,8 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
                            lambda i: ((feeder >> L * i & lane) >> 1 << (i + 1))
                            | (latched & ((2 << i) - 1)))
     # above the latched bits: the last lane's (carry : sum) minus its LSB,
-    # which starts at L*(e - 1) + 1 = top + e
-    return SimResult(Word((feeder >> (top + e)) << e | latched, 2 * n), ledger, e, rows)
+    # which starts at L*(n - 1) + 1 = top + n
+    return SimResult(Word((feeder >> (top + n)) << n | latched, 2 * n), ledger, n, rows)
 
 
 def _adder_lanes(out: int, L: int, low: int, n: int) -> int:
@@ -486,7 +458,7 @@ def _trace_rows(cfg: ArchConfig, selected: int, out: int,
     L = cfg.lanes.L
     lane = (1 << L) - 1
     rows = []
-    for i in range(cfg.effective_width):
+    for i in range(n):
         bit = selected >> L * i & 1
         rows.append(CycleTrace(
             cycle=i,

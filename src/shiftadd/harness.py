@@ -196,14 +196,11 @@ REPORT_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ReportRow))
 
 def _aggregate(
     cfg, operands: Sequence[tuple[Word, Word]], runner: Runner
-) -> tuple[dict[str, int], int]:
+) -> dict[str, int]:
     totals = ToggleLedger()
-    cycles = 0
     for a, b in operands:
-        result = runner(a, b, cfg)
-        totals.add(result.ledger)
-        cycles += result.cycles
-    return totals.as_dict(), cycles
+        totals.add(runner(a, b, cfg).ledger)
+    return totals.as_dict()
 
 
 def sweep(
@@ -237,21 +234,19 @@ def sweep(
                                     (Variant.LOW_POWER, run_lowpower))
         ]
         totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in runs]
-        cycles = [0 for _ in runs]
         count = 0
         stream = gen_operands(dist, width, trials)
         while chunk := [(Word(av, width), Word(bv, width))
                         for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
             count += len(chunk)
-            for k, (cfg, runner) in enumerate(runs):
-                counts, chunk_cycles = _aggregate(cfg, chunk, runner)
-                for category, value in counts.items():
-                    totals[k][category] += value
-                cycles[k] += chunk_cycles
+            for (cfg, runner), arch_totals in zip(runs, totals):
+                for category, value in _aggregate(cfg, chunk, runner).items():
+                    arch_totals[category] += value
         conv_energy = 0.0
-        for (cfg, _), counts, arch_cycles in zip(runs, totals, cycles):
+        for (cfg, _), counts in zip(runs, totals):
             energy = estimate_energy(ToggleLedger(**counts), model)
-            power = average_power(energy, arch_cycles, model)
+            # every run takes one cycle per multiplier bit
+            power = average_power(energy, count * width, model)
             area = area_proxy(cfg)
             reduction = 0.0
             if cfg.variant is Variant.CONVENTIONAL:

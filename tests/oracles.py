@@ -218,7 +218,7 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
     """
     _check_operands(a, b, cfg)
     n = cfg.width
-    e = cfg.effective_width
+    e = cfg.width
     mask_n = (1 << n) - 1
     fixed, _ = cfg.charges
 
@@ -302,7 +302,7 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
     """
     _check_operands(a, b, cfg)
     n = cfg.width
-    e = cfg.effective_width
+    e = cfg.width
     mask_n = (1 << n) - 1
     fixed, add_ffs = cfg.charges
     mask_e = (1 << e) - 1

@@ -41,19 +41,10 @@ def operand_pairs(max_width=16):
 
 
 class TestArchConfig:
-    def test_effective_width_defaults_to_width(self):
-        cfg = make_config(Variant.CONVENTIONAL, 8)
-        assert cfg.effective_width == 8
-
     @pytest.mark.parametrize("width", [0, 33])
     def test_width_bounds(self, width):
         with pytest.raises(ValueError):
             ArchConfig(Variant.CONVENTIONAL, width)
-
-    @pytest.mark.parametrize("eff", [0, 9])
-    def test_effective_width_bounds(self, eff):
-        with pytest.raises(ValueError):
-            make_config(Variant.CONVENTIONAL, 8, effective_width=eff)
 
     def test_block_size_clamped_by_default(self):
         assert make_config(Variant.LOW_POWER, 3).cost.block_size == 3
@@ -207,23 +198,23 @@ COSTS = [(2, 1), (3, 0), (1, 2)]
 
 
 def replay_conventional(n, s):
-    """Fixed charges after each of n cycles, from the oracle counter."""
+    """Fixed charges of an n-cycle run, from the oracle counter."""
     counter = BinaryCounter.start(n)
     # a modulo-1 counter has a single state and is built with no flip-flops
     counter_ffs = counter.state.width if n > 1 else 0
     toggles = 0
-    for e in range(1, n + 1):
+    for _ in range(n):
         counter, t = binary_counter_step(counter)
         toggles += t
-        yield ToggleLedger(
-            multiplier_shift=e * n * s,  # B: n flip-flops
-            partial_product_shift=e * (2 * n + 1) * s,  # carry, n sum, n low bits
-            counter_internal=e * counter_ffs * s + toggles,
-        )
+    return ToggleLedger(
+        multiplier_shift=n * n * s,  # B: n flip-flops
+        partial_product_shift=n * (2 * n + 1) * s,  # carry, n sum, n low bits
+        counter_internal=n * counter_ffs * s + toggles,
+    )
 
 
 def replay_lowpower(n, block_size, s, g):
-    """Fixed charges after each of n cycles, from the oracle ring."""
+    """Fixed charges of an n-cycle run, from the oracle ring."""
     cost = RingCostModel(s, g, block_size)
     ring = RingState.start(n)
     events = gating = toggles = 0
@@ -232,9 +223,9 @@ def replay_lowpower(n, block_size, s, g):
         events += ev
         gating += gt
         toggles += tg
-        # the ring's output lines are the one-hot mux's select lines
-        yield ToggleLedger(counter_internal=events * s, counter_output=toggles,
-                           mux_select=toggles, gating=gating)
+    # the ring's output lines are the one-hot mux's select lines
+    return ToggleLedger(counter_internal=events * s, counter_output=toggles,
+                        mux_select=toggles, gating=gating)
 
 
 class TestFixedCharges:
@@ -246,23 +237,20 @@ class TestFixedCharges:
                     Variant.CONVENTIONAL: replay_conventional(n, s),
                     Variant.LOW_POWER: replay_lowpower(n, bsz, s, g),
                 }
-                for variant, replay in replays.items():
-                    for e, expected in enumerate(replay, start=1):
-                        cfg = make_config(variant, n, s=s, g=g, block_size=bsz,
-                                          effective_width=e)
-                        assert fixed_charges(cfg) == expected, (variant, n, bsz, e, s, g)
+                for variant, expected in replays.items():
+                    cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
+                    assert fixed_charges(cfg) == expected, (variant, n, bsz, s, g)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_zero_operands_cost_only_fixed_charges(self, variant):
         # with a = b = 0 nothing data-dependent moves, except that every
         # low-power cycle is a bypass cycle and pays its gate
         for n in (1, 3, 8, 13):
-            for e in (1, n):
-                cfg = make_config(variant, n, s=3, g=2, effective_width=e)
-                expected = fixed_charges(cfg)
-                if variant is Variant.LOW_POWER:
-                    expected.feeder_bypass_clock = e * cfg.cost.g
-                assert simulate(Word(0, n), Word(0, n), cfg).ledger == expected
+            cfg = make_config(variant, n, s=3, g=2)
+            expected = fixed_charges(cfg)
+            if variant is Variant.LOW_POWER:
+                expected.feeder_bypass_clock = n * cfg.cost.g
+            assert simulate(Word(0, n), Word(0, n), cfg).ledger == expected
 
     def test_cached_per_config(self):
         cfg = make_config(Variant.LOW_POWER, 9, block_size=4)
@@ -290,30 +278,23 @@ class TestAgainstLoopOracle:
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_grid(self, n):
-        for e in sorted({1, max(1, n // 2), n}):
-            for bsz in sorted({1, min(4, n), n}):
-                for s, g in COSTS:
-                    for variant, (packed, loop) in KERNELS.items():
-                        cfg = make_config(variant, n, s=s, g=g, block_size=bsz,
-                                          effective_width=e)
-                        for av, bv in oracle_operands(n, seed=n):
-                            a, b = Word(av, n), Word(bv, n)
-                            expected = loop(a, b, cfg, trace=True)
-                            assert packed(a, b, cfg, trace=True) == expected, (
-                                variant, n, e, bsz, s, g, av, bv)
-                            assert packed(a, b, cfg).ledger == expected.ledger
+        for bsz in sorted({1, min(4, n), n}):
+            for s, g in COSTS:
+                for variant, (packed, loop) in KERNELS.items():
+                    cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
+                    for av, bv in oracle_operands(n, seed=n):
+                        a, b = Word(av, n), Word(bv, n)
+                        expected = loop(a, b, cfg, trace=True)
+                        assert packed(a, b, cfg, trace=True) == expected, (
+                            variant, n, bsz, s, g, av, bv)
+                        assert packed(a, b, cfg).ledger == expected.ledger
 
-    @given(
-        operand_pairs(max_width=32).flatmap(
-            lambda t: st.tuples(st.just(t), st.integers(1, t[0]))
-        ),
-        st.sampled_from(list(Variant)),
-    )
+    @given(operand_pairs(max_width=32), st.sampled_from(list(Variant)))
     @settings(max_examples=200)
     def test_random(self, args, variant):
-        (n, av, bv), e = args
+        n, av, bv = args
         packed, loop = KERNELS[variant]
-        cfg = make_config(variant, n, effective_width=e)
+        cfg = make_config(variant, n)
         a, b = Word(av, n), Word(bv, n)
         assert packed(a, b, cfg, trace=True) == loop(a, b, cfg, trace=True)
 
@@ -322,19 +303,18 @@ class TestAgainstLoopOracle:
         # no add lane; one add lane on top, below the longest run of lanes
         # holding the reset state; one add lane at the bottom, below the
         # longest run of lanes filled from it
-        for e in sorted({1, max(1, n // 2), n}):
-            cfg = make_config(Variant.LOW_POWER, n, effective_width=e)
-            for bv in (0, 1 << (e - 1), 1):
-                for av in (1, (1 << n) - 1):
-                    a, b = Word(av, n), Word(bv, n)
-                    assert run_lowpower(a, b, cfg, trace=True) == loop_lowpower(
-                        a, b, cfg, trace=True), (n, e, av, bv)
+        cfg = make_config(Variant.LOW_POWER, n)
+        for bv in (0, 1 << (n - 1), 1):
+            for av in (1, (1 << n) - 1):
+                a, b = Word(av, n), Word(bv, n)
+                assert run_lowpower(a, b, cfg, trace=True) == loop_lowpower(
+                    a, b, cfg, trace=True), (n, av, bv)
 
     def test_lanes_built_on_first_use_and_cached(self):
-        cfg = make_config(Variant.CONVENTIONAL, 9, effective_width=5)
+        cfg = make_config(Variant.CONVENTIONAL, 9)
         assert "lanes" not in vars(cfg)
         assert cfg.lanes is cfg.lanes
-        assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 95) - 1
+        assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 171) - 1
 
 
 class TestLedgerAdd:
@@ -364,23 +344,6 @@ class TestEquivalence:
         conv = run_conventional(a, b, make_config(Variant.CONVENTIONAL, n))
         low = run_lowpower(a, b, make_config(Variant.LOW_POWER, n))
         assert conv.product.value == low.product.value == av * bv
-
-    @given(
-        operand_pairs(max_width=10).flatmap(
-            lambda t: st.tuples(st.just(t), st.integers(1, t[0]))
-        )
-    )
-    @settings(max_examples=60)
-    def test_truncated_width(self, args):
-        (n, av, bv), eff = args
-        a, b = Word(av, n), Word(bv, n)
-        expected = av * (bv % (1 << eff))
-        conv = make_config(Variant.CONVENTIONAL, n, effective_width=eff)
-        low = make_config(Variant.LOW_POWER, n, effective_width=eff)
-        assert run_conventional(a, b, conv).product.value == expected
-        assert run_lowpower(a, b, low).product.value == expected
-        assert run_conventional(a, b, conv).cycles == eff
-        assert run_lowpower(a, b, low).cycles == eff
 
     def test_determinism(self):
         a, b = Word(173, 8), Word(94, 8)

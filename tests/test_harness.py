@@ -84,10 +84,10 @@ class TestGenOperands:
 def carryless_conventional(a: Word, b: Word, cfg) -> SimResult:
     """Test double with the adder's carry chain stuck at zero."""
     acc = 0
-    for i in range(cfg.effective_width):
+    for i in range(cfg.width):
         if (b.value >> i) & 1:
             acc ^= a.value << i
-    return SimResult(Word(acc, 2 * cfg.width), ToggleLedger(), cfg.effective_width)
+    return SimResult(Word(acc, 2 * cfg.width), ToggleLedger(), cfg.width)
 
 
 def count_words(monkeypatch) -> list[int]:
