@@ -135,8 +135,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "gate_cost": args.gate_cost,
         "block_size": block_size,
     }
-    if args.block_size is not None and min(widths) < block_size:
-        # a width below --block-size runs with blocks of that width
+    if min(widths) < block_size:
+        # a width below the block size, given or default, runs with blocks
+        # of that width
         metadata["block_size"] = [min(block_size, width) for width in widths]
     if args.dist == "exhaustive":
         # every pair runs whatever --trials says; each row records its count

@@ -11,6 +11,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def check_recorded_block_size(tmp_path, flags, recorded):
+    """A 5-trial sweep with ``flags`` records ``recorded`` as its block
+    size in both report formats."""
+    argv = ["sweep", *flags, "--trials", "5"]
+    assert run_cli(*argv, "--out", str(tmp_path / "r.json"), "--format", "json") == 0
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert payload["metadata"]["block_size"] == recorded
+    assert run_cli(*argv, "--out", str(tmp_path / "r.csv")) == 0
+    comment = (tmp_path / "r.csv").read_text().splitlines()[0]
+    text = ",".join(map(str, recorded)) if isinstance(recorded, list) else str(recorded)
+    assert comment.split()[-1] == f"block_size={text}"
+
+
 class TestVerifyCommand:
     def test_passes_at_width_4(self, capsys):
         assert run_cli("verify", "--width", "4") == 0
@@ -97,14 +110,15 @@ class TestSweepCommand:
     ])
     def test_metadata_records_block_sizes_that_ran(self, tmp_path, widths, recorded):
         # an explicit --block-size runs clamped to each narrower width
-        argv = ["sweep", "--widths", widths, "--block-size", "3", "--trials", "5"]
-        assert run_cli(*argv, "--out", str(tmp_path / "r.json"), "--format", "json") == 0
-        payload = json.loads((tmp_path / "r.json").read_text())
-        assert payload["metadata"]["block_size"] == recorded
-        assert run_cli(*argv, "--out", str(tmp_path / "r.csv")) == 0
-        comment = (tmp_path / "r.csv").read_text().splitlines()[0]
-        text = ",".join(map(str, recorded)) if isinstance(recorded, list) else str(recorded)
-        assert comment.split()[-1] == f"block_size={text}"
+        check_recorded_block_size(tmp_path, ["--widths", widths, "--block-size", "3"], recorded)
+
+    @pytest.mark.parametrize("widths, recorded", [
+        ("1,2,3,4", [1, 2, 3, 4]),
+        ("4,8", 4),
+    ])
+    def test_metadata_records_default_block_sizes_that_ran(self, tmp_path, widths, recorded):
+        # the default block size, min(4, width), is clamped the same way
+        check_recorded_block_size(tmp_path, ["--widths", widths], recorded)
 
     def test_fixed_dist_requires_operands(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
