@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -159,10 +160,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "run":
-            return _cmd_run(args, parser)
-        return _cmd_sweep(args, parser)
+            code = _cmd_verify(args)
+        elif args.command == "run":
+            code = _cmd_run(args, parser)
+        else:
+            code = _cmd_sweep(args, parser)
+        sys.stdout.flush()  # here, so that a closed pipe is handled below
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``), by choice.  Point stdout at
+        # the null device, so the interpreter's exit-time flush of what is
+        # still buffered cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -201,3 +202,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # the reader of the pipe stopped early, like ``| head -n 1``; its read
+        # end is closed before the spawn, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "shiftadd", "run", "--arch", "lowpower",
+                 "--width", "16", "--a", "3", "--b", "2", "--trace"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
