@@ -171,7 +171,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the reader stopped early (``| head``), by choice.  Point stdout at
         # the null device, so the interpreter's exit-time flush of what is
         # still buffered cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
