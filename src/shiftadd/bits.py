@@ -33,16 +33,9 @@ class Word:
         _set_value(self, value & ((1 << width) - 1))
         _set_width(self, width)
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
     def to_bin(self) -> str:
         """MSB-first binary string, zero-padded to the full width."""
         return format(self.value, f"0{self.width}b")
-
-    def __str__(self) -> str:
-        return self.to_bin()
 
 
 # the slot descriptors, which bypass the frozen __setattr__

@@ -85,11 +85,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # the config checks the width, before it sizes the operand range
+    cfg = make_config(args.arch, args.width, s=args.ffs_cost, g=args.gate_cost,
+                      block_size=args.block_size)
     limit = 1 << args.width
     if not 0 <= args.a < limit or not 0 <= args.b < limit:
         parser.error(f"operands must be in 0..{limit - 1} for width {args.width}")
-    cfg = make_config(args.arch, args.width, s=args.ffs_cost, g=args.gate_cost,
-                      block_size=args.block_size)
     a, b = Word(args.a, args.width), Word(args.b, args.width)
     result = simulate(a, b, cfg, trace=args.trace)
     if args.trace:

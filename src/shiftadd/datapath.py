@@ -116,9 +116,11 @@ def make_config(
     g: int = 1,
     block_size: int | None = None,
 ) -> ArchConfig:
-    """Build an ArchConfig with the default block size clamped to the width."""
+    """Build an ArchConfig with the default block size clamped to the width.
+    The default is at least 1, so that a width out of range meets
+    ``ArchConfig``'s width check, not the block size's."""
     if block_size is None:
-        block_size = min(4, width)
+        block_size = max(1, min(4, width))
     return ArchConfig(Variant(variant), width, RingCostModel(s, g, block_size))
 
 
@@ -135,9 +137,6 @@ class ToggleLedger:
     mux_data: int = 0
     feeder_bypass_clock: int = 0
     gating: int = 0
-
-    def total(self) -> int:
-        return sum(getattr(self, f.name) for f in fields(self))
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -201,7 +200,7 @@ def register_inventory(cfg: ArchConfig) -> tuple[Register, ...]:
         Register("multiplier", n, Clocking.NEVER, None),
         Register("ring counter", n, Clocking.RING_BLOCK, "counter_internal"),
         Register("feeder/bypass", n + 1, Clocking.ADD_CYCLES, "feeder_bypass_clock"),
-        # one product bit is latched per cycle; those pulses are not charged
+        # each cycle latches one product bit; those pulses are not charged
         Register("product bits", n, Clocking.EVERY_CYCLE, None),
         Register("ring gate latches", num_blocks(n, cfg.cost.block_size),
                  Clocking.EVERY_CYCLE, "gating", gate_latch=True),
@@ -285,14 +284,14 @@ class Lanes(NamedTuple):
     @classmethod
     def build(cls, n: int) -> Lanes:
         L = 2 * n + 1
-
-        def every_lane(pattern: int, stride: int = L) -> int:
-            return sum(pattern << stride * i for i in range(n))
-
-        prefixes = sum(((2 << i) - 1) << 2 * n * i for i in range(n))
-        return cls(L, every_lane(1, 2 * n), prefixes, every_lane(1),
-                   every_lane((1 << n) - 1), every_lane((2 << n) - 1),
-                   (1 << L * n) - 1, 2 * n * (n - 1))
+        # geometric series: one bit every 2n bits (copies) or every L bits
+        # (selects), n terms
+        copies = ((1 << 2 * n * n) - 1) // ((1 << 2 * n) - 1)
+        selects = ((1 << L * n) - 1) // ((1 << L) - 1)
+        # bit L*i = 2n*i + i, doubled, minus bit 2n*i: bits [0, i] of copy i
+        prefixes = 2 * selects - copies
+        return cls(L, copies, prefixes, selects, ((1 << n) - 1) * selects,
+                   ((2 << n) - 1) * selects, (1 << L * n) - 1, 2 * n * (n - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,7 +339,7 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
     fixed, _ = cfg.charges
-    L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
+    L, copies, prefixes, _, low, running, lanes, top = cfg.lanes
     av, bv = a.value, b.value
     copied = bv * copies
     partial = av * (copied & prefixes)
@@ -361,12 +360,7 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
         # mux_data: the mux output swings between 0 and A on a select change
         mux_select * av.bit_count(),
     )
-    rows = None
-    if trace:
-        counter_width = max(1, _counter_width(cfg))
-        lane = (1 << L) - 1
-        rows = _trace_rows(cfg, copied & selects, out, lambda i: Word(i, counter_width),
-                           lambda i: (reg >> L * i & lane) >> (n - 1 - i))
+    rows = _trace_rows(cfg, bv, partial, out) if trace else None
     return SimResult(Word(partial >> top, 2 * n), ledger, n, rows)
 
 
@@ -393,9 +387,10 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
     bv = b.value
     copied = bv * copies
+    partial = a.value * (copied & prefixes)
     # lane i: the feeder/bypass storage (carry : sum) after cycle i, which
     # is what the conventional adder outputs on that cycle
-    feeder = (a.value * (copied & prefixes)) & running
+    feeder = partial & running
     fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
     adder = _adder_lanes(feeder, L, low, n) & fired
     # a bypass cycle holds the adder's state: fill each other lane from the
@@ -423,19 +418,9 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
         adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g,
         fixed.gating,
     )
-    # the bit latched on cycle i is bit 0 of lane i; multiplying by
-    # ``copies`` lines those bits up in order above bit ``top``
-    latched = ((feeder & selects) * copies >> top) & ((1 << n) - 1)
-    rows = None
-    if trace:
-        ring_width = _counter_width(cfg)
-        lane = (1 << L) - 1
-        rows = _trace_rows(cfg, copied & selects, feeder, lambda i: Word(1 << i, ring_width),
-                           lambda i: ((feeder >> L * i & lane) >> 1 << (i + 1))
-                           | (latched & ((2 << i) - 1)))
-    # above the latched bits: the last lane's (carry : sum) minus its LSB,
-    # which starts at L*(n - 1) + 1 = top + n
-    return SimResult(Word((feeder >> (top + n)) << n | latched, 2 * n), ledger, n, rows)
+    rows = _trace_rows(cfg, bv, partial, feeder) if trace else None
+    # cycle i latches bit i of a*(b mod 2^(i+1)); later adds touch only bit i + 1 and up
+    return SimResult(Word(partial >> top, 2 * n), ledger, n, rows)
 
 
 def _adder_lanes(out: int, L: int, low: int, n: int) -> int:
@@ -448,25 +433,26 @@ def _adder_lanes(out: int, L: int, low: int, n: int) -> int:
     return (out & low) | (((high ^ (out - high) ^ out) >> 1 & low) << n)
 
 
-def _trace_rows(cfg: ArchConfig, selected: int, out: int,
-                counter_state, so_far) -> tuple[CycleTrace, ...]:
-    """One ``CycleTrace`` per cycle, read from the kernel's lanes:
-    ``selected`` has each cycle's multiplier bit at the bottom of its lane,
-    ``out`` the adder output or feeder (carry : sum).  ``counter_state(i)``
-    and ``so_far(i)`` give cycle i's counter Word and settled product."""
+def _trace_rows(cfg: ArchConfig, bv: int, partial: int, out: int) -> tuple[CycleTrace, ...]:
+    """One ``CycleTrace`` per cycle, read from the kernel's lanes: cycle i
+    selects bit i of the multiplier ``bv``, lane i of ``out`` holds its adder
+    output or feeder (carry : sum), and copy i of ``partial`` its settled
+    product a*(b mod 2^(i+1)).  The conventional counter holds i, the ring
+    its hot bit 1 << i."""
     n = cfg.width
     L = cfg.lanes.L
-    lane = (1 << L) - 1
+    conventional = cfg.variant is Variant.CONVENTIONAL
+    counter_width = max(1, _counter_width(cfg))  # width 1: a counter of no flip-flops
     rows = []
     for i in range(n):
-        bit = selected >> L * i & 1
+        bit = bv >> i & 1
         rows.append(CycleTrace(
             cycle=i,
-            counter_state=counter_state(i),
+            counter_state=Word(i if conventional else 1 << i, counter_width),
             selected_bit=bit,
             adder_fired=bool(bit),
-            running_sum=Word(out >> L * i & lane, n + 1),
-            product_so_far=Word(so_far(i), 2 * n),
+            running_sum=Word(out >> L * i, n + 1),
+            product_so_far=Word(partial >> 2 * n * i, 2 * n),
         ))
     return tuple(rows)
 

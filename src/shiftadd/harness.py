@@ -68,6 +68,15 @@ def _check_fixed_operands(dist: OperandDistribution, width: int) -> None:
         )
 
 
+def _check_exhaustive_width(width: int) -> None:
+    """Refuse to enumerate the ``2**(2*width)`` pairs of a width above
+    ``EXHAUSTIVE_WIDTH_LIMIT``; callers check before doing any work."""
+    if width > EXHAUSTIVE_WIDTH_LIMIT:
+        raise ValueError(
+            f"exhaustive enumeration refused for width {width} > {EXHAUSTIVE_WIDTH_LIMIT}"
+        )
+
+
 def _biased_bits(rng: random.Random, width: int, p1: float) -> int:
     value = 0
     for i in range(width):
@@ -85,14 +94,11 @@ def gen_operands(
 
     ``exhaustive`` ignores ``trials`` and yields all ``2**(2*width)`` pairs in
     lexicographic order; it refuses widths above ``EXHAUSTIVE_WIDTH_LIMIT``
-    to bound the explosion.  ``exhaustive_verify`` and exhaustive sweeps rely
-    on this guard.
+    to bound the explosion.  ``exhaustive_verify`` and exhaustive sweeps make
+    the same check before they start.
     """
     if dist.kind == "exhaustive":
-        if width > EXHAUSTIVE_WIDTH_LIMIT:
-            raise ValueError(
-                f"exhaustive enumeration refused for width {width} > {EXHAUSTIVE_WIDTH_LIMIT}"
-            )
+        _check_exhaustive_width(width)
         yield from itertools.product(range(1 << width), repeat=2)
         return
     if trials < 1:
@@ -147,6 +153,7 @@ def exhaustive_verify(
 ) -> VerifyOutcome:
     """Run both datapaths over every operand pair and check products against
     native integer multiplication.  Mismatches are collected, not raised."""
+    _check_exhaustive_width(width)
     conv_cfg = make_config(Variant.CONVENTIONAL, width, s=s, g=g, block_size=block_size)
     low_cfg = make_config(Variant.LOW_POWER, width, s=s, g=g, block_size=block_size)
     mismatches: list[Mismatch] = []
@@ -225,6 +232,8 @@ def sweep(
             raise ValueError(f"sweep width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
         if dist.kind == "fixed":
             _check_fixed_operands(dist, width)
+        elif dist.kind == "exhaustive":
+            _check_exhaustive_width(width)
     model = model or PowerModel()
     rows: list[ReportRow] = []
     for width in widths:

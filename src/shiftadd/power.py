@@ -108,10 +108,6 @@ class AreaInventory:
     mux_inputs: int
     gates: int
 
-    @property
-    def total(self) -> int:
-        return self.flip_flops + self.full_adders + self.mux_inputs + self.gates
-
 
 def area_proxy(cfg: ArchConfig) -> AreaInventory:
     """Element inventory for a configuration; independent of operand values.

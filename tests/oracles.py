@@ -94,7 +94,7 @@ def ripple_carry_add(
     if cin not in (0, 1):
         raise ValueError("cin must be a single bit")
     total = x.value + y.value + cin
-    sum_value = total & x.mask
+    sum_value = total & ((1 << x.width) - 1)
     cout = total >> n
     # carry into stage i recovered from sum_i = x_i ^ y_i ^ cin_i; the carry
     # out of stage i is the carry into stage i+1, topped by the chain cout.
@@ -218,7 +218,6 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
     """
     _check_operands(a, b, cfg)
     n = cfg.width
-    e = cfg.width
     mask_n = (1 << n) - 1
     fixed, _ = cfg.charges
 
@@ -235,7 +234,7 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
     if trace:
         counter_width = max(1, _counter_width(cfg))
 
-    for i in range(e):
+    for i in range(n):
         select = reg_b & 1
         mux_select += select != prev_select
         prev_select = select
@@ -280,8 +279,7 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
         mux_select=mux_select,
         mux_data=mux_data,
     )
-    product = Word(reg_p >> (n - e), 2 * n)
-    return SimResult(product, ledger, e, tuple(rows) if trace else None)
+    return SimResult(Word(reg_p, 2 * n), ledger, n, tuple(rows) if trace else None)
 
 
 def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
@@ -302,11 +300,9 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
     """
     _check_operands(a, b, cfg)
     n = cfg.width
-    e = cfg.width
     mask_n = (1 << n) - 1
     fixed, add_ffs = cfg.charges
-    mask_e = (1 << e) - 1
-    bits = b.value & mask_e  # the multiplier bits the ring selects, in order
+    bits = b.value  # the multiplier bits the ring selects, in order
     fired = bits.bit_count()
 
     reg_fb = 0  # feeder/bypass storage (carry : sum)
@@ -319,7 +315,7 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
     if trace:
         ring_width = _counter_width(cfg)
 
-    for i in range(e):
+    for i in range(n):
         bit = (bits >> i) & 1
         x = reg_fb >> 1  # wired shift: last cycle's (carry : sum) minus its LSB
         if bit:
@@ -359,9 +355,9 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
         mux_select=fixed.mux_select,
         # the mux output switches whenever the selected bit differs from the
         # previous cycle's (reset: 0)
-        mux_data=((bits ^ (bits << 1)) & mask_e).bit_count(),
-        feeder_bypass_clock=fired * add_ffs * cfg.cost.s + (e - fired) * cfg.cost.g,
+        mux_data=((bits ^ (bits << 1)) & mask_n).bit_count(),
+        feeder_bypass_clock=fired * add_ffs * cfg.cost.s + (n - fired) * cfg.cost.g,
         gating=fixed.gating,
     )
-    product = Word(((reg_fb >> 1) << e) | low_bits, 2 * n)
-    return SimResult(product, ledger, e, tuple(rows) if trace else None)
+    product = Word(((reg_fb >> 1) << n) | low_bits, 2 * n)
+    return SimResult(product, ledger, n, tuple(rows) if trace else None)

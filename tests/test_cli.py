@@ -69,6 +69,25 @@ class TestRunCommand:
         assert excinfo.value.code == 2
 
 
+class TestWidthErrors:
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "--arch", "conv", "--width", "0", "--a", "0", "--b", "0"],
+         "width must be in 1..32, got 0"),
+        (["run", "--arch", "lowpower", "--width", "-1", "--a", "0", "--b", "0"],
+         "width must be in 1..32, got -1"),
+        (["run", "--arch", "conv", "--width", "33", "--a", "0", "--b", "0"],
+         "width must be in 1..32, got 33"),
+        (["verify", "--width", "0"], "width must be in 1..32, got 0"),
+        (["verify", "--width", "-1"], "width must be in 1..32, got -1"),
+        (["verify", "--width", "9"], "refused for width 9 > 8"),
+    ])
+    def test_usage_error_names_the_width(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         out_file = tmp_path / "report.csv"

@@ -109,9 +109,12 @@ class TestExhaustiveVerify:
         assert outcome.passed
         assert outcome.mismatches == []
 
-    def test_width_guard(self):
-        with pytest.raises(ValueError):
+    def test_width_guard(self, monkeypatch):
+        # refused before the operand table is built
+        built = count_words(monkeypatch)
+        with pytest.raises(ValueError, match="width 9"):
             exhaustive_verify(9)
+        assert built == [0]
 
     def test_wraps_each_operand_once(self, monkeypatch):
         built = count_words(monkeypatch)
@@ -171,6 +174,15 @@ class TestSweep:
         monkeypatch.setattr(harness, "gen_operands", no_operands)
         with pytest.raises(ValueError, match="for width 4"):
             sweep(widths, OperandDistribution("fixed", a=200, b=3), 10)
+
+    def test_exhaustive_widths_checked_before_any_run(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a pair ran before every width was checked")
+
+        monkeypatch.setattr(harness, "run_conventional", no_run)
+        monkeypatch.setattr(harness, "run_lowpower", no_run)
+        with pytest.raises(ValueError, match="width 9"):
+            sweep([4, 9], OperandDistribution("exhaustive"), 0)
 
     def test_wide_sweep_matches_loop_oracle(self):
         # widths above the old random-sweep cap of 16: the report's ledger

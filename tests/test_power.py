@@ -112,7 +112,7 @@ class TestEstimateEnergy:
     def test_nonnegative_and_zero_iff_counts_zero(self, led):
         energy = estimate_energy(led, PowerModel())
         assert energy >= 0
-        assert (energy == 0) == (led.total() == 0)
+        assert (energy == 0) == (sum(led.as_dict().values()) == 0)
 
 
 class TestAveragePower:
