@@ -29,6 +29,16 @@ def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
                         help="gating-logic transitions per block per clock (default 1)")
 
 
+def _check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Reject a cost flag below its least value, naming the flag.  The config
+    would reject it too, but under its field name (s, g, block_size)."""
+    for flag, value, least in (("--ffs-cost", args.ffs_cost, 1),
+                               ("--gate-cost", args.gate_cost, 0),
+                               ("--block-size", args.block_size, 1)):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftadd",
@@ -120,6 +130,10 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--widths is empty")
     if args.dist == "fixed" and (args.a is None or args.b is None):
         parser.error("--dist fixed requires --a and --b")
+    # the report is written after the sweep has run: check its directory first
+    directory = os.path.dirname(args.out) or "."
+    if not os.path.isdir(directory):
+        parser.error(f"--out {args.out}: {directory} is not an existing directory")
     model = PowerModel.from_file(args.model) if args.model else PowerModel()
     dist = OperandDistribution(args.dist, seed=args.seed, a=args.a, b=args.b)
     block_size = args.block_size if args.block_size is not None else 4
@@ -159,6 +173,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_cost_flags(args, parser)
     try:
         if args.command == "verify":
             code = _cmd_verify(args)

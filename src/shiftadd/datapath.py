@@ -26,18 +26,32 @@ only the data-dependent work and add that ledger once per run.  They do
 that work for all cycles of a run at once, with no per-cycle loop: cycle i
 is lane i of one packed int (``Lanes``), and each category's per-cycle
 Hamming sum is one popcount.
+
+Part of that work depends on the multiplier alone: its masked copies, the
+lanes it fires, and its closed-form charges.  That part is the plan for the
+multiplier value b.  Up to width ``PLAN_WIDTH_LIMIT`` a config keeps a
+table of ``2**width`` plan slots (``ArchConfig.plans``), filled on first
+use, so a kernel computes each plan once per config and multiplier value
+and only the multiplicand's part per call.  A table holds at most 256
+plans, and configs equal in value share one.  Wider configs have no table:
+their kernels compute the plan on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .bits import Word
 
 MAX_OPERAND_WIDTH = 32
+# widest config with a plan table, of 2**8 slots; at width 16 a table could
+# hold 65,536 plans per config, most of them used once in a sweep
+PLAN_WIDTH_LIMIT = 8
+# config values whose constants stay cached; a sweep uses two per width
+CONFIG_CACHE_SIZE = 64
 
 
 class Variant(str, Enum):
@@ -76,8 +90,10 @@ class ArchConfig:
     """Architecture variant, operand width and cost parameters.
 
     A run processes every multiplier bit, one per cycle, so it takes
-    ``width`` cycles.  Not slotted, because ``charges`` and ``lanes`` are
-    cached in the instance's ``__dict__``.
+    ``width`` cycles.  Not slotted, because ``charges``, ``lanes`` and
+    ``plans`` are cached in the instance's ``__dict__``.  Their values are
+    also cached by config value (``lanes`` by width), so that a caller who
+    builds a config per run does not rebuild them.
     """
 
     variant: Variant
@@ -97,15 +113,33 @@ class ArchConfig:
         """``(fixed_charges(self), flip-flops clocked on each add cycle)``,
         computed on first use and kept on the instance.  The kernels read
         this on every run; the ledger is shared, so it is never mutated."""
-        add_ffs = sum(reg.width for reg in register_inventory(self)
-                      if reg.clocking is Clocking.ADD_CYCLES)
-        return fixed_charges(self), add_ffs
+        return _charges(self)
 
     @cached_property
     def lanes(self) -> Lanes:
         """The kernels' lane constants, built on first use and kept on the
         instance, like ``charges``."""
-        return Lanes.build(self.width)
+        return _lanes(self.width)
+
+    @cached_property
+    def plans(self) -> list | None:
+        """The kernels' plan table, one slot per multiplier value, each None
+        until a kernel fills it; None above ``PLAN_WIDTH_LIMIT``."""
+        return _plans(self) if self.width <= PLAN_WIDTH_LIMIT else None
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _charges(cfg: ArchConfig) -> tuple[ToggleLedger, int]:
+    add_ffs = sum(reg.width for reg in register_inventory(cfg)
+                  if reg.clocking is Clocking.ADD_CYCLES)
+    return fixed_charges(cfg), add_ffs
+
+
+@lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _plans(cfg: ArchConfig) -> list:
+    # a slot's plan depends only on the config value and b, so equal configs
+    # can share one table
+    return [None] * (1 << cfg.width)
 
 
 def make_config(
@@ -294,6 +328,9 @@ class Lanes(NamedTuple):
                    ((2 << n) - 1) * selects, (1 << L * n) - 1, 2 * n * (n - 1))
 
 
+_lanes = lru_cache(maxsize=MAX_OPERAND_WIDTH)(Lanes.build)
+
+
 @dataclass(frozen=True, slots=True)
 class CycleTrace:
     """One simulated cycle: counter state, selected bit, and running values."""
@@ -333,7 +370,9 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     one; B shifts right; the counter increments.  All three registers are
     clocked every cycle; those clock charges and the counter's toggles come
     from ``cfg.charges``.  The data-dependent work is computed for all
-    cycles at once on packed lanes (see ``Lanes``).
+    cycles at once on packed lanes (see ``Lanes``).  B's plan (its masked
+    copies, its shift toggles and the mux select toggles) is read from
+    ``cfg.plans`` when the config has a table.
     """
     n = cfg.width
     if a.width != n or b.width != n:
@@ -341,17 +380,30 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     fixed, _ = cfg.charges
     L, copies, prefixes, _, low, running, lanes, top = cfg.lanes
     av, bv = a.value, b.value
-    copied = bv * copies
-    partial = av * (copied & prefixes)
+    plans = cfg.plans
+    if plans is not None and (plan := plans[bv]) is not None:
+        masked, multiplier_shift, mux_select = plan
+    else:
+        masked = bv * copies & prefixes
+        multiplier_shift = (fixed.multiplier_shift
+                            + (((bv ^ (bv >> 1)) * copies) & low).bit_count())
+        mux_select = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
+        if plans is not None:
+            plans[bv] = masked, multiplier_shift, mux_select
+    partial = av * masked
     # lane i: the partial product register after cycle i, a*(b mod 2^(i+1))
     # shifted up by the n - 1 - i cycles still to run
     reg = partial << (n - 1)
     out = partial & running  # lane i: the adder's output (carry : sum)
-    adder = _adder_lanes(out, L, low, n)
+    # the adder's internal signals, (carry chain : sum) in bits [n, 2n) and
+    # [0, n) of each lane.  Its inputs are the previous lane's output shifted
+    # down one and the addend, their difference; the carry out of stage j
+    # is bit j + 1 of input ^ addend ^ output
+    high = (out << L) >> 1 & low
+    adder = (out & low) | (((high ^ (out - high) ^ out) >> 1 & low) << n)
 
-    mux_select = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
     ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
-        fixed.multiplier_shift + (((bv ^ (bv >> 1)) * copies) & low).bit_count(),
+        multiplier_shift,
         fixed.partial_product_shift + ((reg ^ (reg << L)) & lanes).bit_count(),
         ((adder ^ (adder << L)) & lanes).bit_count(),
         fixed.counter_internal,
@@ -379,6 +431,9 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     ``cfg.charges``; the feeder's clock and the mux data line are closed
     forms in the multiplier bits.  The adder and the feeder's data toggles
     are computed for all cycles at once on packed lanes (see ``Lanes``).
+    B's plan (its masked copies, its add lanes, the fill's starting mask
+    and both closed forms) is read from ``cfg.plans`` when the config has a
+    table.
     """
     n = cfg.width
     if a.width != n or b.width != n:
@@ -386,25 +441,39 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     fixed, add_ffs = cfg.charges
     L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
     bv = b.value
-    copied = bv * copies
-    partial = a.value * (copied & prefixes)
+    plans = cfg.plans
+    if plans is not None and (plan := plans[bv]) is not None:
+        masked, fired, filled, mux_data, feeder_clock = plan
+    else:
+        copied = bv * copies
+        masked = copied & prefixes
+        fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
+        # the lanes below the first add lane hold the reset state 0 and count
+        # as filled (all lanes, when no cycle adds)
+        filled = fired | ((fired & -fired) - 1) & lanes
+        # the mux output switches whenever the selected bit differs from the
+        # previous cycle's (reset: 0)
+        mux_data = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
+        adds = bv.bit_count()
+        feeder_clock = adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g
+        if plans is not None:
+            plans[bv] = masked, fired, filled, mux_data, feeder_clock
+    partial = a.value * masked
     # lane i: the feeder/bypass storage (carry : sum) after cycle i, which
     # is what the conventional adder outputs on that cycle
     feeder = partial & running
-    fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
-    adder = _adder_lanes(feeder, L, low, n) & fired
+    # the adder's signals on add cycles, as in run_conventional
+    high = (feeder << L) >> 1 & low
+    adder = ((feeder & low) | (((high ^ (feeder - high) ^ feeder) >> 1 & low) << n)) & fired
     # a bypass cycle holds the adder's state: fill each other lane from the
-    # nearest add lane below it, doubling the reach per step.  The lanes
-    # below the first add lane hold the reset state 0 and count as filled
-    # (all lanes, when no cycle adds), so the fill stops once nothing is left
-    filled = fired | ((fired & -fired) - 1) & lanes
+    # nearest add lane below it, doubling the reach per step, and stop once
+    # nothing is left
     step = L
     while filled != lanes:
         adder |= (adder << step) & (lanes ^ filled)
         filled = (filled | filled << step) & lanes
         step <<= 1
 
-    adds = bv.bit_count()
     ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
         0,  # multiplier_shift
         ((feeder ^ (feeder << L)) & lanes).bit_count(),
@@ -412,25 +481,13 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
         fixed.counter_internal,
         fixed.counter_output,
         fixed.mux_select,
-        # mux_data: the mux output switches whenever the selected bit differs
-        # from the previous cycle's (reset: 0)
-        ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count(),
-        adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g,
+        mux_data,
+        feeder_clock,
         fixed.gating,
     )
     rows = _trace_rows(cfg, bv, partial, feeder) if trace else None
     # cycle i latches bit i of a*(b mod 2^(i+1)); later adds touch only bit i + 1 and up
     return SimResult(Word(partial >> top, 2 * n), ledger, n, rows)
-
-
-def _adder_lanes(out: int, L: int, low: int, n: int) -> int:
-    """The adder's internal signals, (carry chain : sum) in bits [n, 2n) and
-    [0, n) of each lane, given its output (carry : sum) in ``out``.  Its
-    inputs are the previous lane's output shifted down one and the addend,
-    their difference; the carry out of stage j is bit j + 1 of
-    ``input ^ addend ^ output``."""
-    high = (out << L) >> 1 & low
-    return (out & low) | (((high ^ (out - high) ^ out) >> 1 & low) << n)
 
 
 def _trace_rows(cfg: ArchConfig, bv: int, partial: int, out: int) -> tuple[CycleTrace, ...]:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from shiftadd import harness
 from shiftadd.cli import main
 
 
@@ -86,6 +87,32 @@ class TestWidthErrors:
             run_cli(*argv)
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
+
+
+RUN_4 = ["run", "--arch", "lowpower", "--width", "4", "--a", "1", "--b", "1"]
+SWEEP_4 = ["sweep", "--widths", "4", "--trials", "5", "--out", "r.csv"]
+
+
+class TestCostFlagErrors:
+    @pytest.mark.parametrize("argv, named", [
+        (RUN_4 + ["--ffs-cost", "0"], "--ffs-cost must be >= 1, got 0"),
+        (RUN_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1"),
+        (RUN_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0"),
+        (["verify", "--width", "4", "--ffs-cost", "-2"], "--ffs-cost must be >= 1, got -2"),
+        (["verify", "--width", "4", "--block-size", "0"], "--block-size must be >= 1, got 0"),
+        (SWEEP_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1"),
+        (SWEEP_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0"),
+    ])
+    def test_usage_error_names_the_flag(self, argv, named, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_least_values_accepted(self, capsys):
+        assert run_cli(*RUN_4, "--ffs-cost", "1", "--gate-cost", "0", "--block-size", "1") == 0
 
 
 class TestSweepCommand:
@@ -170,12 +197,30 @@ class TestSweepCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_destination_fails(self, tmp_path, capsys):
+        # its directory exists, so the write fails only after the sweep
         code = run_cli(
             "sweep", "--widths", "4", "--trials", "50", "--seed", "1",
-            "--out", str(tmp_path / "missing" / "x.csv"),
+            "--out", str(tmp_path),
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_out_directory_usage_error_before_any_run(self, tmp_path, monkeypatch,
+                                                              capsys):
+        ran = []
+
+        def kernel(a, b, cfg):
+            ran.append((a.value, b.value))
+            raise AssertionError("a pair ran")
+
+        monkeypatch.setattr(harness, "run_conventional", kernel)
+        monkeypatch.setattr(harness, "run_lowpower", kernel)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10",
+                    "--out", str(tmp_path / "missing" / "r.csv"))
+        assert excinfo.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert ran == []
 
     def test_model_file(self, tmp_path, capsys):
         model = tmp_path / "model.cfg"

@@ -18,6 +18,7 @@ from oracles import (
 from shiftadd.bits import Word
 from shiftadd.datapath import (
     LEDGER_CATEGORIES,
+    PLAN_WIDTH_LIMIT,
     ArchConfig,
     Lanes,
     RingCostModel,
@@ -331,6 +332,69 @@ class TestAgainstLoopOracle:
                 (1 << L * n) - 1,
                 2 * n * (n - 1),
             ), n
+
+
+class TestPlanTables:
+    """Per-config tables of multiplier plans: a kernel that reads a plan
+    must give what it gives when it computes that plan."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_configs_differing_in_costs_keep_their_own_plans(self, n):
+        # every config at one width, called in turn on each pair: from the
+        # second pass on each reads its own table warm, and a plan read from
+        # another config's table shows
+        cfgs = [make_config(variant, n, s=s, g=g, block_size=bsz)
+                for variant in Variant for s, g in COSTS for bsz in sorted({1, n})]
+        operands = oracle_operands(n, seed=n) + [(av, 1) for av in range(1 << min(n, 3))]
+        for _ in range(2):
+            for av, bv in operands:
+                a, b = Word(av, n), Word(bv, n)
+                for cfg in cfgs:
+                    packed, loop = KERNELS[cfg.variant]
+                    assert packed(a, b, cfg) == loop(a, b, cfg), (cfg, av, bv)
+
+    @given(operand_pairs(max_width=16), st.sampled_from(list(Variant)), st.sampled_from(COSTS))
+    @settings(max_examples=200)
+    def test_cold_then_warm_plan_gives_equal_results(self, args, variant, cost):
+        n, av, bv = args
+        s, g = cost
+        cfg = make_config(variant, n, s=s, g=g)
+        packed, loop = KERNELS[variant]
+        a, b = Word(av, n), Word(bv, n)
+        if cfg.plans is not None:
+            cfg.plans[bv] = None  # cold: this call computes the plan
+        cold = packed(a, b, cfg, trace=True)
+        assert cfg.plans is None or cfg.plans[bv] is not None
+        assert packed(a, b, cfg, trace=True) == cold == loop(a, b, cfg, trace=True)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_table_bounded_by_multiplier_values(self, variant):
+        for n in range(1, PLAN_WIDTH_LIMIT + 1):
+            cfg = make_config(variant, n, s=5)
+            packed = KERNELS[variant][0]
+            for bv in range(1 << n):
+                for av in (0, (1 << n) - 1):
+                    packed(Word(av, n), Word(bv, n), cfg)
+            assert len(cfg.plans) == 1 << n
+            assert None not in cfg.plans
+        for n in range(PLAN_WIDTH_LIMIT + 1, 33):
+            cfg = make_config(variant, n)
+            packed(Word(1, n), Word(3, n), cfg)
+            assert cfg.plans is None
+
+    def test_constants_shared_by_config_value(self):
+        # a caller that builds a config per run reuses the first one's
+        # constants; a config that differs in any cost has its own
+        first = make_config(Variant.LOW_POWER, 8, s=3)
+        again = make_config(Variant.LOW_POWER, 8, s=3)
+        assert first is not again
+        assert again.charges is first.charges and again.plans is first.plans
+        assert again.lanes is first.lanes is make_config(Variant.CONVENTIONAL, 8).lanes
+        for other in (make_config(Variant.LOW_POWER, 8, s=2),
+                      make_config(Variant.LOW_POWER, 8, s=3, g=0),
+                      make_config(Variant.LOW_POWER, 8, s=3, block_size=2),
+                      make_config(Variant.CONVENTIONAL, 8, s=3)):
+            assert other.charges is not first.charges and other.plans is not first.plans
 
 
 class TestLedgerAdd:
