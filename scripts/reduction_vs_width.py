@@ -4,6 +4,7 @@ reduction next to the FPGA-reported figures for the 4- and 8-bit designs."""
 
 import argparse
 
+from shiftadd.datapath import DEFAULT_BLOCK_SIZE
 from shiftadd.harness import REPORTED_FPGA_REDUCTION, OperandDistribution, sweep
 from shiftadd.power import PowerModel
 
@@ -16,7 +17,7 @@ def main() -> None:
     parser.add_argument("--dist", default="uniform", choices=["uniform", "sparse", "dense"])
     parser.add_argument("--ffs-cost", type=int, default=2)
     parser.add_argument("--gate-cost", type=int, default=1)
-    parser.add_argument("--block-size", type=int, default=4)
+    parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     parser.add_argument("--model", default=None, help="power model config file")
     args = parser.parse_args()
 

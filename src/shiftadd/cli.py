@@ -8,7 +8,7 @@ import sys
 from typing import Sequence
 
 from .bits import Word
-from .datapath import Variant, make_config, render_trace, simulate
+from .datapath import DEFAULT_BLOCK_SIZE, Variant, make_config, render_trace, simulate
 from .harness import (
     REPORTED_FPGA_REDUCTION,
     RNG_ALGORITHM,
@@ -22,7 +22,7 @@ from .power import PowerModel, area_proxy, average_power, estimate_energy
 
 def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-size", type=int, default=None,
-                        help="ring gating block size (default: min(4, width))")
+                        help=f"ring gating block size (default: min({DEFAULT_BLOCK_SIZE}, width))")
     parser.add_argument("--ffs-cost", type=int, default=2, metavar="S",
                         help="internal transitions per clocked flip-flop (default 2)")
     parser.add_argument("--gate-cost", type=int, default=1, metavar="G",
@@ -130,13 +130,15 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--widths is empty")
     if args.dist == "fixed" and (args.a is None or args.b is None):
         parser.error("--dist fixed requires --a and --b")
-    # the report is written after the sweep has run: check its directory first
+    # the report is written after the sweep has run: check its path first
+    if os.path.isdir(args.out):
+        parser.error(f"--out {args.out} is a directory, not a report file path")
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
         parser.error(f"--out {args.out}: {directory} is not an existing directory")
     model = PowerModel.from_file(args.model) if args.model else PowerModel()
     dist = OperandDistribution(args.dist, seed=args.seed, a=args.a, b=args.b)
-    block_size = args.block_size if args.block_size is not None else 4
+    block_size = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
     try:
         rows = sweep(widths, dist, args.trials, model,
                      s=args.ffs_cost, g=args.gate_cost, block_size=block_size)

@@ -33,8 +33,9 @@ multiplier value b.  Up to width ``PLAN_WIDTH_LIMIT`` a config keeps a
 table of ``2**width`` plan slots (``ArchConfig.plans``), filled on first
 use, so a kernel computes each plan once per config and multiplier value
 and only the multiplicand's part per call.  A table holds at most 256
-plans, and configs equal in value share one.  Wider configs have no table:
-their kernels compute the plan on every call.
+plans.  Wider configs have no table: their kernels compute the plan on
+every call.  ``make_config`` returns one shared config per config value, so
+its charges, lanes and plan table are built once.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ MAX_OPERAND_WIDTH = 32
 # widest config with a plan table, of 2**8 slots; at width 16 a table could
 # hold 65,536 plans per config, most of them used once in a sweep
 PLAN_WIDTH_LIMIT = 8
-# config values whose constants stay cached; a sweep uses two per width
+# config values make_config keeps built; a sweep uses two per width
 CONFIG_CACHE_SIZE = 64
+# flip-flops per gated ring block, unless a width below it clamps it
+DEFAULT_BLOCK_SIZE = 4
 
 
 class Variant(str, Enum):
@@ -70,7 +73,7 @@ class RingCostModel:
 
     s: int = 2
     g: int = 1
-    block_size: int = 4
+    block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self) -> None:
         if self.s < 1:
@@ -91,9 +94,9 @@ class ArchConfig:
 
     A run processes every multiplier bit, one per cycle, so it takes
     ``width`` cycles.  Not slotted, because ``charges``, ``lanes`` and
-    ``plans`` are cached in the instance's ``__dict__``.  Their values are
-    also cached by config value (``lanes`` by width), so that a caller who
-    builds a config per run does not rebuild them.
+    ``plans`` are cached in the instance's ``__dict__``.  Build configs with
+    ``make_config``, which returns one shared instance per config value, so
+    that a caller who asks for a config per run does not rebuild them.
     """
 
     variant: Variant
@@ -113,33 +116,21 @@ class ArchConfig:
         """``(fixed_charges(self), flip-flops clocked on each add cycle)``,
         computed on first use and kept on the instance.  The kernels read
         this on every run; the ledger is shared, so it is never mutated."""
-        return _charges(self)
+        add_ffs = sum(reg.width for reg in register_inventory(self)
+                      if reg.clocking is Clocking.ADD_CYCLES)
+        return fixed_charges(self), add_ffs
 
     @cached_property
     def lanes(self) -> Lanes:
         """The kernels' lane constants, built on first use and kept on the
         instance, like ``charges``."""
-        return _lanes(self.width)
+        return Lanes.build(self.width)
 
     @cached_property
     def plans(self) -> list | None:
         """The kernels' plan table, one slot per multiplier value, each None
         until a kernel fills it; None above ``PLAN_WIDTH_LIMIT``."""
-        return _plans(self) if self.width <= PLAN_WIDTH_LIMIT else None
-
-
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _charges(cfg: ArchConfig) -> tuple[ToggleLedger, int]:
-    add_ffs = sum(reg.width for reg in register_inventory(cfg)
-                  if reg.clocking is Clocking.ADD_CYCLES)
-    return fixed_charges(cfg), add_ffs
-
-
-@lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _plans(cfg: ArchConfig) -> list:
-    # a slot's plan depends only on the config value and b, so equal configs
-    # can share one table
-    return [None] * (1 << cfg.width)
+        return [None] * (1 << self.width) if self.width <= PLAN_WIDTH_LIMIT else None
 
 
 def make_config(
@@ -150,12 +141,16 @@ def make_config(
     g: int = 1,
     block_size: int | None = None,
 ) -> ArchConfig:
-    """Build an ArchConfig with the default block size clamped to the width.
-    The default is at least 1, so that a width out of range meets
-    ``ArchConfig``'s width check, not the block size's."""
+    """The one shared ArchConfig for this config value, however it is spelled:
+    the variant may be given by name, and an omitted block size is
+    ``DEFAULT_BLOCK_SIZE`` clamped to the width, and at least 1, so that a
+    width out of range meets ``ArchConfig``'s width check, not the block's."""
     if block_size is None:
-        block_size = max(1, min(4, width))
-    return ArchConfig(Variant(variant), width, RingCostModel(s, g, block_size))
+        block_size = max(1, min(DEFAULT_BLOCK_SIZE, width))
+    return _shared_config(Variant(variant), width, RingCostModel(s, g, block_size))
+
+
+_shared_config = lru_cache(maxsize=CONFIG_CACHE_SIZE)(ArchConfig)
 
 
 @dataclass(slots=True)
@@ -326,9 +321,6 @@ class Lanes(NamedTuple):
         prefixes = 2 * selects - copies
         return cls(L, copies, prefixes, selects, ((1 << n) - 1) * selects,
                    ((2 << n) - 1) * selects, (1 << L * n) - 1, 2 * n * (n - 1))
-
-
-_lanes = lru_cache(maxsize=MAX_OPERAND_WIDTH)(Lanes.build)
 
 
 @dataclass(frozen=True, slots=True)

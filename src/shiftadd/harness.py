@@ -13,6 +13,7 @@ from typing import Callable, Iterator, Sequence
 
 from .bits import Word
 from .datapath import (
+    DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
     MAX_OPERAND_WIDTH,
     SimResult,
@@ -218,7 +219,7 @@ def sweep(
     *,
     s: int = 2,
     g: int = 1,
-    block_size: int = 4,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[ReportRow]:
     """Run both architectures over the same operand stream at each width.
 

@@ -52,6 +52,8 @@ class PowerModel:
             raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
         if not (math.isfinite(self.f_clk) and self.f_clk > 0):
             raise ValueError(f"f_clk must be finite and > 0, got {self.f_clk}")
+        if not any(self.weights.values()):
+            raise ValueError("power model weights are all 0, so no energy can be compared")
 
     @classmethod
     def from_file(cls, path: str | Path) -> PowerModel:

@@ -7,10 +7,26 @@ import pytest
 
 from shiftadd import harness
 from shiftadd.cli import main
+from shiftadd.datapath import LEDGER_CATEGORIES
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """Both sweep kernels patched to record any pair they get and fail: for
+    usage errors that must come before any pair runs."""
+    pairs = []
+
+    def kernel(a, b, cfg):
+        pairs.append((a.value, b.value))
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(harness, "run_conventional", kernel)
+    monkeypatch.setattr(harness, "run_lowpower", kernel)
+    return pairs
 
 
 def check_recorded_block_size(tmp_path, flags, recorded):
@@ -197,30 +213,35 @@ class TestSweepCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_destination_fails(self, tmp_path, capsys):
-        # its directory exists, so the write fails only after the sweep
+        # its directory exists, so the write fails only after the sweep: the
+        # file name is longer than a file system allows
         code = run_cli(
             "sweep", "--widths", "4", "--trials", "50", "--seed", "1",
-            "--out", str(tmp_path),
+            "--out", str(tmp_path / ("r" * 300)),
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_out_directory_usage_error_before_any_run(self, tmp_path, monkeypatch,
-                                                              capsys):
-        ran = []
-
-        def kernel(a, b, cfg):
-            ran.append((a.value, b.value))
-            raise AssertionError("a pair ran")
-
-        monkeypatch.setattr(harness, "run_conventional", kernel)
-        monkeypatch.setattr(harness, "run_lowpower", kernel)
+    def test_missing_out_directory_usage_error_before_any_run(self, tmp_path, ran, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "4", "--trials", "10",
                     "--out", str(tmp_path / "missing" / "r.csv"))
         assert excinfo.value.code == 2
         assert "--out" in capsys.readouterr().err
         assert ran == []
+
+    @pytest.mark.parametrize("out", ["outdir", "outdir/", "."])
+    def test_out_naming_a_directory_usage_error_before_any_run(self, tmp_path, monkeypatch,
+                                                               ran, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10", "--out", out)
+        assert excinfo.value.code == 2
+        assert f"--out {out} is a directory" in capsys.readouterr().err
+        assert ran == []
+        assert sorted(os.listdir(tmp_path)) == ["outdir"]
+        assert os.listdir(tmp_path / "outdir") == []
 
     def test_model_file(self, tmp_path, capsys):
         model = tmp_path / "model.cfg"
@@ -246,6 +267,18 @@ class TestSweepCommand:
                     "--out", str(out_file), "--model", str(model))
         assert excinfo.value.code == 2
         assert f"model.cfg:{lineno}: " in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_all_zero_model_usage_error_before_any_run(self, tmp_path, ran, capsys):
+        model = tmp_path / "model.cfg"
+        model.write_text("".join(f"{cat} = 0\n" for cat in LEDGER_CATEGORIES))
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10",
+                    "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert "weights are all 0" in capsys.readouterr().err
+        assert ran == []
         assert not out_file.exists()
 
 

@@ -17,6 +17,7 @@ from oracles import (
 
 from shiftadd.bits import Word
 from shiftadd.datapath import (
+    DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
     PLAN_WIDTH_LIMIT,
     ArchConfig,
@@ -314,7 +315,8 @@ class TestAgainstLoopOracle:
                     a, b, cfg, trace=True), (n, av, bv)
 
     def test_lanes_built_on_first_use_and_cached(self):
-        cfg = make_config(Variant.CONVENTIONAL, 9)
+        # a config of its own: make_config's shared one may be filled already
+        cfg = ArchConfig(Variant.CONVENTIONAL, 9)
         assert "lanes" not in vars(cfg)
         assert cfg.lanes is cfg.lanes
         assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 171) - 1
@@ -383,18 +385,24 @@ class TestPlanTables:
             assert cfg.plans is None
 
     def test_constants_shared_by_config_value(self):
-        # a caller that builds a config per run reuses the first one's
-        # constants; a config that differs in any cost has its own
+        # make_config returns one config per value however it is spelled, so
+        # a caller that asks for a config per run reuses its constants
         first = make_config(Variant.LOW_POWER, 8, s=3)
-        again = make_config(Variant.LOW_POWER, 8, s=3)
-        assert first is not again
-        assert again.charges is first.charges and again.plans is first.plans
-        assert again.lanes is first.lanes is make_config(Variant.CONVENTIONAL, 8).lanes
-        for other in (make_config(Variant.LOW_POWER, 8, s=2),
-                      make_config(Variant.LOW_POWER, 8, s=3, g=0),
-                      make_config(Variant.LOW_POWER, 8, s=3, block_size=2),
-                      make_config(Variant.CONVENTIONAL, 8, s=3)):
-            assert other.charges is not first.charges and other.plans is not first.plans
+        assert make_config("lowpower", 8, s=3) is first
+        assert make_config(Variant.LOW_POWER, 8, s=3, g=1,
+                           block_size=DEFAULT_BLOCK_SIZE) is first
+        assert make_config("conv", 3) is make_config(Variant.CONVENTIONAL, 3, block_size=3)
+        # a config that differs in any field is its own, with its own constants
+        configs = [first,
+                   make_config(Variant.CONVENTIONAL, 8, s=3),
+                   make_config(Variant.LOW_POWER, 7, s=3),
+                   make_config(Variant.LOW_POWER, 8, s=2),
+                   make_config(Variant.LOW_POWER, 8, s=3, g=0),
+                   make_config(Variant.LOW_POWER, 8, s=3, block_size=2)]
+        for i, cfg in enumerate(configs):
+            for other in configs[i + 1:]:
+                assert other is not cfg and other != cfg
+                assert other.charges is not cfg.charges and other.plans is not cfg.plans
 
 
 class TestLedgerAdd:

@@ -38,6 +38,18 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             PowerModel(**kwargs)
 
+    def test_rejects_all_zero_weights(self, tmp_path):
+        # every energy would be 0, and no reduction could be computed
+        zero = {cat: 0.0 for cat in LEDGER_CATEGORIES}
+        with pytest.raises(ValueError, match="weights are all 0"):
+            PowerModel(weights=zero)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("".join(f"{cat} = 0\n" for cat in LEDGER_CATEGORIES))
+        with pytest.raises(ValueError, match="weights are all 0"):
+            PowerModel.from_file(cfg)
+        for cat in LEDGER_CATEGORIES:  # one weight above 0 is enough
+            assert PowerModel(weights={**zero, cat: 0.5}).weights[cat] == 0.5
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_weight(self, value):
         with pytest.raises(ValueError):
