@@ -29,26 +29,26 @@ Hamming sum is one popcount.
 
 Part of that work depends on the multiplier alone: its masked copies, the
 lanes it fires, and its closed-form charges.  That part is the plan for the
-multiplier value b.  Up to width ``PLAN_WIDTH_LIMIT`` a config keeps a
-table of ``2**width`` plan slots (``ArchConfig.plans``), filled on first
-use, so a kernel computes each plan once per config and multiplier value
-and only the multiplicand's part per call.  A table holds at most 256
-plans.  Wider configs have no table: their kernels compute the plan on
-every call.  ``make_config`` returns one shared config per config value, so
-its charges, lanes and plan table are built once.
+multiplier value b, computed by one plan function per datapath and read
+through ``cfg.plan(b)``.  Up to width ``PLAN_WIDTH_LIMIT`` a config is built
+with a table of every b's plan, at most 256 of them, so a kernel computes
+only the multiplicand's part per call; wider configs call the plan function
+each time.  A config's charges, lanes and plan are built whole with it and
+never change; ``make_config`` returns one shared config per config value, so
+they are built once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import functools
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bits import Word
 
 MAX_OPERAND_WIDTH = 32
-# widest config with a plan table, of 2**8 slots; at width 16 a table could
+# widest config with a plan table, of 2**8 plans; at width 16 a table could
 # hold 65,536 plans per config, most of them used once in a sweep
 PLAN_WIDTH_LIMIT = 8
 # config values make_config keeps built; a sweep uses two per width
@@ -88,20 +88,25 @@ def num_blocks(width: int, block_size: int) -> int:
     return -(-width // block_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchConfig:
     """Architecture variant, operand width and cost parameters.
 
     A run processes every multiplier bit, one per cycle, so it takes
-    ``width`` cycles.  Not slotted, because ``charges``, ``lanes`` and
-    ``plans`` are cached in the instance's ``__dict__``.  Build configs with
-    ``make_config``, which returns one shared instance per config value, so
-    that a caller who asks for a config per run does not rebuild them.
+    ``width`` cycles.  The constructor also builds what the kernels read:
+    ``charges``, ``(fixed_charges(self), flip-flops clocked on each add
+    cycle)``; ``lanes``, the lane constants; and ``plan``, which maps a
+    multiplier value to its plan.  Build configs with ``make_config``, which
+    returns one shared instance per config value, so that a caller who asks
+    for a config per run does not rebuild them.
     """
 
     variant: Variant
     width: int
     cost: RingCostModel = RingCostModel()
+    charges: tuple[ToggleLedger, int] = field(init=False, repr=False, compare=False)
+    lanes: Lanes = field(init=False, repr=False, compare=False)
+    plan: Callable[[int], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.width <= MAX_OPERAND_WIDTH:
@@ -110,27 +115,16 @@ class ArchConfig:
             raise ValueError(
                 f"block_size {self.cost.block_size} exceeds width {self.width}"
             )
-
-    @cached_property
-    def charges(self) -> tuple[ToggleLedger, int]:
-        """``(fixed_charges(self), flip-flops clocked on each add cycle)``,
-        computed on first use and kept on the instance.  The kernels read
-        this on every run; the ledger is shared, so it is never mutated."""
         add_ffs = sum(reg.width for reg in register_inventory(self)
                       if reg.clocking is Clocking.ADD_CYCLES)
-        return fixed_charges(self), add_ffs
-
-    @cached_property
-    def lanes(self) -> Lanes:
-        """The kernels' lane constants, built on first use and kept on the
-        instance, like ``charges``."""
-        return Lanes.build(self.width)
-
-    @cached_property
-    def plans(self) -> list | None:
-        """The kernels' plan table, one slot per multiplier value, each None
-        until a kernel fills it; None above ``PLAN_WIDTH_LIMIT``."""
-        return [None] * (1 << self.width) if self.width <= PLAN_WIDTH_LIMIT else None
+        # the ledger is shared by every run, so it is never mutated
+        object.__setattr__(self, "charges", (fixed_charges(self), add_ffs))
+        object.__setattr__(self, "lanes", Lanes.build(self.width))
+        plan = functools.partial(
+            _conventional_plan if self.variant is Variant.CONVENTIONAL else _lowpower_plan, self)
+        if self.width <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
+            plan = tuple(map(plan, range(1 << self.width))).__getitem__
+        object.__setattr__(self, "plan", plan)
 
 
 def make_config(
@@ -150,7 +144,7 @@ def make_config(
     return _shared_config(Variant(variant), width, RingCostModel(s, g, block_size))
 
 
-_shared_config = lru_cache(maxsize=CONFIG_CACHE_SIZE)(ArchConfig)
+_shared_config = functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)(ArchConfig)
 
 
 @dataclass(slots=True)
@@ -242,7 +236,7 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     on add cycles excepted) and the counter's own output toggles.
 
     Kernels read it through ``cfg.charges``, so it is computed once per
-    config.
+    config, when the config is built.
     """
     n = cfg.width
     cost = cfg.cost
@@ -352,6 +346,38 @@ def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
         )
 
 
+def _conventional_plan(cfg: ArchConfig, bv: int) -> tuple[int, int, int]:
+    """B's part of a conventional run: masked copies, shift and select toggles."""
+    n = cfg.width
+    fixed, _ = cfg.charges
+    _, copies, prefixes, _, low, _, _, _ = cfg.lanes
+    masked = bv * copies & prefixes
+    multiplier_shift = (fixed.multiplier_shift
+                        + (((bv ^ (bv >> 1)) * copies) & low).bit_count())
+    mux_select = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
+    return masked, multiplier_shift, mux_select
+
+
+def _lowpower_plan(cfg: ArchConfig, bv: int) -> tuple[int, int, int, int, int]:
+    """B's part of a low-power run: masked copies, add lanes, the fill's
+    starting mask, and the closed forms of mux data and the feeder's clock."""
+    n = cfg.width
+    _, add_ffs = cfg.charges
+    L, copies, prefixes, selects, _, _, lanes, _ = cfg.lanes
+    copied = bv * copies
+    masked = copied & prefixes
+    fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
+    # the lanes below the first add lane hold the reset state 0 and count
+    # as filled (all lanes, when no cycle adds)
+    filled = fired | ((fired & -fired) - 1) & lanes
+    # the mux output switches whenever the selected bit differs from the
+    # previous cycle's (reset: 0)
+    mux_data = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
+    adds = bv.bit_count()
+    feeder_clock = adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g
+    return masked, fired, filled, mux_data, feeder_clock
+
+
 def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
     """Simulate the conventional datapath: shifting B, shifting partial
     product, binary cycle counter, 0/A multiplexer feeding the adder.
@@ -362,26 +388,16 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     one; B shifts right; the counter increments.  All three registers are
     clocked every cycle; those clock charges and the counter's toggles come
     from ``cfg.charges``.  The data-dependent work is computed for all
-    cycles at once on packed lanes (see ``Lanes``).  B's plan (its masked
-    copies, its shift toggles and the mux select toggles) is read from
-    ``cfg.plans`` when the config has a table.
+    cycles at once on packed lanes (see ``Lanes``), B's part of it in one
+    call of ``cfg.plan`` (``_conventional_plan``).
     """
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
     fixed, _ = cfg.charges
-    L, copies, prefixes, _, low, running, lanes, top = cfg.lanes
+    L, _, _, _, low, running, lanes, top = cfg.lanes
     av, bv = a.value, b.value
-    plans = cfg.plans
-    if plans is not None and (plan := plans[bv]) is not None:
-        masked, multiplier_shift, mux_select = plan
-    else:
-        masked = bv * copies & prefixes
-        multiplier_shift = (fixed.multiplier_shift
-                            + (((bv ^ (bv >> 1)) * copies) & low).bit_count())
-        mux_select = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
-        if plans is not None:
-            plans[bv] = masked, multiplier_shift, mux_select
+    masked, multiplier_shift, mux_select = cfg.plan(bv)
     partial = av * masked
     # lane i: the partial product register after cycle i, a*(b mod 2^(i+1))
     # shifted up by the n - 1 - i cycles still to run
@@ -422,34 +438,16 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     stays zero.  The ring, gating and select charges come from
     ``cfg.charges``; the feeder's clock and the mux data line are closed
     forms in the multiplier bits.  The adder and the feeder's data toggles
-    are computed for all cycles at once on packed lanes (see ``Lanes``).
-    B's plan (its masked copies, its add lanes, the fill's starting mask
-    and both closed forms) is read from ``cfg.plans`` when the config has a
-    table.
+    are computed for all cycles at once on packed lanes (see ``Lanes``),
+    B's part of it in one call of ``cfg.plan`` (``_lowpower_plan``).
     """
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
-    fixed, add_ffs = cfg.charges
-    L, copies, prefixes, selects, low, running, lanes, top = cfg.lanes
+    fixed, _ = cfg.charges
+    L, _, _, _, low, running, lanes, top = cfg.lanes
     bv = b.value
-    plans = cfg.plans
-    if plans is not None and (plan := plans[bv]) is not None:
-        masked, fired, filled, mux_data, feeder_clock = plan
-    else:
-        copied = bv * copies
-        masked = copied & prefixes
-        fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
-        # the lanes below the first add lane hold the reset state 0 and count
-        # as filled (all lanes, when no cycle adds)
-        filled = fired | ((fired & -fired) - 1) & lanes
-        # the mux output switches whenever the selected bit differs from the
-        # previous cycle's (reset: 0)
-        mux_data = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
-        adds = bv.bit_count()
-        feeder_clock = adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g
-        if plans is not None:
-            plans[bv] = masked, fired, filled, mux_data, feeder_clock
+    masked, fired, filled, mux_data, feeder_clock = cfg.plan(bv)
     partial = a.value * masked
     # lane i: the feeder/bypass storage (carry : sum) after cycle i, which
     # is what the conventional adder outputs on that cycle

@@ -25,6 +25,8 @@ from shiftadd.datapath import (
     RingCostModel,
     ToggleLedger,
     Variant,
+    _conventional_plan,
+    _lowpower_plan,
     fixed_charges,
     make_config,
     render_trace,
@@ -314,10 +316,8 @@ class TestAgainstLoopOracle:
                 assert run_lowpower(a, b, cfg, trace=True) == loop_lowpower(
                     a, b, cfg, trace=True), (n, av, bv)
 
-    def test_lanes_built_on_first_use_and_cached(self):
-        # a config of its own: make_config's shared one may be filled already
-        cfg = ArchConfig(Variant.CONVENTIONAL, 9)
-        assert "lanes" not in vars(cfg)
+    def test_lanes_closed_forms(self):
+        cfg = make_config(Variant.CONVENTIONAL, 9)
         assert cfg.lanes is cfg.lanes
         assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 171) - 1
         # the closed forms against the constants as sums over the n cycles
@@ -336,9 +336,15 @@ class TestAgainstLoopOracle:
             ), n
 
 
+PLANNERS = {
+    Variant.CONVENTIONAL: _conventional_plan,
+    Variant.LOW_POWER: _lowpower_plan,
+}
+
+
 class TestPlanTables:
-    """Per-config tables of multiplier plans: a kernel that reads a plan
-    must give what it gives when it computes that plan."""
+    """Per-config tables of multiplier plans, built with the config: a plan
+    read from a table must be the one its plan function computes."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_configs_differing_in_costs_keep_their_own_plans(self, n):
@@ -355,34 +361,31 @@ class TestPlanTables:
                     packed, loop = KERNELS[cfg.variant]
                     assert packed(a, b, cfg) == loop(a, b, cfg), (cfg, av, bv)
 
-    @given(operand_pairs(max_width=16), st.sampled_from(list(Variant)), st.sampled_from(COSTS))
-    @settings(max_examples=200)
-    def test_cold_then_warm_plan_gives_equal_results(self, args, variant, cost):
-        n, av, bv = args
-        s, g = cost
-        cfg = make_config(variant, n, s=s, g=g)
-        packed, loop = KERNELS[variant]
-        a, b = Word(av, n), Word(bv, n)
-        if cfg.plans is not None:
-            cfg.plans[bv] = None  # cold: this call computes the plan
-        cold = packed(a, b, cfg, trace=True)
-        assert cfg.plans is None or cfg.plans[bv] is not None
-        assert packed(a, b, cfg, trace=True) == cold == loop(a, b, cfg, trace=True)
+    def test_plan_equals_plan_function(self):
+        # the table built with the config holds what the plan function gives
+        for n in range(1, PLAN_WIDTH_LIMIT + 1):
+            for variant, planner in PLANNERS.items():
+                for s, g in COSTS:
+                    cfg = make_config(variant, n, s=s, g=g)
+                    for bv in range(1 << n):
+                        assert cfg.plan(bv) == planner(cfg, bv), (variant, n, s, g, bv)
 
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_table_bounded_by_multiplier_values(self, variant):
-        for n in range(1, PLAN_WIDTH_LIMIT + 1):
-            cfg = make_config(variant, n, s=5)
-            packed = KERNELS[variant][0]
-            for bv in range(1 << n):
-                for av in (0, (1 << n) - 1):
-                    packed(Word(av, n), Word(bv, n), cfg)
-            assert len(cfg.plans) == 1 << n
-            assert None not in cfg.plans
-        for n in range(PLAN_WIDTH_LIMIT + 1, 33):
+    def test_plan_tabled_up_to_limit(self, variant):
+        # a plan read from the table is the one object built with the config;
+        # a wider config's plan is computed afresh on each call
+        for n in range(1, 33):
             cfg = make_config(variant, n)
-            packed(Word(1, n), Word(3, n), cfg)
-            assert cfg.plans is None
+            bv = (1 << n) - 1
+            assert (cfg.plan(bv) is cfg.plan(bv)) == (n <= PLAN_WIDTH_LIMIT), n
+            assert cfg.plan(bv) == PLANNERS[variant](cfg, bv)
+
+    @pytest.mark.parametrize("name", ["plan", "lanes", "charges"])
+    def test_built_constants_frozen(self, name):
+        cfg = make_config(Variant.LOW_POWER, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+        assert not hasattr(cfg, "__dict__")  # slotted: nothing to add either
 
     def test_constants_shared_by_config_value(self):
         # make_config returns one config per value however it is spelled, so
@@ -402,7 +405,7 @@ class TestPlanTables:
         for i, cfg in enumerate(configs):
             for other in configs[i + 1:]:
                 assert other is not cfg and other != cfg
-                assert other.charges is not cfg.charges and other.plans is not cfg.plans
+                assert other.charges is not cfg.charges and other.plan is not cfg.plan
 
 
 class TestLedgerAdd:
