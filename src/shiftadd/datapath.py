@@ -179,6 +179,11 @@ class ToggleLedger:
 
 
 LEDGER_CATEGORIES: tuple[str, ...] = tuple(f.name for f in fields(ToggleLedger))
+# the categories run_conventional can charge: it has no ring, clock gates or
+# feeder/bypass storage
+CONVENTIONAL_CATEGORIES: tuple[str, ...] = (
+    "multiplier_shift", "partial_product_shift", "adder", "counter_internal",
+    "mux_select", "mux_data")
 
 
 class Clocking(Enum):

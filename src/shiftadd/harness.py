@@ -13,6 +13,7 @@ from typing import Callable, Iterator, Sequence
 
 from .bits import Word
 from .datapath import (
+    CONVENTIONAL_CATEGORIES,
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
     MAX_OPERAND_WIDTH,
@@ -224,7 +225,8 @@ def sweep(
     """Run both architectures over the same operand stream at each width.
 
     Emits two rows per width (conventional first); the low-power row carries
-    the energy reduction against the conventional baseline.  Operands are
+    the energy reduction against the conventional baseline, so a ``model``
+    that weighs none of ``CONVENTIONAL_CATEGORIES`` is refused.  Operands are
     streamed in chunks of at most ``SWEEP_CHUNK`` pairs, each operand
     wrapped in one ``Word`` that both architectures share.
     """
@@ -236,6 +238,9 @@ def sweep(
         elif dist.kind == "exhaustive":
             _check_exhaustive_width(width)
     model = model or PowerModel()
+    if not any(model.weights[cat] for cat in CONVENTIONAL_CATEGORIES):
+        raise ValueError("power model weights are 0 on every category the conventional "
+                         "datapath charges, so no reduction can be computed")
     rows: list[ReportRow] = []
     for width in widths:
         runs = [

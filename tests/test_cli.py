@@ -5,28 +5,12 @@ import sys
 
 import pytest
 
-from shiftadd import harness
 from shiftadd.cli import main
 from shiftadd.datapath import LEDGER_CATEGORIES
 
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-@pytest.fixture
-def ran(monkeypatch):
-    """Both sweep kernels patched to record any pair they get and fail: for
-    usage errors that must come before any pair runs."""
-    pairs = []
-
-    def kernel(a, b, cfg):
-        pairs.append((a.value, b.value))
-        raise AssertionError("a pair ran")
-
-    monkeypatch.setattr(harness, "run_conventional", kernel)
-    monkeypatch.setattr(harness, "run_lowpower", kernel)
-    return pairs
 
 
 def check_recorded_block_size(tmp_path, flags, recorded):
@@ -280,6 +264,30 @@ class TestSweepCommand:
         assert "weights are all 0" in capsys.readouterr().err
         assert ran == []
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("charged", ["counter_output", "feeder_bypass_clock", "gating"])
+    def test_zero_conventional_weight_model_usage_error_before_any_run(
+            self, tmp_path, ran, capsys, charged):
+        # weight only on a category the conventional datapath never charges:
+        # its energy, the baseline of every reduction, is 0
+        model = tmp_path / "model.cfg"
+        model.write_text("".join(f"{cat} = {int(cat == charged)}\n" for cat in LEDGER_CATEGORIES))
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4,16", "--trials", "10",
+                    "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert "conventional datapath charges" in capsys.readouterr().err
+        assert ran == []
+        assert not out_file.exists()
+
+    def test_adder_only_model_runs(self, tmp_path):
+        model = tmp_path / "model.cfg"
+        model.write_text("".join(f"{cat} = {int(cat == 'adder')}\n" for cat in LEDGER_CATEGORIES))
+        out_file = tmp_path / "r.csv"
+        assert run_cli("sweep", "--widths", "4", "--trials", "10",
+                       "--out", str(out_file), "--model", str(model)) == 0
+        assert out_file.exists()
 
 
 class TestEntryPoint:

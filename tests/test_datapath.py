@@ -17,6 +17,7 @@ from oracles import (
 
 from shiftadd.bits import Word
 from shiftadd.datapath import (
+    CONVENTIONAL_CATEGORIES,
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
     PLAN_WIDTH_LIMIT,
@@ -406,6 +407,21 @@ class TestPlanTables:
             for other in configs[i + 1:]:
                 assert other is not cfg and other != cfg
                 assert other.charges is not cfg.charges and other.plan is not cfg.plan
+
+
+class TestConventionalCategories:
+    def test_exactly_the_categories_the_kernel_charges(self):
+        # every category outside the set stays 0 on every pair; every one in
+        # it is charged on some pair (from width 2: a width-1 cycle counter
+        # has no flip-flops)
+        for n in range(2, 6):
+            charged = set()
+            for av in range(1 << n):
+                for bv in range(1 << n):
+                    counts = run_conventional(Word(av, n), Word(bv, n),
+                                              make_config(Variant.CONVENTIONAL, n)).ledger.as_dict()
+                    charged |= {cat for cat, count in counts.items() if count}
+            assert charged == set(CONVENTIONAL_CATEGORIES), n
 
 
 class TestLedgerAdd:

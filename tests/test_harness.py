@@ -23,6 +23,7 @@ from shiftadd.harness import (
     gen_operands,
     sweep,
 )
+from shiftadd.power import PowerModel
 
 
 class TestGenOperands:
@@ -183,6 +184,20 @@ class TestSweep:
         monkeypatch.setattr(harness, "run_lowpower", no_run)
         with pytest.raises(ValueError, match="width 9"):
             sweep([4, 9], OperandDistribution("exhaustive"), 0)
+
+    @pytest.mark.parametrize("charged", ["counter_output", "feeder_bypass_clock", "gating"])
+    def test_zero_conventional_weights_refused_before_any_run(self, ran, charged):
+        # the conventional energy, the baseline of every reduction, would be 0
+        weights = {cat: float(cat == charged) for cat in LEDGER_CATEGORIES}
+        with pytest.raises(ValueError, match="conventional datapath charges"):
+            sweep([4, 16], OperandDistribution("uniform"), 10, PowerModel(weights))
+        assert ran == []
+
+    def test_adder_only_model_runs(self):
+        weights = {cat: float(cat == "adder") for cat in LEDGER_CATEGORIES}
+        rows = sweep([4], OperandDistribution("uniform", seed=1), 50, PowerModel(weights))
+        for row in rows:
+            assert row.energy == row.adder > 0
 
     def test_wide_sweep_matches_loop_oracle(self):
         # widths above the old random-sweep cap of 16: the report's ledger
