@@ -294,31 +294,36 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
     next cycle's adder input is fixed wiring, and each cycle latches one
     product low bit.  B is never shifted or clocked, so ``multiplier_shift``
     stays zero.  The ring, gating and select charges come from
-    ``cfg.charges``; the feeder's clock and the mux data line are closed
-    forms in the multiplier bits, so the loop covers only the adder and the
-    feeder's data toggles.
+    ``cfg.charges``.  The loop charges the rest cycle by cycle: the adder,
+    the feeder's data toggles and clock, and the mux data line, so it checks
+    the kernel's closed forms for the last two.
     """
     _check_operands(a, b, cfg)
     n = cfg.width
     mask_n = (1 << n) - 1
-    fixed, add_ffs = cfg.charges
+    fixed, _ = cfg.charges
     bits = b.value  # the multiplier bits the ring selects, in order
-    fired = bits.bit_count()
 
     reg_fb = 0  # feeder/bypass storage (carry : sum)
     low_bits = 0
     adder_sum = 0
     adder_carry = 0
+    prev_bit = 0  # the mux data line, from reset
 
-    partial_product_shift = adder = 0
+    partial_product_shift = adder = mux_data = feeder_bypass_clock = 0
     rows = [] if trace else None
     if trace:
         ring_width = _counter_width(cfg)
 
     for i in range(n):
         bit = (bits >> i) & 1
+        # the one-hot mux tree's output is the selected bit
+        mux_data += bit != prev_bit
+        prev_bit = bit
         x = reg_fb >> 1  # wired shift: last cycle's (carry : sum) minus its LSB
         if bit:
+            # the feeder's n + 1 flip-flops capture (carry : sum)
+            feeder_bypass_clock += (n + 1) * cfg.cost.s
             total = x + a.value
             new_sum = total & mask_n
             cout = total >> n
@@ -328,7 +333,9 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
             adder_sum, adder_carry = new_sum, new_carry
             pair = (cout << n) | new_sum
         else:
-            # adder inputs are frozen: zero transitions, state kept
+            # adder inputs are frozen: zero transitions, state kept; only the
+            # bypass's clock gate switches
+            feeder_bypass_clock += cfg.cost.g
             pair = x
 
         low_bits |= (pair & 1) << i
@@ -353,10 +360,8 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
         counter_internal=fixed.counter_internal,
         counter_output=fixed.counter_output,
         mux_select=fixed.mux_select,
-        # the mux output switches whenever the selected bit differs from the
-        # previous cycle's (reset: 0)
-        mux_data=((bits ^ (bits << 1)) & mask_n).bit_count(),
-        feeder_bypass_clock=fired * add_ffs * cfg.cost.s + (n - fired) * cfg.cost.g,
+        mux_data=mux_data,
+        feeder_bypass_clock=feeder_bypass_clock,
         gating=fixed.gating,
     )
     product = Word(((reg_fb >> 1) << n) | low_bits, 2 * n)
