@@ -10,6 +10,7 @@ from typing import Sequence
 from .bits import Word
 from .datapath import DEFAULT_BLOCK_SIZE, Variant, make_config, render_trace, simulate
 from .harness import (
+    DIST_KINDS,
     REPORTED_FPGA_REDUCTION,
     RNG_ALGORITHM,
     OperandDistribution,
@@ -60,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="compare architectures across widths")
     p_sweep.add_argument("--widths", required=True, help="comma-separated, e.g. 4,8,16")
-    p_sweep.add_argument("--dist", default="uniform",
-                         choices=["uniform", "sparse", "dense", "exhaustive", "fixed"])
+    p_sweep.add_argument("--dist", default="uniform", choices=DIST_KINDS)
     p_sweep.add_argument("--trials", type=int, default=100000)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", required=True, help="report file path")
