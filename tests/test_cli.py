@@ -281,14 +281,6 @@ class TestSweepCommand:
         assert ran == []
         assert not out_file.exists()
 
-    def test_adder_only_model_runs(self, tmp_path):
-        model = tmp_path / "model.cfg"
-        model.write_text("".join(f"{cat} = {int(cat == 'adder')}\n" for cat in LEDGER_CATEGORIES))
-        out_file = tmp_path / "r.csv"
-        assert run_cli("sweep", "--widths", "4", "--trials", "10",
-                       "--out", str(out_file), "--model", str(model)) == 0
-        assert out_file.exists()
-
 
 class TestEntryPoint:
     def test_module_invocation_usage_error_exit_code(self):

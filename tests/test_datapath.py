@@ -319,7 +319,6 @@ class TestAgainstLoopOracle:
 
     def test_lanes_closed_forms(self):
         cfg = make_config(Variant.CONVENTIONAL, 9)
-        assert cfg.lanes is cfg.lanes
         assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 171) - 1
         # the closed forms against the constants as sums over the n cycles
         for n in range(1, 33):
