@@ -106,6 +106,19 @@ class TestConventional:
         assert led.feeder_bypass_clock == 0
         assert led.gating == 0
 
+    def test_charges_exactly_conventional_categories(self):
+        # every category outside the set stays 0 on every pair; every one in
+        # it is charged on some pair (from width 2: a width-1 cycle counter
+        # has no flip-flops)
+        for n in range(2, 6):
+            cfg = make_config(Variant.CONVENTIONAL, n)
+            charged = set()
+            for av in range(1 << n):
+                for bv in range(1 << n):
+                    ledger = run_conventional(Word(av, n), Word(bv, n), cfg).ledger
+                    charged |= {cat for cat, count in ledger.as_dict().items() if count}
+            assert charged == set(CONVENTIONAL_CATEGORIES), n
+
     def test_trace_selected_bits(self):
         cfg = make_config(Variant.CONVENTIONAL, 5)
         b = Word(0b10110, 5)
@@ -406,21 +419,6 @@ class TestPlanTables:
             for other in configs[i + 1:]:
                 assert other is not cfg and other != cfg
                 assert other.charges is not cfg.charges and other.plan is not cfg.plan
-
-
-class TestConventionalCategories:
-    def test_exactly_the_categories_the_kernel_charges(self):
-        # every category outside the set stays 0 on every pair; every one in
-        # it is charged on some pair (from width 2: a width-1 cycle counter
-        # has no flip-flops)
-        for n in range(2, 6):
-            charged = set()
-            for av in range(1 << n):
-                for bv in range(1 << n):
-                    counts = run_conventional(Word(av, n), Word(bv, n),
-                                              make_config(Variant.CONVENTIONAL, n)).ledger.as_dict()
-                    charged |= {cat for cat, count in counts.items() if count}
-            assert charged == set(CONVENTIONAL_CATEGORIES), n
 
 
 class TestLedgerAdd:
