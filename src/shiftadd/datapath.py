@@ -136,11 +136,11 @@ def make_config(
     block_size: int | None = None,
 ) -> ArchConfig:
     """The one shared ArchConfig for this config value, however it is spelled:
-    the variant may be given by name, and an omitted block size is
-    ``DEFAULT_BLOCK_SIZE`` clamped to the width, and at least 1, so that a
-    width out of range meets ``ArchConfig``'s width check, not the block's."""
-    if block_size is None:
-        block_size = max(1, min(DEFAULT_BLOCK_SIZE, width))
+    the variant may be given by name.  The one place a block size is clamped:
+    the given one, or ``DEFAULT_BLOCK_SIZE``, is lowered to the width (or 1,
+    so that a width out of range meets ``ArchConfig``'s width check, not the
+    block's); ``RingCostModel`` refuses a block size below 1."""
+    block_size = min(DEFAULT_BLOCK_SIZE if block_size is None else block_size, max(1, width))
     return _shared_config(Variant(variant), width, RingCostModel(s, g, block_size))
 
 

@@ -16,7 +16,6 @@ from .datapath import (
     CONVENTIONAL_CATEGORIES,
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
-    MAX_OPERAND_WIDTH,
     SimResult,
     ToggleLedger,
     Variant,
@@ -61,24 +60,6 @@ class OperandDistribution:
             raise ValueError("fixed distribution needs both a and b")
 
 
-def _check_fixed_operands(dist: OperandDistribution, width: int) -> None:
-    limit = 1 << width
-    if not (0 <= dist.a < limit and 0 <= dist.b < limit):
-        raise ValueError(
-            f"fixed operands must be in 0..{limit - 1} for width {width}, "
-            f"got a={dist.a}, b={dist.b}"
-        )
-
-
-def _check_exhaustive_width(width: int) -> None:
-    """Refuse to enumerate the ``2**(2*width)`` pairs of a width above
-    ``EXHAUSTIVE_WIDTH_LIMIT``; callers check before doing any work."""
-    if width > EXHAUSTIVE_WIDTH_LIMIT:
-        raise ValueError(
-            f"exhaustive enumeration refused for width {width} > {EXHAUSTIVE_WIDTH_LIMIT}"
-        )
-
-
 def _biased_bits(rng: random.Random, width: int, p1: float) -> int:
     value = 0
     for i in range(width):
@@ -92,33 +73,34 @@ def gen_operands(
 ) -> Iterator[tuple[int, int]]:
     """Deterministic stream of (a, b) pairs for ``dist``.
 
-    ``fixed`` refuses operands outside ``0..2**width - 1``.
-
-    ``exhaustive`` ignores ``trials`` and yields all ``2**(2*width)`` pairs in
-    lexicographic order; it refuses widths above ``EXHAUSTIVE_WIDTH_LIMIT``
-    to bound the explosion.  ``exhaustive_verify`` and exhaustive sweeps make
-    the same check before they start.
+    Its arguments are checked when it is called, before the stream is
+    returned: ``exhaustive`` ignores ``trials`` and yields all
+    ``2**(2*width)`` pairs in lexicographic order, refusing widths above
+    ``EXHAUSTIVE_WIDTH_LIMIT`` to bound the explosion; every other kind
+    needs ``trials >= 1``, and ``fixed`` refuses operands outside
+    ``0..2**width - 1``.  The width's own range is ``ArchConfig``'s check.
     """
     if dist.kind == "exhaustive":
-        _check_exhaustive_width(width)
-        yield from itertools.product(range(1 << width), repeat=2)
-        return
+        if width > EXHAUSTIVE_WIDTH_LIMIT:
+            raise ValueError(
+                f"exhaustive enumeration refused for width {width} > {EXHAUSTIVE_WIDTH_LIMIT}"
+            )
+        return itertools.product(range(1 << width), repeat=2)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if dist.kind == "fixed":
-        _check_fixed_operands(dist, width)
-        pair = (dist.a, dist.b)
-        for _ in range(trials):
-            yield pair
-        return
+        limit = 1 << width
+        if not (0 <= dist.a < limit and 0 <= dist.b < limit):
+            raise ValueError(
+                f"fixed operands must be in 0..{limit - 1} for width {width}, "
+                f"got a={dist.a}, b={dist.b}"
+            )
+        return itertools.repeat((dist.a, dist.b), trials)
     rng = random.Random(dist.seed)
     if dist.kind == "uniform":
-        for _ in range(trials):
-            yield rng.getrandbits(width), rng.getrandbits(width)
-        return
+        return ((rng.getrandbits(width), rng.getrandbits(width)) for _ in range(trials))
     p1 = SPARSE_P1 if dist.kind == "sparse" else DENSE_P1
-    for _ in range(trials):
-        yield rng.getrandbits(width), _biased_bits(rng, width, p1)
+    return ((rng.getrandbits(width), _biased_bits(rng, width, p1)) for _ in range(trials))
 
 
 Runner = Callable[[Word, Word, object], SimResult]
@@ -154,14 +136,18 @@ def exhaustive_verify(
     lowpower: Runner = run_lowpower,
 ) -> VerifyOutcome:
     """Run both datapaths over every operand pair and check products against
-    native integer multiplication.  Mismatches are collected, not raised."""
-    _check_exhaustive_width(width)
+    native integer multiplication.  Mismatches are collected, not raised.
+
+    The configs are built first, so ``ArchConfig`` checks the width's range;
+    then ``gen_operands`` refuses a width above ``EXHAUSTIVE_WIDTH_LIMIT``,
+    before any operand is wrapped."""
     conv_cfg = make_config(Variant.CONVENTIONAL, width, s=s, g=g, block_size=block_size)
     low_cfg = make_config(Variant.LOW_POWER, width, s=s, g=g, block_size=block_size)
+    pairs = gen_operands(OperandDistribution("exhaustive"), width, 0)
     mismatches: list[Mismatch] = []
     total = 0
     words = [Word(v, width) for v in range(1 << width)]  # each operand wrapped once
-    for av, bv in gen_operands(OperandDistribution("exhaustive"), width, 0):
+    for av, bv in pairs:
         total += 1
         expected = av * bv
         a, b = words[av], words[bv]
@@ -226,31 +212,28 @@ def sweep(
 
     Emits two rows per width (conventional first); the low-power row carries
     the energy reduction against the conventional baseline, so a ``model``
-    that weighs none of ``CONVENTIONAL_CATEGORIES`` is refused.  Operands are
-    streamed in chunks of at most ``SWEEP_CHUNK`` pairs, each operand
-    wrapped in one ``Word`` that both architectures share.
+    that weighs none of ``CONVENTIONAL_CATEGORIES`` is refused.  Before the
+    first pair runs, every width's configs are built (``ArchConfig`` checks
+    the width, ``make_config`` clamps the block size to it), then every
+    width's stream (``gen_operands`` checks ``dist`` and ``trials``).
+    Operands are streamed in chunks of at most ``SWEEP_CHUNK`` pairs, each
+    operand wrapped in one ``Word`` that both architectures share.
     """
-    for width in widths:  # all of them, before any operand is generated
-        if not 1 <= width <= MAX_OPERAND_WIDTH:
-            raise ValueError(f"sweep width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
-        if dist.kind == "fixed":
-            _check_fixed_operands(dist, width)
-        elif dist.kind == "exhaustive":
-            _check_exhaustive_width(width)
     model = model or PowerModel()
     if not any(model.weights[cat] for cat in CONVENTIONAL_CATEGORIES):
         raise ValueError("power model weights are 0 on every category the conventional "
                          "datapath charges, so no reduction can be computed")
+    width_runs = [
+        [(make_config(variant, width, s=s, g=g, block_size=block_size), runner)
+         for variant, runner in ((Variant.CONVENTIONAL, run_conventional),
+                                 (Variant.LOW_POWER, run_lowpower))]
+        for width in widths
+    ]
+    streams = [gen_operands(dist, width, trials) for width in widths]
     rows: list[ReportRow] = []
-    for width in widths:
-        runs = [
-            (make_config(variant, width, s=s, g=g, block_size=min(block_size, width)), runner)
-            for variant, runner in ((Variant.CONVENTIONAL, run_conventional),
-                                    (Variant.LOW_POWER, run_lowpower))
-        ]
+    for width, runs, stream in zip(widths, width_runs, streams):
         totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in runs]
         count = 0
-        stream = gen_operands(dist, width, trials)
         while chunk := [(Word(av, width), Word(bv, width))
                         for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
             count += len(chunk)
