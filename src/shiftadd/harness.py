@@ -215,7 +215,9 @@ def sweep(
     that weighs none of ``CONVENTIONAL_CATEGORIES`` is refused.  Before the
     first pair runs, every width's configs are built (``ArchConfig`` checks
     the width, ``make_config`` clamps the block size to it), then every
-    width's stream (``gen_operands`` checks ``dist`` and ``trials``).
+    width's stream (``gen_operands`` checks ``dist`` and ``trials``); a
+    ``fixed`` pair then runs once per width through the conventional kernel,
+    and is refused if the model weighs its energy at 0.
     Operands are streamed in chunks of at most ``SWEEP_CHUNK`` pairs, each
     operand wrapped in one ``Word`` that both architectures share.
     """
@@ -230,6 +232,13 @@ def sweep(
         for width in widths
     ]
     streams = [gen_operands(dist, width, trials) for width in widths]
+    if dist.kind == "fixed":  # its baseline is the one pair's energy
+        for width, ((conv_cfg, conv_runner), _) in zip(widths, width_runs):
+            ledger = conv_runner(Word(dist.a, width), Word(dist.b, width), conv_cfg).ledger
+            if not estimate_energy(ledger, model):
+                raise ValueError(f"fixed pair a={dist.a}, b={dist.b} has no conventional energy "
+                                 f"under the power model at width {width}, so no reduction "
+                                 "can be computed")
     rows: list[ReportRow] = []
     for width, runs, stream in zip(widths, width_runs, streams):
         totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in runs]
