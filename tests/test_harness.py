@@ -82,6 +82,18 @@ class TestGenOperands:
             list(gen_operands(OperandDistribution("uniform"), 4, 0))
 
 
+    @pytest.mark.parametrize("dist, trials, match", [
+        (OperandDistribution("exhaustive"), 0, "width 9"),
+        (OperandDistribution("fixed", a=512, b=3), 10, "0..511 for width 9"),
+        (OperandDistribution("uniform"), 0, "trials"),
+        (OperandDistribution("fixed", a=3, b=2), 0, "trials"),
+    ], ids=["exhaustive-width", "fixed-operands", "uniform-trials", "fixed-trials"])
+    def test_checks_when_called(self, dist, trials, match):
+        # refused by the call itself, before any pair is asked for
+        with pytest.raises(ValueError, match=match):
+            gen_operands(dist, 9, trials)
+
+
 def carryless_conventional(a: Word, b: Word, cfg) -> SimResult:
     """Test double with the adder's carry chain stuck at zero."""
     acc = 0
@@ -173,6 +185,10 @@ class TestSweep:
             sweep(widths, OperandDistribution("fixed", a=200, b=3), 10)
         assert ran == []
 
+    def test_block_size_below_one_refused(self):
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            sweep([4], OperandDistribution("uniform"), 10, block_size=0)
+
     def test_exhaustive_widths_checked_before_any_run(self, monkeypatch):
         def no_run(*args):
             raise AssertionError("a pair ran before every width was checked")
@@ -189,6 +205,27 @@ class TestSweep:
         with pytest.raises(ValueError, match="conventional datapath charges"):
             sweep([4, 16], OperandDistribution("uniform"), 10, PowerModel(weights))
         assert ran == []
+
+    @pytest.mark.parametrize("a, b", [(0, 5), (3, 0)])
+    def test_zero_baseline_fixed_pair_refused_before_the_sweep(self, a, b, monkeypatch):
+        # the pair never moves the adder, the one weighted category, so its
+        # conventional energy, the baseline of the reduction, is 0
+        calls = {"conv": 0, "lowpower": 0}
+
+        def counting(arch, kernel):
+            def run(*args):
+                calls[arch] += 1
+                return kernel(*args)
+            return run
+
+        monkeypatch.setattr(harness, "run_conventional",
+                            counting("conv", harness.run_conventional))
+        monkeypatch.setattr(harness, "run_lowpower", counting("lowpower", harness.run_lowpower))
+        weights = {cat: float(cat == "adder") for cat in LEDGER_CATEGORIES}
+        with pytest.raises(ValueError, match=f"fixed pair a={a}, b={b} .*width 4"):
+            sweep([4, 16], OperandDistribution("fixed", a=a, b=b), 1000, PowerModel(weights))
+        assert calls["lowpower"] == 0
+        assert calls["conv"] <= 2  # one per width at most
 
     def test_adder_only_model_runs(self):
         weights = {cat: float(cat == "adder") for cat in LEDGER_CATEGORIES}
