@@ -114,6 +114,14 @@ class TestCostFlagErrors:
     def test_least_values_accepted(self, capsys):
         assert run_cli(*RUN_4, "--ffs-cost", "1", "--gate-cost", "0", "--block-size", "1") == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--arch", "lowpower", "--width", "2", "--a", "1", "--b", "1"],
+        ["verify", "--width", "2"],
+    ])
+    def test_block_size_above_width_runs_with_blocks_of_the_width(self, argv, capsys):
+        # as a sweep does: the config clamps the block size to the width
+        assert run_cli(*argv, "--block-size", "4") == 0
+
 
 class TestSweepCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):

@@ -57,6 +57,14 @@ class TestArchConfig:
         assert make_config(Variant.LOW_POWER, 3).cost.block_size == 3
         assert make_config(Variant.LOW_POWER, 8).cost.block_size == 4
 
+    def test_given_block_size_clamped_to_width(self):
+        assert make_config(Variant.LOW_POWER, 2, block_size=4).cost.block_size == 2
+        assert make_config(Variant.LOW_POWER, 8, block_size=3).cost.block_size == 3
+
+    def test_block_size_below_one_refused(self):
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            make_config(Variant.LOW_POWER, 4, block_size=0)
+
     def test_oversized_block_rejected(self):
         with pytest.raises(ValueError):
             ArchConfig(Variant.LOW_POWER, 3, RingCostModel(block_size=4))
