@@ -81,7 +81,6 @@ class TestGenOperands:
         with pytest.raises(ValueError):
             list(gen_operands(OperandDistribution("uniform"), 4, 0))
 
-
     @pytest.mark.parametrize("dist, trials, match", [
         (OperandDistribution("exhaustive"), 0, "width 9"),
         (OperandDistribution("fixed", a=512, b=3), 10, "0..511 for width 9"),
