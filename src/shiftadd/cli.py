@@ -148,10 +148,11 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "gate_cost": args.gate_cost,
         "block_size": block_size,
     }
-    if min(widths) < block_size:
-        # a width below the block size, given or default, runs with blocks
-        # of that width
-        metadata["block_size"] = [min(block_size, width) for width in widths]
+    # the block size each width ran with, read from the config that ran it
+    ran = [make_config(Variant.LOW_POWER, width, s=args.ffs_cost, g=args.gate_cost,
+                       block_size=block_size).cost.block_size for width in widths]
+    if any(size != block_size for size in ran):
+        metadata["block_size"] = ran
     if args.dist == "exhaustive":
         # every pair runs whatever --trials says; each row records its count
         del metadata["trials"]

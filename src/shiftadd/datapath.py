@@ -33,7 +33,10 @@ multiplier value b, computed by one plan function per datapath and read
 through ``cfg.plan(b)``.  Up to width ``PLAN_WIDTH_LIMIT`` a config is built
 with a table of every b's plan, at most 256 of them, so a kernel computes
 only the multiplicand's part per call; wider configs call the plan function
-each time.  A config's charges, lanes and plan are built whole with it and
+each time.  Where all 4**n operand pairs fit that bound (n <= 4), a config
+also holds ``results``, every (a, b) result its kernel computes: an untraced
+call returns the entry, shared and never mutated; ``trace=True`` computes.
+A config's charges, lanes, plan and results are built whole with it and
 never change; ``make_config`` returns one shared config per config value, so
 they are built once.
 """
@@ -95,8 +98,10 @@ class ArchConfig:
     A run processes every multiplier bit, one per cycle, so it takes
     ``width`` cycles.  The constructor also builds what the kernels read:
     ``charges``, ``(fixed_charges(self), flip-flops clocked on each add
-    cycle)``; ``lanes``, the lane constants; and ``plan``, which maps a
-    multiplier value to its plan.  Build configs with ``make_config``, which
+    cycle)``; ``lanes``, the lane constants; ``plan``, which maps a
+    multiplier value to its plan; and ``results``, the untraced result of
+    each pair at ``a << width | b``, or None where 4**width exceeds
+    2**PLAN_WIDTH_LIMIT.  Build configs with ``make_config``, which
     returns one shared instance per config value, so that a caller who asks
     for a config per run does not rebuild them.
     """
@@ -107,6 +112,7 @@ class ArchConfig:
     charges: tuple[ToggleLedger, int] = field(init=False, repr=False, compare=False)
     lanes: Lanes = field(init=False, repr=False, compare=False)
     plan: Callable[[int], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    results: tuple[SimResult, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.width <= MAX_OPERAND_WIDTH:
@@ -125,6 +131,11 @@ class ArchConfig:
         if self.width <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
             plan = tuple(map(plan, range(1 << self.width))).__getitem__
         object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "results", None)  # so the kernels below compute
+        if 2 * self.width <= PLAN_WIDTH_LIMIT:  # every (a, b) result, built now
+            words = [Word(v, self.width) for v in range(1 << self.width)]
+            object.__setattr__(self, "results", tuple(
+                simulate(a, b, self) for a in words for b in words))
 
 
 def make_config(
@@ -399,6 +410,8 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
+    if cfg.results is not None and not trace:
+        return cfg.results[a.value << n | b.value]
     fixed, _ = cfg.charges
     L, _, _, _, low, running, lanes, top = cfg.lanes
     av, bv = a.value, b.value
@@ -449,6 +462,8 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
+    if cfg.results is not None and not trace:
+        return cfg.results[a.value << n | b.value]
     fixed, _ = cfg.charges
     L, _, _, _, low, running, lanes, top = cfg.lanes
     bv = b.value

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from shiftadd.cli import main
-from shiftadd.datapath import LEDGER_CATEGORIES
+from shiftadd.datapath import DEFAULT_BLOCK_SIZE, LEDGER_CATEGORIES, Variant, make_config
 
 
 def run_cli(*argv):
@@ -174,6 +174,19 @@ class TestSweepCommand:
     def test_metadata_records_default_block_sizes_that_ran(self, tmp_path, widths, recorded):
         # the default block size, min(4, width), is clamped the same way
         check_recorded_block_size(tmp_path, ["--widths", widths], recorded)
+
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 4, 5, None])
+    def test_metadata_block_sizes_are_those_of_make_config(self, tmp_path, block_size):
+        # the recorded sizes are those of the configs make_config builds for
+        # the sweep, listed only when some width ran a size not requested
+        widths = range(1, 7)
+        ran = [make_config(Variant.LOW_POWER, width, block_size=block_size).cost.block_size
+               for width in widths]
+        requested = DEFAULT_BLOCK_SIZE if block_size is None else block_size
+        recorded = requested if ran == [requested] * len(ran) else ran
+        flags = [] if block_size is None else ["--block-size", str(block_size)]
+        check_recorded_block_size(
+            tmp_path, ["--widths", ",".join(map(str, widths)), *flags], recorded)
 
     def test_fixed_dist_requires_operands(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

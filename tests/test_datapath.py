@@ -400,6 +400,8 @@ class TestPlanTables:
             bv = (1 << n) - 1
             assert (cfg.plan(bv) is cfg.plan(bv)) == (n <= PLAN_WIDTH_LIMIT), n
             assert cfg.plan(bv) == PLANNERS[variant](cfg, bv)
+            # the result table holds 4**n entries, under the same bound
+            assert (cfg.results is None) == (2 * n > PLAN_WIDTH_LIMIT), n
 
     @pytest.mark.parametrize("name", ["plan", "lanes", "charges"])
     def test_built_constants_frozen(self, name):
@@ -427,6 +429,53 @@ class TestPlanTables:
             for other in configs[i + 1:]:
                 assert other is not cfg and other != cfg
                 assert other.charges is not cfg.charges and other.plan is not cfg.plan
+
+
+class TestResultTables:
+    """Per-config tables of every (a, b) result, built with the config up to
+    4**n <= 2**PLAN_WIDTH_LIMIT: an untraced kernel call returns the entry."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_entries_equal_oracle_and_traced_kernel(self, n):
+        for variant, (packed, loop) in KERNELS.items():
+            for s, g in COSTS:
+                for bsz in sorted({1, n}):
+                    cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
+                    assert len(cfg.results) == 4 ** n
+                    for av in range(1 << n):
+                        for bv in range(1 << n):
+                            a, b = Word(av, n), Word(bv, n)
+                            entry = cfg.results[av << n | bv]
+                            expected = loop(a, b, cfg)
+                            assert (entry.product, entry.ledger) == (
+                                expected.product, expected.ledger), (variant, n, s, g, av, bv)
+                            traced = packed(a, b, cfg, trace=True)  # computed, with rows
+                            assert len(traced.trace) == n
+                            assert dataclasses.replace(traced, trace=None) == entry
+                            assert packed(a, b, cfg) is entry
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_operand_width_checked_before_lookup(self, variant, n):
+        packed, _ = KERNELS[variant]
+        cfg = make_config(variant, n)
+        assert cfg.results is not None
+        for a, b in ((Word(0, n + 1), Word(0, n)), (Word(0, n), Word(1, n + 1))):
+            with pytest.raises(ValueError, match="do not match config width"):
+                packed(a, b, cfg)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_shared_entry_unchanged_by_caller_totals(self, variant):
+        cfg = make_config(variant, 4)
+        a, b = Word(11, 4), Word(13, 4)
+        first = simulate(a, b, cfg)
+        before = dataclasses.replace(first, ledger=dataclasses.replace(first.ledger))
+        total = ToggleLedger()
+        total.add(first.ledger)
+        total.add(first.ledger)
+        second = simulate(a, b, cfg)
+        assert second is first and second == before
+        assert total.as_dict() == {k: 2 * v for k, v in before.ledger.as_dict().items()}
 
 
 class TestLedgerAdd:

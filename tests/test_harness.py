@@ -153,6 +153,14 @@ class TestSweep:
         assert low.feeder_bypass_clock == 50 * (1 * 9 * 2 + 7 * 1)
         assert low.multiplier_shift == 0
 
+    @pytest.mark.parametrize("dist", [OperandDistribution("uniform", seed=3),
+                                      OperandDistribution("fixed", a=1, b=1)])
+    def test_repeated_sweep_rows_equal(self, dist):
+        # widths 1-4 read every result from the configs' shared tables, so
+        # aggregation that wrote into an entry would change the second rows
+        first = sweep([1, 2, 3, 4], dist, 300)
+        assert sweep([1, 2, 3, 4], dist, 300) == first
+
     def test_reduction_trend_quick(self):
         rows = sweep([4, 8], OperandDistribution("uniform", seed=7), 2500)
         reductions = {row.width: row.reduction_pct for row in rows if row.arch == "lowpower"}
