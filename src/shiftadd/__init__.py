@@ -14,6 +14,7 @@ from .datapath import (
     run_conventional,
     run_lowpower,
     simulate,
+    trace_rows,
 )
 from .harness import (
     OperandDistribution,
@@ -57,6 +58,7 @@ __all__ = [
     "run_lowpower",
     "simulate",
     "sweep",
+    "trace_rows",
 ]
 
 __version__ = "0.1.0"

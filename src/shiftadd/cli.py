@@ -102,11 +102,10 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not 0 <= args.a < limit or not 0 <= args.b < limit:
         parser.error(f"operands must be in 0..{limit - 1} for width {args.width}")
     a, b = Word(args.a, args.width), Word(args.b, args.width)
-    result = simulate(a, b, cfg, trace=args.trace)
+    result = simulate(a, b, cfg)
     if args.trace:
-        print(render_trace(a, b, result))
-        firings = sum(row.adder_fired for row in result.trace)
-        print(f"adder firings: {firings}")
+        print(render_trace(a, b, cfg))
+        print(f"adder firings: {b.value.bit_count()}")
     print(f"product: {result.product.value}")
     print(f"cycles: {result.cycles}")
     model = PowerModel()

@@ -34,11 +34,12 @@ through ``cfg.plan(b)``.  Up to width ``PLAN_WIDTH_LIMIT`` a config is built
 with a table of every b's plan, at most 256 of them, so a kernel computes
 only the multiplicand's part per call; wider configs call the plan function
 each time.  Where all 4**n operand pairs fit that bound (n <= 4), a config
-also holds ``results``, every (a, b) result its kernel computes: an untraced
-call returns the entry, shared and never mutated; ``trace=True`` computes.
-A config's charges, lanes, plan and results are built whole with it and
-never change; ``make_config`` returns one shared config per config value, so
-they are built once.
+also holds ``results``, every (a, b) result its kernel computes, and a kernel
+call returns the entry, shared and never mutated.  A kernel returns a run's
+product and ledger only; ``trace_rows`` reads a run's cycle-by-cycle rows
+from the same lanes.  A config's charges, lanes, plan and results are built
+whole with it and never change; ``make_config`` returns one shared config per
+config value, so they are built once.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class ArchConfig:
     ``width`` cycles.  The constructor also builds what the kernels read:
     ``charges``, ``(fixed_charges(self), flip-flops clocked on each add
     cycle)``; ``lanes``, the lane constants; ``plan``, which maps a
-    multiplier value to its plan; and ``results``, the untraced result of
-    each pair at ``a << width | b``, or None where 4**width exceeds
+    multiplier value to its plan; and ``results``, the result of each pair
+    at ``a << width | b``, or None where 4**width exceeds
     2**PLAN_WIDTH_LIMIT.  Build configs with ``make_config``, which
     returns one shared instance per config value, so that a caller who asks
     for a config per run does not rebuild them.
@@ -339,8 +340,7 @@ class CycleTrace:
 
     cycle: int
     counter_state: Word
-    selected_bit: int
-    adder_fired: bool
+    selected_bit: int  # 1 on an add cycle
     running_sum: Word
     product_so_far: Word
 
@@ -350,7 +350,6 @@ class SimResult:
     product: Word
     ledger: ToggleLedger
     cycles: int
-    trace: tuple[CycleTrace, ...] | None = None
 
 
 def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
@@ -394,7 +393,7 @@ def _lowpower_plan(cfg: ArchConfig, bv: int) -> tuple[int, int, int, int, int]:
     return masked, fired, filled, mux_data, feeder_clock
 
 
-def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
+def run_conventional(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     """Simulate the conventional datapath: shifting B, shifting partial
     product, binary cycle counter, 0/A multiplexer feeding the adder.
 
@@ -410,12 +409,12 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
-    if cfg.results is not None and not trace:
+    if cfg.results is not None:
         return cfg.results[a.value << n | b.value]
     fixed, _ = cfg.charges
     L, _, _, _, low, running, lanes, top = cfg.lanes
-    av, bv = a.value, b.value
-    masked, multiplier_shift, mux_select = cfg.plan(bv)
+    av = a.value
+    masked, multiplier_shift, mux_select = cfg.plan(b.value)
     partial = av * masked
     # lane i: the partial product register after cycle i, a*(b mod 2^(i+1))
     # shifted up by the n - 1 - i cycles still to run
@@ -438,11 +437,10 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) 
         # mux_data: the mux output swings between 0 and A on a select change
         mux_select * av.bit_count(),
     )
-    rows = _trace_rows(cfg, bv, partial, out) if trace else None
-    return SimResult(Word(partial >> top, 2 * n), ledger, n, rows)
+    return SimResult(Word(partial >> top, 2 * n), ledger, n)
 
 
-def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
+def run_lowpower(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     """Simulate the low-power datapath: static B register, block-gated ring
     counter selecting the multiplier bit through a one-hot mux tree, and a
     feeder/bypass pair around the adder.
@@ -462,12 +460,11 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
-    if cfg.results is not None and not trace:
+    if cfg.results is not None:
         return cfg.results[a.value << n | b.value]
     fixed, _ = cfg.charges
     L, _, _, _, low, running, lanes, top = cfg.lanes
-    bv = b.value
-    masked, fired, filled, mux_data, feeder_clock = cfg.plan(bv)
+    masked, fired, filled, mux_data, feeder_clock = cfg.plan(b.value)
     partial = a.value * masked
     # lane i: the feeder/bypass storage (carry : sum) after cycle i, which
     # is what the conventional adder outputs on that cycle
@@ -495,61 +492,61 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> S
         feeder_clock,
         fixed.gating,
     )
-    rows = _trace_rows(cfg, bv, partial, feeder) if trace else None
     # cycle i latches bit i of a*(b mod 2^(i+1)); later adds touch only bit i + 1 and up
-    return SimResult(Word(partial >> top, 2 * n), ledger, n, rows)
+    return SimResult(Word(partial >> top, 2 * n), ledger, n)
 
 
-def _trace_rows(cfg: ArchConfig, bv: int, partial: int, out: int) -> tuple[CycleTrace, ...]:
-    """One ``CycleTrace`` per cycle, read from the kernel's lanes: cycle i
-    selects bit i of the multiplier ``bv``, lane i of ``out`` holds its adder
-    output or feeder (carry : sum), and copy i of ``partial`` its settled
-    product a*(b mod 2^(i+1)).  The conventional counter holds i, the ring
-    its hot bit 1 << i."""
+def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
+    if cfg.variant is Variant.CONVENTIONAL:
+        return run_conventional(a, b, cfg)
+    return run_lowpower(a, b, cfg)
+
+
+def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:
+    """One ``CycleTrace`` per cycle of the run of ``a * b`` under ``cfg``,
+    read from the kernels' lanes (see ``Lanes``).  Cycle i selects bit i of
+    b; lane i of ``partial & running`` is its adder output (carry : sum),
+    which the low-power feeder holds too; copy i of ``partial`` is its
+    settled product a*(b mod 2^(i+1)).  The conventional counter holds i,
+    the ring its hot bit 1 << i."""
+    _check_operands(a, b, cfg)
     n = cfg.width
     L = cfg.lanes.L
+    bv = b.value
+    partial = a.value * cfg.plan(bv)[0]  # both plans start with the masked copies
+    out = partial & cfg.lanes.running
     conventional = cfg.variant is Variant.CONVENTIONAL
     counter_width = max(1, _counter_width(cfg))  # width 1: a counter of no flip-flops
-    rows = []
-    for i in range(n):
-        bit = bv >> i & 1
-        rows.append(CycleTrace(
-            cycle=i,
-            counter_state=Word(i if conventional else 1 << i, counter_width),
-            selected_bit=bit,
-            adder_fired=bool(bit),
-            running_sum=Word(out >> L * i, n + 1),
-            product_so_far=Word(partial >> 2 * n * i, 2 * n),
-        ))
-    return tuple(rows)
+    return tuple(CycleTrace(
+        cycle=i,
+        counter_state=Word(i if conventional else 1 << i, counter_width),
+        selected_bit=bv >> i & 1,
+        running_sum=Word(out >> L * i, n + 1),
+        product_so_far=Word(partial >> 2 * n * i, 2 * n),
+    ) for i in range(n))
 
 
-def simulate(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
-    if cfg.variant is Variant.CONVENTIONAL:
-        return run_conventional(a, b, cfg, trace=trace)
-    return run_lowpower(a, b, cfg, trace=trace)
-
-
-def render_trace(a: Word, b: Word, result: SimResult) -> str:
-    """Plain-text multiplication table, one row per cycle.
+def render_trace(a: Word, b: Word, cfg: ArchConfig) -> str:
+    """Plain-text multiplication table of ``a * b`` under ``cfg``, one row
+    per cycle of ``trace_rows``.
 
     Each row shows the counter state, the selected multiplier bit, and the
     addend that bit produced (A on an add cycle, zeros on a bypass).
     """
-    if result.trace is None:
-        raise ValueError("result carries no trace; rerun with trace=True")
+    rows = trace_rows(a, b, cfg)
     n = a.width
     lines = [
         f"A -> {a.to_bin()}  ({a.value})",
         f"B -> {b.to_bin()}  ({b.value})",
         "-" * 44,
     ]
-    for row in result.trace:
-        addend = a if row.adder_fired else Word(0, n)
+    for row in rows:
+        addend = a if row.selected_bit else Word(0, n)
         lines.append(
             f"cycle {row.cycle}  [{row.counter_state.to_bin()}]  "
             f"B({row.cycle})={row.selected_bit}  {addend.to_bin()}"
         )
     lines.append("-" * 44)
-    lines.append(f"Answer -> {result.product.to_bin()}  ({result.product.value})")
+    product = rows[-1].product_so_far
+    lines.append(f"Answer -> {product.to_bin()}  ({product.value})")
     return "\n".join(lines)

@@ -205,7 +205,9 @@ def ring_lowpower_step(
     return nxt, events, cost.g * blocks, hamming(r.state, nxt.state)
 
 
-def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
+def loop_conventional(
+    a: Word, b: Word, cfg: ArchConfig
+) -> tuple[SimResult, tuple[CycleTrace, ...]]:
     """Simulate the conventional datapath: shifting B, shifting partial
     product, binary cycle counter, 0/A multiplexer feeding the adder.
 
@@ -215,6 +217,7 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
     one; B shifts right; the counter increments.  All three registers are
     clocked every cycle; those clock charges and the counter's toggles come
     from ``cfg.charges``, so the loop covers only the data-dependent work.
+    Returns the result and the ``CycleTrace`` row each cycle appends.
     """
     _check_operands(a, b, cfg)
     n = cfg.width
@@ -230,9 +233,8 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
 
     multiplier_shift = partial_product_shift = adder = 0
     mux_select = mux_data = 0
-    rows = [] if trace else None
-    if trace:
-        counter_width = max(1, _counter_width(cfg))
+    rows = []
+    counter_width = max(1, _counter_width(cfg))
 
     for i in range(n):
         select = reg_b & 1
@@ -259,17 +261,15 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
         multiplier_shift += (reg_b ^ new_b).bit_count()
         reg_b = new_b
 
-        if trace:
-            rows.append(
-                CycleTrace(
-                    cycle=i,
-                    counter_state=Word(i, counter_width),
-                    selected_bit=select,
-                    adder_fired=bool(select),
-                    running_sum=Word((cout << n) | new_sum, n + 1),
-                    product_so_far=Word(reg_p >> (n - i - 1), 2 * n),
-                )
+        rows.append(
+            CycleTrace(
+                cycle=i,
+                counter_state=Word(i, counter_width),
+                selected_bit=select,
+                running_sum=Word((cout << n) | new_sum, n + 1),
+                product_so_far=Word(reg_p >> (n - i - 1), 2 * n),
             )
+        )
 
     ledger = ToggleLedger(
         multiplier_shift=fixed.multiplier_shift + multiplier_shift,
@@ -279,10 +279,12 @@ def loop_conventional(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False)
         mux_select=mux_select,
         mux_data=mux_data,
     )
-    return SimResult(Word(reg_p, 2 * n), ledger, n, tuple(rows) if trace else None)
+    return SimResult(Word(reg_p, 2 * n), ledger, n), tuple(rows)
 
 
-def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> SimResult:
+def loop_lowpower(
+    a: Word, b: Word, cfg: ArchConfig
+) -> tuple[SimResult, tuple[CycleTrace, ...]]:
     """Simulate the low-power datapath: static B register, block-gated ring
     counter selecting the multiplier bit through a one-hot mux tree, and a
     feeder/bypass pair around the adder.
@@ -296,7 +298,8 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
     stays zero.  The ring, gating and select charges come from
     ``cfg.charges``.  The loop charges the rest cycle by cycle: the adder,
     the feeder's data toggles and clock, and the mux data line, so it checks
-    the kernel's closed forms for the last two.
+    the kernel's closed forms for the last two.  Returns the result and the
+    ``CycleTrace`` row each cycle appends.
     """
     _check_operands(a, b, cfg)
     n = cfg.width
@@ -311,9 +314,8 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
     prev_bit = 0  # the mux data line, from reset
 
     partial_product_shift = adder = mux_data = feeder_bypass_clock = 0
-    rows = [] if trace else None
-    if trace:
-        ring_width = _counter_width(cfg)
+    rows = []
+    ring_width = _counter_width(cfg)
 
     for i in range(n):
         bit = (bits >> i) & 1
@@ -342,17 +344,15 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
         partial_product_shift += (reg_fb ^ pair).bit_count()
         reg_fb = pair
 
-        if trace:
-            rows.append(
-                CycleTrace(
-                    cycle=i,
-                    counter_state=Word(1 << i, ring_width),
-                    selected_bit=bit,
-                    adder_fired=bool(bit),
-                    running_sum=Word(pair, n + 1),
-                    product_so_far=Word(((pair >> 1) << (i + 1)) | low_bits, 2 * n),
-                )
+        rows.append(
+            CycleTrace(
+                cycle=i,
+                counter_state=Word(1 << i, ring_width),
+                selected_bit=bit,
+                running_sum=Word(pair, n + 1),
+                product_so_far=Word(((pair >> 1) << (i + 1)) | low_bits, 2 * n),
             )
+        )
 
     ledger = ToggleLedger(
         partial_product_shift=partial_product_shift,
@@ -365,4 +365,4 @@ def loop_lowpower(a: Word, b: Word, cfg: ArchConfig, *, trace: bool = False) -> 
         gating=fixed.gating,
     )
     product = Word(((reg_fb >> 1) << n) | low_bits, 2 * n)
-    return SimResult(product, ledger, n, tuple(rows) if trace else None)
+    return SimResult(product, ledger, n), tuple(rows)

@@ -19,7 +19,7 @@ from oracles import (
 
 from shiftadd.bits import Word
 from shiftadd.cli import main
-from shiftadd.datapath import RingCostModel, Variant, make_config, run_lowpower
+from shiftadd.datapath import RingCostModel, Variant, make_config, run_lowpower, trace_rows
 from shiftadd.harness import (
     REPORTED_FPGA_REDUCTION,
     OperandDistribution,
@@ -61,34 +61,36 @@ def test_criterion_2_golden_trace(capsys):
           "one adder firing")
 
 
-def _replay_adder(result, a: Word) -> None:
+def _replay_adder(rows, adder: int, a: Word) -> None:
     """Independent per-cycle oracle: the adder state only moves on add
     cycles, so bypass cycles must contribute exactly zero transitions."""
     n = a.width
     state = AdderState.zero(n)
     replayed = 0
     prev_pair = 0
-    for row in result.trace:
-        if row.adder_fired:
+    for row in rows:
+        if row.selected_bit:
             x = Word(prev_pair >> 1, n)
             _, _, transitions, state = ripple_carry_add(state, x, a, 0)
             replayed += transitions
         prev_pair = row.running_sum.value
-    assert replayed == result.ledger.adder
+    assert replayed == adder
 
 
 def _check_lowpower_invariants(width: int, av: int, bv: int, traced: bool) -> None:
     cfg = make_config(Variant.LOW_POWER, width)
-    result = run_lowpower(Word(av, width), Word(bv, width), cfg, trace=traced)
+    a, b = Word(av, width), Word(bv, width)
+    result = run_lowpower(a, b, cfg)
     assert result.ledger.multiplier_shift == 0
     popcount = bv.bit_count()
     s, g = cfg.cost.s, cfg.cost.g
     expected_feeder = popcount * (width + 1) * s + (result.cycles - popcount) * g
     assert result.ledger.feeder_bypass_clock == expected_feeder
     if traced:
-        fired = sum(row.adder_fired for row in result.trace)
+        rows = trace_rows(a, b, cfg)
+        fired = sum(row.selected_bit for row in rows)
         assert fired == popcount
-        _replay_adder(result, Word(av, width))
+        _replay_adder(rows, result.ledger.adder, a)
 
 
 def test_criterion_3_architectural_invariants():

@@ -34,6 +34,7 @@ from shiftadd.datapath import (
     run_conventional,
     run_lowpower,
     simulate,
+    trace_rows,
 )
 
 
@@ -129,27 +130,29 @@ class TestConventional:
 
     def test_trace_selected_bits(self):
         cfg = make_config(Variant.CONVENTIONAL, 5)
-        b = Word(0b10110, 5)
-        result = run_conventional(Word(7, 5), b, cfg, trace=True)
-        for row in result.trace:
+        a, b = Word(7, 5), Word(0b10110, 5)
+        rows = trace_rows(a, b, cfg)
+        for row in rows:
             assert row.selected_bit == get_bit(b, row.cycle)
-        assert result.trace[-1].product_so_far == result.product
+        assert rows[-1].product_so_far == run_conventional(a, b, cfg).product
 
 
 class TestLowPower:
     def test_worked_example_trace(self):
         cfg = make_config(Variant.LOW_POWER, 3)
-        result = run_lowpower(Word(3, 3), Word(2, 3), cfg, trace=True)
+        a, b = Word(3, 3), Word(2, 3)
+        result = run_lowpower(a, b, cfg)
+        rows = trace_rows(a, b, cfg)
         assert result.product.value == 6
-        assert [row.selected_bit for row in result.trace] == [0, 1, 0]
-        assert [row.adder_fired for row in result.trace] == [False, True, False]
+        # the adder fires on cycle 1 only
+        assert [row.selected_bit for row in rows] == [0, 1, 0]
         # one-hot counter walks 001, 010, 100
-        assert [row.counter_state.value for row in result.trace] == [1, 2, 4]
+        assert [row.counter_state.value for row in rows] == [1, 2, 4]
         # add cycle: 000 + 011 captured as (carry, sum)
-        assert result.trace[1].running_sum.value == 0b011
+        assert rows[1].running_sum.value == 0b011
         # final high part is zero, low bits are 110
-        assert result.trace[-1].running_sum.value >> 1 == 0
-        assert result.trace[-1].product_so_far == result.product
+        assert rows[-1].running_sum.value >> 1 == 0
+        assert rows[-1].product_so_far == result.product
 
     def test_worked_example_ledger(self):
         # s=2, g=1, single 3-wide block: ring 3*2 per cycle, feeder 8 on the
@@ -179,8 +182,9 @@ class TestLowPower:
     def test_adder_fires_once_per_set_bit(self, args):
         n, av, bv = args
         cfg = make_config(Variant.LOW_POWER, n)
-        result = run_lowpower(Word(av, n), Word(bv, n), cfg, trace=True)
-        fired = sum(row.adder_fired for row in result.trace)
+        a, b = Word(av, n), Word(bv, n)
+        result = run_lowpower(a, b, cfg)
+        fired = sum(row.selected_bit for row in trace_rows(a, b, cfg))
         assert fired == bv.bit_count()
         s, g = cfg.cost.s, cfg.cost.g
         expected = fired * (n + 1) * s + (result.cycles - fired) * g
@@ -188,8 +192,8 @@ class TestLowPower:
 
     def test_power_of_two_multiplier_fires_once(self):
         cfg = make_config(Variant.LOW_POWER, 8)
-        result = run_lowpower(Word(0b10110111, 8), Word(16, 8), cfg, trace=True)
-        assert sum(row.adder_fired for row in result.trace) == 1
+        rows = trace_rows(Word(0b10110111, 8), Word(16, 8), cfg)
+        assert sum(row.selected_bit for row in rows) == 1
 
     def test_zero_multiplier_never_adds(self):
         cfg = make_config(Variant.LOW_POWER, 8)
@@ -217,8 +221,7 @@ class TestLowPower:
     def test_trace_selected_bits(self):
         cfg = make_config(Variant.LOW_POWER, 5)
         b = Word(0b10110, 5)
-        result = run_lowpower(Word(19, 5), b, cfg, trace=True)
-        for row in result.trace:
+        for row in trace_rows(Word(19, 5), b, cfg):
             assert row.selected_bit == get_bit(b, row.cycle)
 
 
@@ -301,8 +304,9 @@ def oracle_operands(n, seed):
 
 
 class TestAgainstLoopOracle:
-    """The packed kernels against the per-cycle loops they replaced: equal
-    products, ledgers, cycle counts and every ``CycleTrace`` field."""
+    """The packed kernels and ``trace_rows`` against the per-cycle loops they
+    replaced: equal products, ledgers, cycle counts and every ``CycleTrace``
+    field of the loops' own rows."""
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_grid(self, n):
@@ -312,10 +316,10 @@ class TestAgainstLoopOracle:
                     cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
                     for av, bv in oracle_operands(n, seed=n):
                         a, b = Word(av, n), Word(bv, n)
-                        expected = loop(a, b, cfg, trace=True)
-                        assert packed(a, b, cfg, trace=True) == expected, (
-                            variant, n, bsz, s, g, av, bv)
-                        assert packed(a, b, cfg) == dataclasses.replace(expected, trace=None)
+                        expected, rows = loop(a, b, cfg)
+                        case = (variant, n, bsz, s, g, av, bv)
+                        assert packed(a, b, cfg) == expected, case
+                        assert trace_rows(a, b, cfg) == rows, case
 
     @given(operand_pairs(max_width=32), st.sampled_from(list(Variant)))
     @settings(max_examples=200)
@@ -324,7 +328,9 @@ class TestAgainstLoopOracle:
         packed, loop = KERNELS[variant]
         cfg = make_config(variant, n)
         a, b = Word(av, n), Word(bv, n)
-        assert packed(a, b, cfg, trace=True) == loop(a, b, cfg, trace=True)
+        expected, rows = loop(a, b, cfg)
+        assert packed(a, b, cfg) == expected
+        assert trace_rows(a, b, cfg) == rows
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_lowpower_fill_edges(self, n):
@@ -335,8 +341,9 @@ class TestAgainstLoopOracle:
         for bv in (0, 1 << (n - 1), 1):
             for av in (1, (1 << n) - 1):
                 a, b = Word(av, n), Word(bv, n)
-                assert run_lowpower(a, b, cfg, trace=True) == loop_lowpower(
-                    a, b, cfg, trace=True), (n, av, bv)
+                expected, rows = loop_lowpower(a, b, cfg)
+                assert run_lowpower(a, b, cfg) == expected, (n, av, bv)
+                assert trace_rows(a, b, cfg) == rows, (n, av, bv)
 
     def test_lanes_closed_forms(self):
         cfg = make_config(Variant.CONVENTIONAL, 9)
@@ -380,7 +387,7 @@ class TestPlanTables:
                 a, b = Word(av, n), Word(bv, n)
                 for cfg in cfgs:
                     packed, loop = KERNELS[cfg.variant]
-                    assert packed(a, b, cfg) == loop(a, b, cfg), (cfg, av, bv)
+                    assert packed(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
 
     def test_plan_equals_plan_function(self):
         # the table built with the config holds what the plan function gives
@@ -433,7 +440,7 @@ class TestPlanTables:
 
 class TestResultTables:
     """Per-config tables of every (a, b) result, built with the config up to
-    4**n <= 2**PLAN_WIDTH_LIMIT: an untraced kernel call returns the entry."""
+    4**n <= 2**PLAN_WIDTH_LIMIT: a kernel call returns the entry."""
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_entries_equal_oracle_and_traced_kernel(self, n):
@@ -446,23 +453,21 @@ class TestResultTables:
                         for bv in range(1 << n):
                             a, b = Word(av, n), Word(bv, n)
                             entry = cfg.results[av << n | bv]
-                            expected = loop(a, b, cfg)
-                            assert (entry.product, entry.ledger) == (
-                                expected.product, expected.ledger), (variant, n, s, g, av, bv)
-                            traced = packed(a, b, cfg, trace=True)  # computed, with rows
-                            assert len(traced.trace) == n
-                            assert dataclasses.replace(traced, trace=None) == entry
+                            expected, _ = loop(a, b, cfg)
+                            assert entry == expected, (variant, n, s, g, av, bv)
                             assert packed(a, b, cfg) is entry
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_operand_width_checked_before_lookup(self, variant, n):
+        # trace_rows reads the tabled plan, and checks the widths first too
         packed, _ = KERNELS[variant]
         cfg = make_config(variant, n)
         assert cfg.results is not None
-        for a, b in ((Word(0, n + 1), Word(0, n)), (Word(0, n), Word(1, n + 1))):
-            with pytest.raises(ValueError, match="do not match config width"):
-                packed(a, b, cfg)
+        for run in (packed, trace_rows):
+            for a, b in ((Word(0, n + 1), Word(0, n)), (Word(0, n), Word(1, n + 1))):
+                with pytest.raises(ValueError, match="do not match config width"):
+                    run(a, b, cfg)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_shared_entry_unchanged_by_caller_totals(self, variant):
@@ -510,16 +515,15 @@ class TestEquivalence:
         a, b = Word(173, 8), Word(94, 8)
         for variant in Variant:
             cfg = make_config(variant, 8)
-            first = simulate(a, b, cfg, trace=True)
-            second = simulate(a, b, cfg, trace=True)
-            assert first == second
+            assert simulate(a, b, cfg) == simulate(a, b, cfg)
+            assert trace_rows(a, b, cfg) == trace_rows(a, b, cfg)
 
 
 class TestRenderTrace:
     def test_worked_example_layout(self):
         cfg = make_config(Variant.LOW_POWER, 3)
         a, b = Word(3, 3), Word(2, 3)
-        text = render_trace(a, b, run_lowpower(a, b, cfg, trace=True))
+        text = render_trace(a, b, cfg)
         lines = text.splitlines()
         assert lines[0] == "A -> 011  (3)"
         assert lines[1] == "B -> 010  (2)"
@@ -527,9 +531,3 @@ class TestRenderTrace:
         assert "B(1)=1  011" in lines[4]
         assert "B(2)=0  000" in lines[5]
         assert lines[-1] == "Answer -> 000110  (6)"
-
-    def test_requires_trace(self):
-        cfg = make_config(Variant.LOW_POWER, 3)
-        a, b = Word(3, 3), Word(2, 3)
-        with pytest.raises(ValueError):
-            render_trace(a, b, run_lowpower(a, b, cfg))

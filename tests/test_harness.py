@@ -251,7 +251,7 @@ class TestSweep:
             cfg = make_config(variant, row.width)
             totals = ToggleLedger()
             for av, bv in gen_operands(dist, row.width, 150):
-                totals.add(loop(Word(av, row.width), Word(bv, row.width), cfg).ledger)
+                totals.add(loop(Word(av, row.width), Word(bv, row.width), cfg)[0].ledger)
             assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
 
     def test_chunk_boundaries(self):
