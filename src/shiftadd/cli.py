@@ -133,7 +133,10 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
         parser.error(f"--out {args.out}: {directory} is not an existing directory")
-    model = PowerModel.from_file(args.model) if args.model else PowerModel()
+    try:
+        model = PowerModel.from_file(args.model) if args.model else PowerModel()
+    except OSError as exc:
+        parser.error(f"--model {args.model} cannot be read: {exc.strerror or exc}")
     dist = OperandDistribution(args.dist, seed=args.seed, a=args.a, b=args.b)
     block_size = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
     rows = sweep(widths, dist, args.trials, model,

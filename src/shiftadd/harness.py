@@ -58,6 +58,8 @@ class OperandDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}; choose from {DIST_KINDS}")
         if self.kind == "fixed" and (self.a is None or self.b is None):
             raise ValueError("fixed distribution needs both a and b")
+        if self.kind != "fixed" and (self.a is not None or self.b is not None):
+            raise ValueError(f"a and b are operands of the fixed distribution, not {self.kind!r}")
 
 
 def _biased_bits(rng: random.Random, width: int, p1: float) -> int:

@@ -188,6 +188,18 @@ class TestSweepCommand:
         check_recorded_block_size(
             tmp_path, ["--widths", ",".join(map(str, widths)), *flags], recorded)
 
+    @pytest.mark.parametrize("flags", [["--a", "3"], ["--b", "5"], ["--a", "3", "--b", "5"]])
+    def test_operands_without_fixed_dist_usage_error_before_any_run(self, tmp_path, ran,
+                                                                    capsys, flags):
+        # uniform would ignore them, and the report would not record them
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--dist", "uniform", *flags, "--trials", "10",
+                    "--out", str(tmp_path / "x.csv"))
+        assert excinfo.value.code == 2
+        assert "fixed distribution, not 'uniform'" in capsys.readouterr().err
+        assert ran == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fixed_dist_requires_operands(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "8", "--dist", "fixed", "--trials", "10",
@@ -272,6 +284,23 @@ class TestSweepCommand:
                     "--out", str(out_file), "--model", str(model))
         assert excinfo.value.code == 2
         assert f"model.cfg:{lineno}: " in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("name, reason", [
+        ("missing.cfg", "No such file or directory"),
+        ("modeldir", "Is a directory"),
+    ])
+    def test_unreadable_model_usage_error_before_any_run(self, tmp_path, ran, capsys,
+                                                         name, reason):
+        (tmp_path / "modeldir").mkdir()
+        model = tmp_path / name
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10",
+                    "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert f"--model {model} cannot be read: {reason}" in capsys.readouterr().err
+        assert ran == []
         assert not out_file.exists()
 
     def test_all_zero_model_usage_error_before_any_run(self, tmp_path, ran, capsys):

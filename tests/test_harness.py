@@ -73,6 +73,13 @@ class TestGenOperands:
         with pytest.raises(ValueError):
             OperandDistribution("fixed", a=3)
 
+    @pytest.mark.parametrize("kind", ["uniform", "sparse", "dense", "exhaustive"])
+    @pytest.mark.parametrize("a, b", [(3, None), (None, 5), (3, 5)])
+    def test_operands_refused_unless_fixed(self, kind, a, b):
+        # another kind would ignore them, so a report could not say what ran
+        with pytest.raises(ValueError, match=f"fixed distribution, not '{kind}'"):
+            OperandDistribution(kind, a=a, b=b)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             OperandDistribution("gaussian")
