@@ -158,6 +158,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.dist == "exhaustive":
         # every pair runs whatever --trials says; each row records its count
         del metadata["trials"]
+    if args.dist == "fixed":  # the pair every trial ran
+        metadata.update(a=args.a, b=args.b)
     emit_report(rows, args.format, args.out, metadata=metadata)
     print(f"wrote {len(rows)} rows to {args.out} ({args.format})")
     print("width  modeled reduction   FPGA-reported")

@@ -200,6 +200,17 @@ class TestSweepCommand:
         assert ran == []
         assert not (tmp_path / "x.csv").exists()
 
+    def test_fixed_metadata_records_pair(self, tmp_path):
+        # the report names the pair that ran, so it can be reproduced
+        argv = ["sweep", "--widths", "4", "--dist", "fixed", "--a", "6", "--b", "5",
+                "--trials", "3"]
+        assert run_cli(*argv, "--out", str(tmp_path / "r.json"), "--format", "json") == 0
+        metadata = json.loads((tmp_path / "r.json").read_text())["metadata"]
+        assert (metadata["a"], metadata["b"]) == (6, 5)
+        assert run_cli(*argv, "--out", str(tmp_path / "r.csv")) == 0
+        comment = (tmp_path / "r.csv").read_text().splitlines()[0].split()
+        assert comment[-2:] == ["a=6", "b=5"]
+
     def test_fixed_dist_requires_operands(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "8", "--dist", "fixed", "--trials", "10",
