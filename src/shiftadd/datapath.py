@@ -505,23 +505,22 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
 def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:
     """One ``CycleTrace`` per cycle of the run of ``a * b`` under ``cfg``,
     read from the kernels' lanes (see ``Lanes``).  Cycle i selects bit i of
-    b; lane i of ``partial & running`` is its adder output (carry : sum),
-    which the low-power feeder holds too; copy i of ``partial`` is its
-    settled product a*(b mod 2^(i+1)).  The conventional counter holds i,
-    the ring its hot bit 1 << i."""
+    b; the bottom n + 1 bits of lane i of ``partial`` are its adder output
+    (carry : sum), which the low-power feeder holds too; copy i of
+    ``partial`` is its settled product a*(b mod 2^(i+1)).  The conventional
+    counter holds i, the ring its hot bit 1 << i."""
     _check_operands(a, b, cfg)
     n = cfg.width
     L = cfg.lanes.L
     bv = b.value
     partial = a.value * cfg.plan(bv)[0]  # both plans start with the masked copies
-    out = partial & cfg.lanes.running
     conventional = cfg.variant is Variant.CONVENTIONAL
     counter_width = max(1, _counter_width(cfg))  # width 1: a counter of no flip-flops
     return tuple(CycleTrace(
         cycle=i,
         counter_state=Word(i if conventional else 1 << i, counter_width),
         selected_bit=bv >> i & 1,
-        running_sum=Word(out >> L * i, n + 1),
+        running_sum=Word(partial >> L * i, n + 1),
         product_so_far=Word(partial >> 2 * n * i, 2 * n),
     ) for i in range(n))
 
@@ -534,14 +533,9 @@ def render_trace(a: Word, b: Word, cfg: ArchConfig) -> str:
     addend that bit produced (A on an add cycle, zeros on a bypass).
     """
     rows = trace_rows(a, b, cfg)
-    n = a.width
-    lines = [
-        f"A -> {a.to_bin()}  ({a.value})",
-        f"B -> {b.to_bin()}  ({b.value})",
-        "-" * 44,
-    ]
+    lines = [f"A -> {a.to_bin()}  ({a.value})", f"B -> {b.to_bin()}  ({b.value})", "-" * 44]
     for row in rows:
-        addend = a if row.selected_bit else Word(0, n)
+        addend = a if row.selected_bit else Word(0, a.width)
         lines.append(
             f"cycle {row.cycle}  [{row.counter_state.to_bin()}]  "
             f"B({row.cycle})={row.selected_bit}  {addend.to_bin()}"
