@@ -291,13 +291,6 @@ def _ring_pulses(n: int, block_size: int) -> int:
     return full * block_size * block_size + part * part + (n if n > block_size else 0)
 
 
-def _counter_width(cfg: ArchConfig) -> int:
-    """Flip-flops of the register charged to ``counter_internal``: the
-    cycle counter or the ring."""
-    return next(reg.width for reg in register_inventory(cfg)
-                if reg.category == "counter_internal")
-
-
 class Lanes(NamedTuple):
     """Constants that pack all n cycles of one n-bit multiplication into one
     int, cycle i in lane i: bits [L*i, L*(i+1)), L = 2n + 1.
@@ -515,7 +508,9 @@ def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:
     bv = b.value
     partial = a.value * cfg.plan(bv)[0]  # both plans start with the masked copies
     conventional = cfg.variant is Variant.CONVENTIONAL
-    counter_width = max(1, _counter_width(cfg))  # width 1: a counter of no flip-flops
+    # the cycle counter or the ring; at width 1 a counter of no flip-flops
+    counter_width = max(1, next(reg.width for reg in register_inventory(cfg)
+                                if reg.category == "counter_internal"))
     return tuple(CycleTrace(
         cycle=i,
         counter_state=Word(i if conventional else 1 << i, counter_width),
@@ -533,7 +528,11 @@ def render_trace(a: Word, b: Word, cfg: ArchConfig) -> str:
     addend that bit produced (A on an add cycle, zeros on a bypass).
     """
     rows = trace_rows(a, b, cfg)
-    lines = [f"A -> {a.to_bin()}  ({a.value})", f"B -> {b.to_bin()}  ({b.value})", "-" * 44]
+    lines = [
+        f"A -> {a.to_bin()}  ({a.value})",
+        f"B -> {b.to_bin()}  ({b.value})",
+        "-" * 44,
+    ]
     for row in rows:
         addend = a if row.selected_bit else Word(0, a.width)
         lines.append(

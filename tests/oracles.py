@@ -28,7 +28,6 @@ from shiftadd.datapath import (
     SimResult,
     ToggleLedger,
     _check_operands,
-    _counter_width,
 )
 
 
@@ -234,7 +233,7 @@ def loop_conventional(
     multiplier_shift = partial_product_shift = adder = 0
     mux_select = mux_data = 0
     rows = []
-    counter_width = max(1, _counter_width(cfg))
+    counter = BinaryCounter.start(n)
 
     for i in range(n):
         select = reg_b & 1
@@ -264,12 +263,13 @@ def loop_conventional(
         rows.append(
             CycleTrace(
                 cycle=i,
-                counter_state=Word(i, counter_width),
+                counter_state=counter.state,
                 selected_bit=select,
                 running_sum=Word((cout << n) | new_sum, n + 1),
                 product_so_far=Word(reg_p >> (n - i - 1), 2 * n),
             )
         )
+        counter, _ = binary_counter_step(counter)
 
     ledger = ToggleLedger(
         multiplier_shift=fixed.multiplier_shift + multiplier_shift,
@@ -315,7 +315,7 @@ def loop_lowpower(
 
     partial_product_shift = adder = mux_data = feeder_bypass_clock = 0
     rows = []
-    ring_width = _counter_width(cfg)
+    ring = RingState.start(n)
 
     for i in range(n):
         bit = (bits >> i) & 1
@@ -347,12 +347,13 @@ def loop_lowpower(
         rows.append(
             CycleTrace(
                 cycle=i,
-                counter_state=Word(1 << i, ring_width),
+                counter_state=ring.state,
                 selected_bit=bit,
                 running_sum=Word(pair, n + 1),
                 product_so_far=Word(((pair >> 1) << (i + 1)) | low_bits, 2 * n),
             )
         )
+        ring = _rotated(ring)
 
     ledger = ToggleLedger(
         partial_product_shift=partial_product_shift,
