@@ -1,13 +1,15 @@
 """Independent reference models that the tests compare the simulator against.
 
 The simulator's kernels inline the adder, never step a counter and have no
-per-cycle loop: the counter and ring charges are per-config closed forms
-(``shiftadd.datapath.fixed_charges``), and the data-dependent work is done
-for all cycles at once on packed lanes.  The models here compute the same
-quantities the slow, explicit way (gate-level adder state, stepped counter
-and ring states, and ``loop_conventional`` / ``loop_lowpower``, which walk
-the datapaths one cycle at a time) so a test can replay them and demand
-equal results.
+per-cycle loop: every charge that does not depend on the operands (clock
+pulses, counter toggles) is a closed form computed once per config, and the
+data-dependent work is done for all cycles at once on packed lanes.  The
+models here compute the same quantities the slow, explicit way (gate-level
+adder state, stepped counter and ring states, and ``loop_conventional`` /
+``loop_lowpower``, which walk the datapaths one cycle at a time) so a test
+can replay them and demand equal results.  The loops charge every clock
+pulse and counter toggle themselves, cycle by cycle, from their own
+registers and stepped counters, so they check those closed forms too.
 
 Transition counts use the zero-delay activity convention: one evaluation of
 a combinational block costs the Hamming distance between its previous and
@@ -214,14 +216,15 @@ def loop_conventional(
     partial product's high half with the mux output; the partial product
     register (carry, sum, low half) captures the result shifted right by
     one; B shifts right; the counter increments.  All three registers are
-    clocked every cycle; those clock charges and the counter's toggles come
-    from ``cfg.charges``, so the loop covers only the data-dependent work.
-    Returns the result and the ``CycleTrace`` row each cycle appends.
+    clocked every cycle, each flip-flop at ``s`` per pulse: B's n, the
+    partial product's 2n + 1 and the counter's, whose toggles are charged
+    from its steps too.  Returns the result and the ``CycleTrace`` row each
+    cycle appends.
     """
     _check_operands(a, b, cfg)
     n = cfg.width
+    s = cfg.cost.s
     mask_n = (1 << n) - 1
-    fixed, _ = cfg.charges
 
     reg_p = 0  # partial product register (carry : high : low)
     reg_b = b.value
@@ -230,10 +233,12 @@ def loop_conventional(
     prev_select = 0
     prev_mux = 0
 
-    multiplier_shift = partial_product_shift = adder = 0
+    multiplier_shift = partial_product_shift = adder = counter_internal = 0
     mux_select = mux_data = 0
     rows = []
     counter = BinaryCounter.start(n)
+    # a modulo-1 counter has a single state and is built with no flip-flops
+    counter_ffs = counter.state.width if n > 1 else 0
 
     for i in range(n):
         select = reg_b & 1
@@ -253,11 +258,11 @@ def loop_conventional(
         adder_sum, adder_carry = new_sum, new_carry
 
         new_p = ((cout << (2 * n)) | (new_sum << n) | (reg_p & mask_n)) >> 1
-        partial_product_shift += (reg_p ^ new_p).bit_count()
+        partial_product_shift += (2 * n + 1) * s + (reg_p ^ new_p).bit_count()
         reg_p = new_p
 
         new_b = reg_b >> 1
-        multiplier_shift += (reg_b ^ new_b).bit_count()
+        multiplier_shift += n * s + (reg_b ^ new_b).bit_count()
         reg_b = new_b
 
         rows.append(
@@ -269,13 +274,14 @@ def loop_conventional(
                 product_so_far=Word(reg_p >> (n - i - 1), 2 * n),
             )
         )
-        counter, _ = binary_counter_step(counter)
+        counter, toggles = binary_counter_step(counter)
+        counter_internal += counter_ffs * s + toggles
 
     ledger = ToggleLedger(
-        multiplier_shift=fixed.multiplier_shift + multiplier_shift,
-        partial_product_shift=fixed.partial_product_shift + partial_product_shift,
+        multiplier_shift=multiplier_shift,
+        partial_product_shift=partial_product_shift,
         adder=adder,
-        counter_internal=fixed.counter_internal,
+        counter_internal=counter_internal,
         mux_select=mux_select,
         mux_data=mux_data,
     )
@@ -295,16 +301,16 @@ def loop_lowpower(
     bypass holds and only its clock gate switches.  The shift down to the
     next cycle's adder input is fixed wiring, and each cycle latches one
     product low bit.  B is never shifted or clocked, so ``multiplier_shift``
-    stays zero.  The ring, gating and select charges come from
-    ``cfg.charges``.  The loop charges the rest cycle by cycle: the adder,
-    the feeder's data toggles and clock, and the mux data line, so it checks
-    the kernel's closed forms for the last two.  Returns the result and the
-    ``CycleTrace`` row each cycle appends.
+    stays zero.  The loop charges everything cycle by cycle: the adder, the
+    feeder's data toggles and clock, the mux data line, and the ring's
+    clock pulses, gates and output toggles from ``ring_lowpower_step``; the
+    ring's outputs are also the one-hot mux tree's select lines.  So it
+    checks the kernel's closed forms and the config's fixed charges.
+    Returns the result and the ``CycleTrace`` row each cycle appends.
     """
     _check_operands(a, b, cfg)
     n = cfg.width
     mask_n = (1 << n) - 1
-    fixed, _ = cfg.charges
     bits = b.value  # the multiplier bits the ring selects, in order
 
     reg_fb = 0  # feeder/bypass storage (carry : sum)
@@ -314,6 +320,7 @@ def loop_lowpower(
     prev_bit = 0  # the mux data line, from reset
 
     partial_product_shift = adder = mux_data = feeder_bypass_clock = 0
+    counter_internal = counter_output = gating = 0
     rows = []
     ring = RingState.start(n)
 
@@ -353,17 +360,20 @@ def loop_lowpower(
                 product_so_far=Word(((pair >> 1) << (i + 1)) | low_bits, 2 * n),
             )
         )
-        ring = _rotated(ring)
+        ring, events, gates, toggles = ring_lowpower_step(ring, cfg.cost)
+        counter_internal += events * cfg.cost.s
+        counter_output += toggles
+        gating += gates
 
     ledger = ToggleLedger(
         partial_product_shift=partial_product_shift,
         adder=adder,
-        counter_internal=fixed.counter_internal,
-        counter_output=fixed.counter_output,
-        mux_select=fixed.mux_select,
+        counter_internal=counter_internal,
+        counter_output=counter_output,
+        mux_select=counter_output,
         mux_data=mux_data,
         feeder_bypass_clock=feeder_bypass_clock,
-        gating=fixed.gating,
+        gating=gating,
     )
     product = Word(((reg_fb >> 1) << n) | low_bits, 2 * n)
     return SimResult(product, ledger, n), tuple(rows)

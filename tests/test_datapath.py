@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (
-    BinaryCounter,
-    RingState,
-    binary_counter_step,
-    get_bit,
-    loop_conventional,
-    loop_lowpower,
-    ring_lowpower_step,
-)
+from oracles import get_bit, loop_conventional, loop_lowpower
 
 from shiftadd.bits import Word
 from shiftadd.datapath import (
@@ -201,23 +193,6 @@ class TestLowPower:
         assert result.ledger.adder == 0
         assert result.product.value == 0
 
-    def test_ring_accounting_matches_counter_model(self):
-        # the datapath's closed-form ring charges must replay exactly from
-        # the oracle's step function
-        n = 11
-        cfg = make_config(Variant.LOW_POWER, n, block_size=4)
-        result = run_lowpower(Word(1234 & ((1 << n) - 1), n), Word(1717 & ((1 << n) - 1), n), cfg)
-        ring = RingState.start(n)
-        events_total = gating_total = toggles_total = 0
-        for _ in range(result.cycles):
-            ring, events, gating, toggles = ring_lowpower_step(ring, cfg.cost)
-            events_total += events
-            gating_total += gating
-            toggles_total += toggles
-        assert result.ledger.counter_internal == events_total * cfg.cost.s
-        assert result.ledger.gating == gating_total
-        assert result.ledger.counter_output == toggles_total
-
     def test_trace_selected_bits(self):
         cfg = make_config(Variant.LOW_POWER, 5)
         b = Word(0b10110, 5)
@@ -228,71 +203,31 @@ class TestLowPower:
 COSTS = [(2, 1), (3, 0), (1, 2)]
 
 
-def replay_conventional(n, s):
-    """Fixed charges of an n-cycle run, from the oracle counter."""
-    counter = BinaryCounter.start(n)
-    # a modulo-1 counter has a single state and is built with no flip-flops
-    counter_ffs = counter.state.width if n > 1 else 0
-    toggles = 0
-    for _ in range(n):
-        counter, t = binary_counter_step(counter)
-        toggles += t
-    return ToggleLedger(
-        multiplier_shift=n * n * s,  # B: n flip-flops
-        partial_product_shift=n * (2 * n + 1) * s,  # carry, n sum, n low bits
-        counter_internal=n * counter_ffs * s + toggles,
-    )
-
-
-def replay_lowpower(n, block_size, s, g):
-    """Fixed charges of an n-cycle run, from the oracle ring."""
-    cost = RingCostModel(s, g, block_size)
-    ring = RingState.start(n)
-    events = gating = toggles = 0
-    for _ in range(n):
-        ring, ev, gt, tg = ring_lowpower_step(ring, cost)
-        events += ev
-        gating += gt
-        toggles += tg
-    # the ring's output lines are the one-hot mux's select lines
-    return ToggleLedger(counter_internal=events * s, counter_output=toggles,
-                        mux_select=toggles, gating=gating)
+KERNELS = {
+    Variant.CONVENTIONAL: (run_conventional, loop_conventional),
+    Variant.LOW_POWER: (run_lowpower, loop_lowpower),
+}
 
 
 class TestFixedCharges:
     @pytest.mark.parametrize("n", range(1, 33))
     def test_closed_forms_match_oracle_replay(self, n):
+        # with a = b = 0 nothing data-dependent moves in the loop oracles,
+        # except that every low-power cycle is a bypass cycle and pays its gate
+        zero = Word(0, n)
         for s, g in COSTS:
             for bsz in range(1, n + 1):
-                replays = {
-                    Variant.CONVENTIONAL: replay_conventional(n, s),
-                    Variant.LOW_POWER: replay_lowpower(n, bsz, s, g),
-                }
-                for variant, expected in replays.items():
+                for variant, (_, loop) in KERNELS.items():
                     cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
+                    expected = loop(zero, zero, cfg)[0].ledger
+                    if variant is Variant.LOW_POWER:
+                        expected.feeder_bypass_clock -= n * g
                     assert fixed_charges(cfg) == expected, (variant, n, bsz, s, g)
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_zero_operands_cost_only_fixed_charges(self, variant):
-        # with a = b = 0 nothing data-dependent moves, except that every
-        # low-power cycle is a bypass cycle and pays its gate
-        for n in (1, 3, 8, 13):
-            cfg = make_config(variant, n, s=3, g=2)
-            expected = fixed_charges(cfg)
-            if variant is Variant.LOW_POWER:
-                expected.feeder_bypass_clock = n * cfg.cost.g
-            assert simulate(Word(0, n), Word(0, n), cfg).ledger == expected
 
     def test_cached_per_config(self):
         cfg = make_config(Variant.LOW_POWER, 9, block_size=4)
         assert cfg.charges is cfg.charges
         assert cfg.charges[0] == fixed_charges(cfg)
-
-
-KERNELS = {
-    Variant.CONVENTIONAL: (run_conventional, loop_conventional),
-    Variant.LOW_POWER: (run_lowpower, loop_lowpower),
-}
 
 
 def oracle_operands(n, seed):
