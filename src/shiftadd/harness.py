@@ -131,9 +131,6 @@ class VerifyOutcome:
 def exhaustive_verify(
     width: int,
     *,
-    s: int = 2,
-    g: int = 1,
-    block_size: int | None = None,
     conventional: Runner = run_conventional,
     lowpower: Runner = run_lowpower,
 ) -> VerifyOutcome:
@@ -143,8 +140,8 @@ def exhaustive_verify(
     The configs are built first, so ``ArchConfig`` checks the width's range;
     then ``gen_operands`` refuses a width above ``EXHAUSTIVE_WIDTH_LIMIT``,
     before any operand is wrapped."""
-    conv_cfg = make_config(Variant.CONVENTIONAL, width, s=s, g=g, block_size=block_size)
-    low_cfg = make_config(Variant.LOW_POWER, width, s=s, g=g, block_size=block_size)
+    conv_cfg = make_config(Variant.CONVENTIONAL, width)
+    low_cfg = make_config(Variant.LOW_POWER, width)
     pairs = gen_operands(OperandDistribution("exhaustive"), width, 0)
     mismatches: list[Mismatch] = []
     total = 0

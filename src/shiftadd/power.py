@@ -57,12 +57,16 @@ class PowerModel:
 
     @classmethod
     def from_file(cls, path: str | Path) -> PowerModel:
-        """Load ``key = value`` lines; keys are ledger categories, plus the
-        reserved keys ``vdd`` and ``f_clk``.  ``#`` starts a comment.  A bad
-        line (unknown or repeated key, a value that is not a finite number)
-        raises ValueError naming ``path:line``."""
+        """Load ``key = value`` lines; keys are ledger categories, plus ``vdd``
+        and ``f_clk``; ``#`` starts a comment.  ValueError names ``path:line``
+        for a bad line (unknown or repeated key, a value that is not a finite
+        number), and ``path`` for text that is not UTF-8 or a refused model."""
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         values: dict[str, float] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -84,7 +88,10 @@ class PowerModel:
             values[key] = number
         vdd = values.pop("vdd", 1.0)
         f_clk = values.pop("f_clk", 1.0)
-        return cls(values, vdd, f_clk)
+        try:
+            return cls(values, vdd, f_clk)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def estimate_energy(ledger: ToggleLedger, model: PowerModel) -> float:

@@ -38,6 +38,14 @@ class TestVerifyCommand:
             run_cli("verify")
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--ffs-cost", "--gate-cost", "--block-size"])
+    def test_cost_flags_refused(self, flag, capsys):
+        # a product depends on the operands and the width alone
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("verify", "--width", "4", flag, "2")
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_product_and_ledger(self, capsys):
@@ -98,8 +106,9 @@ class TestCostFlagErrors:
         (RUN_4 + ["--ffs-cost", "0"], "--ffs-cost must be >= 1, got 0"),
         (RUN_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1"),
         (RUN_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0"),
-        (["verify", "--width", "4", "--ffs-cost", "-2"], "--ffs-cost must be >= 1, got -2"),
-        (["verify", "--width", "4", "--block-size", "0"], "--block-size must be >= 1, got 0"),
+        (SWEEP_4 + ["--ffs-cost", "-2"], "--ffs-cost must be >= 1, got -2"),
+        (SWEEP_4 + ["--dist", "exhaustive", "--block-size", "0"],
+         "--block-size must be >= 1, got 0"),
         (SWEEP_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1"),
         (SWEEP_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0"),
     ])
@@ -116,7 +125,6 @@ class TestCostFlagErrors:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--arch", "lowpower", "--width", "2", "--a", "1", "--b", "1"],
-        ["verify", "--width", "2"],
     ])
     def test_block_size_above_width_runs_with_blocks_of_the_width(self, argv, capsys):
         # as a sweep does: the config clamps the block size to the width
@@ -281,20 +289,23 @@ class TestSweepCommand:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("text,lineno", [
-        ("adder = nan\n", 1),
-        ("vdd = 1.0\nf_clk = inf\n", 2),
-        ("adder = 2\nadder = 0\n", 2),
-    ], ids=["nan", "inf", "duplicate"])
-    def test_bad_model_file_usage_error(self, tmp_path, capsys, text, lineno):
+    @pytest.mark.parametrize("content, named", [
+        (b"adder = nan\n", ":1: "),
+        (b"vdd = 1.0\nf_clk = inf\n", ":2: "),
+        (b"adder = 2\nadder = 0\n", ":2: "),
+        (b"\xffadder = 1\n", ": 'utf-8' codec can't decode byte 0xff"),
+        (b"adder = -1\n", ": weight for 'adder' must be finite and >= 0"),
+        (b"vdd = 0\n", ": vdd must be finite and > 0"),
+    ], ids=["nan", "inf", "duplicate", "not-utf8", "negative-weight", "zero-vdd"])
+    def test_bad_model_file_usage_error(self, tmp_path, capsys, content, named):
         model = tmp_path / "model.cfg"
-        model.write_text(text)
+        model.write_bytes(content)
         out_file = tmp_path / "r.csv"
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "4", "--trials", "10", "--seed", "2",
                     "--out", str(out_file), "--model", str(model))
         assert excinfo.value.code == 2
-        assert f"model.cfg:{lineno}: " in capsys.readouterr().err
+        assert f"{model}{named}" in capsys.readouterr().err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("name, reason", [
