@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import random
 from dataclasses import dataclass, fields
@@ -105,6 +106,11 @@ def gen_operands(
     return ((rng.getrandbits(width), _biased_bits(rng, width, p1)) for _ in range(trials))
 
 
+def word_table(width: int) -> list[Word]:
+    """Every ``width``-bit value wrapped once: entry ``v`` is ``Word(v, width)``."""
+    return [Word(value, width) for value in range(1 << width)]
+
+
 Runner = Callable[[Word, Word, object], SimResult]
 
 
@@ -139,13 +145,13 @@ def exhaustive_verify(
 
     The configs are built first, so ``ArchConfig`` checks the width's range;
     then ``gen_operands`` refuses a width above ``EXHAUSTIVE_WIDTH_LIMIT``,
-    before any operand is wrapped."""
+    before its operand table is built."""
     conv_cfg = make_config(Variant.CONVENTIONAL, width)
     low_cfg = make_config(Variant.LOW_POWER, width)
     pairs = gen_operands(OperandDistribution("exhaustive"), width, 0)
     mismatches: list[Mismatch] = []
     total = 0
-    words = [Word(v, width) for v in range(1 << width)]  # each operand wrapped once
+    words = word_table(width)
     for av, bv in pairs:
         total += 1
         expected = av * bv
@@ -197,6 +203,28 @@ def _aggregate(
     return totals.as_dict()
 
 
+def _word_chunks(
+    stream: Iterator[tuple[int, int]], width: int
+) -> Iterator[list[tuple[Word, Word]]]:
+    """The stream's pairs as ``Word`` pairs, in lists of at most ``SWEEP_CHUNK``.
+
+    Where ``2**width <= SWEEP_CHUNK`` every pair indexes one ``word_table``,
+    no larger than a chunk, built after the first draw so that perfbench's
+    tracer, which opens a width on that draw, charges it to the width.
+    Wider operands are wrapped per pair, straight from the stream.
+    """
+    if 1 << width > SWEEP_CHUNK:
+        while chunk := [(Word(av, width), Word(bv, width))
+                        for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
+            yield chunk
+        return
+    first = next(stream)  # gen_operands never yields an empty stream
+    words = word_table(width)
+    stream = itertools.chain([first], stream)
+    while chunk := [(words[av], words[bv]) for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
+        yield chunk
+
+
 def sweep(
     widths: Sequence[int],
     dist: OperandDistribution,
@@ -217,8 +245,9 @@ def sweep(
     width's stream (``gen_operands`` checks ``dist`` and ``trials``); a
     ``fixed`` pair then runs once per width through the conventional kernel,
     and is refused if the model weighs its energy at 0.
-    Operands are streamed in chunks of at most ``SWEEP_CHUNK`` pairs, each
-    operand wrapped in one ``Word`` that both architectures share.
+    Operands are streamed in chunks of at most ``SWEEP_CHUNK`` pairs, and both
+    architectures share each pair's ``Word``s: each value is wrapped once per
+    width where ``2**width <= SWEEP_CHUNK``, each operand once per pair above.
     """
     model = model or PowerModel()
     if not any(model.weights[cat] for cat in CONVENTIONAL_CATEGORIES):
@@ -242,8 +271,7 @@ def sweep(
     for width, runs, stream in zip(widths, width_runs, streams):
         totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in runs]
         count = 0
-        while chunk := [(Word(av, width), Word(bv, width))
-                        for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
+        for chunk in _word_chunks(stream, width):
             count += len(chunk)
             for (cfg, runner), arch_totals in zip(runs, totals):
                 for category, value in _aggregate(cfg, chunk, runner).items():
@@ -259,6 +287,9 @@ def sweep(
                 conv_energy = energy
             else:
                 reduction = reduction_percent(conv_energy, energy)
+            if not all(map(math.isfinite, (energy, power, reduction))):
+                raise ValueError(f"the power model overflows at width {width}: "
+                                 f"{cfg.variant.value} energy {energy}, average power {power}")
             rows.append(
                 ReportRow(
                     width=width,

@@ -50,6 +50,8 @@ class PowerModel:
         object.__setattr__(self, "weights", _complete_weights(self.weights))
         if not (math.isfinite(self.vdd) and self.vdd > 0):
             raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
+        if not math.isfinite(self.vdd * self.vdd):  # every energy scales by vdd**2
+            raise ValueError(f"vdd squared must be finite, got vdd = {self.vdd}")
         if not (math.isfinite(self.f_clk) and self.f_clk > 0):
             raise ValueError(f"f_clk must be finite and > 0, got {self.f_clk}")
         if not any(self.weights.values()):

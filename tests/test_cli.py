@@ -308,6 +308,34 @@ class TestSweepCommand:
         assert f"{model}{named}" in capsys.readouterr().err
         assert not out_file.exists()
 
+    def test_vdd_overflow_model_usage_error_before_any_run(self, tmp_path, ran, capsys):
+        model = tmp_path / "model.cfg"
+        model.write_text("vdd = 1e200\n")
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "50",
+                    "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert f"{model}: vdd squared" in capsys.readouterr().err
+        assert ran == []
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("content", ["adder = 1e308\n", "f_clk = 1e308\n"],
+                             ids=["energy", "power"])
+    def test_overflowing_row_usage_error_names_the_width(self, tmp_path, capsys, content, fmt):
+        # every number in the model is finite, but the width-4 energy or
+        # average power is not: no report may hold inf or nan
+        model = tmp_path / "model.cfg"
+        model.write_text(content)
+        out_file = tmp_path / f"r.{fmt}"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "50", "--format", fmt,
+                    "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert "width 4" in capsys.readouterr().err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("name, reason", [
         ("missing.cfg", "No such file or directory"),
         ("modeldir", "Is a directory"),

@@ -261,18 +261,20 @@ class TestSweep:
                 totals.add(loop(Word(av, row.width), Word(bv, row.width), cfg)[0].ledger)
             assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
 
-    def test_chunk_boundaries(self):
+    # 2**12 == SWEEP_CHUNK: widths 5 and 12 index one operand table, 13 wraps per pair
+    @pytest.mark.parametrize("width", [5, 12, 13])
+    def test_chunk_boundaries(self, width):
         # two full chunks and a short one: the sums equal one pass over the
         # whole, unchunked operand list
         dist = OperandDistribution("sparse", seed=4)
         trials = 2 * SWEEP_CHUNK + 3
-        rows = sweep([5], dist, trials)
-        operands = list(gen_operands(dist, 5, trials))
+        rows = sweep([width], dist, trials)
+        operands = list(gen_operands(dist, width, trials))
         for row in rows:
-            cfg = make_config(row.arch, 5)
+            cfg = make_config(row.arch, width)
             totals = ToggleLedger()
             for av, bv in operands:
-                totals.add(simulate(Word(av, 5), Word(bv, 5), cfg).ledger)
+                totals.add(simulate(Word(av, width), Word(bv, width), cfg).ledger)
             assert row.trials == trials
             assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
 
@@ -300,9 +302,32 @@ class TestSweep:
         assert held == SWEEP_CHUNK
 
     def test_wraps_each_operand_once(self, monkeypatch):
+        # each value once at widths 3 and 12 (2**w <= SWEEP_CHUNK), each
+        # operand of each pair at width 13 (2**13 > SWEEP_CHUNK)
         built = count_words(monkeypatch)
-        sweep([3, 6], OperandDistribution("uniform", seed=8), 50)
-        assert built == [2 * 2 * 50]
+        sweep([3, 12, 13], OperandDistribution("uniform", seed=8), 50)
+        assert built == [2**3 + 2**12 + 2 * 50]
+
+    def test_builds_each_table_after_its_first_draw(self, monkeypatch):
+        # a profiler that opens a width on its stream's first draw charges
+        # the width's operand table to that width
+        events = []
+
+        def logging_operands(dist, width, trials):
+            for pair in gen_operands(dist, width, trials):
+                events.append(("draw", width))
+                yield pair
+
+        def logging_word(value, width):
+            events.append(("word", width))
+            return Word(value, width)
+
+        monkeypatch.setattr(harness, "gen_operands", logging_operands)
+        monkeypatch.setattr(harness, "Word", logging_word)
+        sweep([3, 4], OperandDistribution("uniform", seed=8), 5)
+        for width in (3, 4):
+            mine = [kind for kind, w in events if w == width]
+            assert mine[0] == "draw" and mine.count("word") == 2**width
 
     def test_deterministic(self):
         dist = OperandDistribution("uniform", seed=31)

@@ -38,6 +38,17 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             PowerModel(**kwargs)
 
+    def test_rejects_vdd_whose_square_overflows(self, tmp_path):
+        # vdd**2 scales every charge; a square that is not finite would turn
+        # each energy into inf, or raise OverflowError, after the sweep ran
+        with pytest.raises(ValueError, match="vdd squared"):
+            PowerModel(vdd=1e200)
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("vdd = 1e200\n")
+        with pytest.raises(ValueError, match=r"model\.cfg: vdd squared"):
+            PowerModel.from_file(cfg)
+        assert PowerModel(vdd=1e150).vdd == 1e150
+
     def test_rejects_all_zero_weights(self, tmp_path):
         # every energy would be 0, and no reduction could be computed
         zero = {cat: 0.0 for cat in LEDGER_CATEGORIES}
