@@ -41,3 +41,13 @@ class Word:
 # the slot descriptors, which bypass the frozen __setattr__
 _set_value = Word.value.__set__
 _set_width = Word.width.__set__
+_new = object.__new__
+
+
+def _exact_word(value: int, width: int) -> Word:
+    """``Word(value, width)`` without its checks, for a caller that
+    guarantees both: 1 <= width <= MAX_WIDTH and 0 <= value < 2**width."""
+    word = _new(Word)
+    _set_value(word, value)
+    _set_width(word, width)
+    return word

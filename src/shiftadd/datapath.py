@@ -28,18 +28,21 @@ is lane i of one packed int (``Lanes``), and each category's per-cycle
 Hamming sum is one popcount.
 
 Part of that work depends on the multiplier alone: its masked copies, the
-lanes it fires, and its closed-form charges.  That part is the plan for the
-multiplier value b, computed by one plan function per datapath and read
-through ``cfg.plan(b)``.  Up to width ``PLAN_WIDTH_LIMIT`` a config is built
+lanes it fires, the schedule of the low-power forward fill, and its
+closed-form charges.  That part is the plan for the multiplier value b,
+computed by one plan function per datapath and read through
+``cfg.plan(b)``.  Up to width ``PLAN_WIDTH_LIMIT`` a config is built
 with a table of every b's plan, at most 256 of them, so a kernel computes
 only the multiplicand's part per call; wider configs call the plan function
 each time.  Where all 4**n operand pairs fit that bound (n <= 4), a config
 also holds ``results``, every (a, b) result its kernel computes, and a kernel
 call returns the entry, shared and never mutated.  A kernel returns a run's
 product and ledger only; ``trace_rows`` reads a run's cycle-by-cycle rows
-from the same lanes.  A config's charges, lanes, plan and results are built
-whole with it and never change; ``make_config`` returns one shared config per
-config value, so they are built once.
+from the same lanes.  What a kernel reads on every call that depends on the
+config alone, lane constants and fixed charges, it unpacks from one tuple,
+``cfg.constants``.  A config's charges, lanes, constants, plan and results
+are built whole with it and never change; ``make_config`` returns one
+shared config per config value, so they are built once.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .bits import Word
+from .bits import Word, _exact_word
 
 MAX_OPERAND_WIDTH = 32
 # widest config with a plan table, of 2**8 plans; at width 16 a table could
@@ -99,10 +102,11 @@ class ArchConfig:
     A run processes every multiplier bit, one per cycle, so it takes
     ``width`` cycles.  The constructor also builds what the kernels read:
     ``charges``, ``(fixed_charges(self), flip-flops clocked on each add
-    cycle)``; ``lanes``, the lane constants; ``plan``, which maps a
-    multiplier value to its plan; and ``results``, the result of each pair
-    at ``a << width | b``, or None where 4**width exceeds
-    2**PLAN_WIDTH_LIMIT.  Build configs with ``make_config``, which
+    cycle)``; ``lanes``, the lane constants; ``constants``, the tuple its
+    kernel unpacks on each call (lane constants and fixed charges);
+    ``plan``, which maps a multiplier value to its plan; and ``results``,
+    the result of each pair at ``a << width | b``, or None where 4**width
+    exceeds 2**PLAN_WIDTH_LIMIT.  Build configs with ``make_config``, which
     returns one shared instance per config value, so that a caller who asks
     for a config per run does not rebuild them.
     """
@@ -112,6 +116,7 @@ class ArchConfig:
     cost: RingCostModel = RingCostModel()
     charges: tuple[ToggleLedger, int] = field(init=False, repr=False, compare=False)
     lanes: Lanes = field(init=False, repr=False, compare=False)
+    constants: tuple[int, ...] = field(init=False, repr=False, compare=False)
     plan: Callable[[int], tuple[int, ...]] = field(init=False, repr=False, compare=False)
     results: tuple[SimResult, ...] | None = field(init=False, repr=False, compare=False)
 
@@ -124,9 +129,20 @@ class ArchConfig:
             )
         add_ffs = sum(reg.width for reg in register_inventory(self)
                       if reg.clocking is Clocking.ADD_CYCLES)
+        n = self.width
+        fixed = fixed_charges(self)
+        lanes = Lanes.build(n)
         # the ledger is shared by every run, so it is never mutated
-        object.__setattr__(self, "charges", (fixed_charges(self), add_ffs))
-        object.__setattr__(self, "lanes", Lanes.build(self.width))
+        object.__setattr__(self, "charges", (fixed, add_ffs))
+        object.__setattr__(self, "lanes", lanes)
+        shared = (lanes.L, lanes.L - 1, n - 1, lanes.low, lanes.carries, lanes.running)
+        if self.variant is Variant.CONVENTIONAL:
+            constants = shared + (lanes.register, lanes.lanes, lanes.top,
+                                  fixed.partial_product_shift, fixed.counter_internal)
+        else:
+            constants = shared + (lanes.lanes, lanes.top, fixed.counter_internal,
+                                  fixed.counter_output, fixed.mux_select, fixed.gating)
+        object.__setattr__(self, "constants", constants)
         plan = functools.partial(
             _conventional_plan if self.variant is Variant.CONVENTIONAL else _lowpower_plan, self)
         if self.width <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
@@ -252,8 +268,9 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     operands: the clock pulses of the inventory's registers (those clocked
     on add cycles excepted) and the counter's own output toggles.
 
-    Kernels read it through ``cfg.charges``, so it is computed once per
-    config, when the config is built.
+    It is computed once per config, when the config is built: the plans
+    read it through ``cfg.charges``, the kernels its entries through
+    ``cfg.constants``.
     """
     n = cfg.width
     cost = cfg.cost
@@ -302,7 +319,9 @@ class Lanes(NamedTuple):
     (``running``) are cycle i's adder output, bottom-aligned in lane i.  A
     per-cycle sum of Hamming distances is then one popcount of
     ``(V ^ (V << L)) & lanes``: lane i of ``V << L`` is cycle i - 1's state,
-    and lane 0's is the reset state 0.
+    and lane 0's is the reset state 0.  The conventional register's lane i
+    is lane i of ``partial << (n - 1)``, so its toggles are counted on
+    ``partial`` under the mask shifted down instead (``register``).
     """
 
     L: int  # lane width, 2n + 1
@@ -310,8 +329,10 @@ class Lanes(NamedTuple):
     prefixes: int  # bits [0, i] of copy i
     selects: int  # bit 0 of each lane
     low: int  # bits [0, n) of each lane
+    carries: int  # bits [n, 2n) of each lane: low << n
     running: int  # bits [0, n] of each lane
     lanes: int  # all n lanes
+    register: int  # lanes >> (n - 1): where partial holds the conventional register
     top: int  # 2n*(n - 1): where the last copy starts
 
     @classmethod
@@ -323,8 +344,10 @@ class Lanes(NamedTuple):
         selects = ((1 << L * n) - 1) // ((1 << L) - 1)
         # bit L*i = 2n*i + i, doubled, minus bit 2n*i: bits [0, i] of copy i
         prefixes = 2 * selects - copies
-        return cls(L, copies, prefixes, selects, ((1 << n) - 1) * selects,
-                   ((2 << n) - 1) * selects, (1 << L * n) - 1, 2 * n * (n - 1))
+        low = ((1 << n) - 1) * selects
+        lanes = (1 << L * n) - 1
+        return cls(L, copies, prefixes, selects, low, low << n, ((2 << n) - 1) * selects,
+                   lanes, lanes >> (n - 1), 2 * n * (n - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,7 +365,11 @@ class CycleTrace:
 class SimResult:
     product: Word
     ledger: ToggleLedger
-    cycles: int
+
+    @property
+    def cycles(self) -> int:
+        """One cycle per multiplier bit: half the product's width."""
+        return self.product.width // 2
 
 
 def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
@@ -358,7 +385,7 @@ def _conventional_plan(cfg: ArchConfig, bv: int) -> tuple[int, int, int]:
     """B's part of a conventional run: masked copies, shift and select toggles."""
     n = cfg.width
     fixed, _ = cfg.charges
-    _, copies, prefixes, _, low, _, _, _ = cfg.lanes
+    _, copies, prefixes, _, low, _, _, _, _, _ = cfg.lanes
     masked = bv * copies & prefixes
     multiplier_shift = (fixed.multiplier_shift
                         + (((bv ^ (bv >> 1)) * copies) & low).bit_count())
@@ -366,24 +393,38 @@ def _conventional_plan(cfg: ArchConfig, bv: int) -> tuple[int, int, int]:
     return masked, multiplier_shift, mux_select
 
 
-def _lowpower_plan(cfg: ArchConfig, bv: int) -> tuple[int, int, int, int, int]:
-    """B's part of a low-power run: masked copies, add lanes, the fill's
-    starting mask, and the closed forms of mux data and the feeder's clock."""
+def _lowpower_plan(
+    cfg: ArchConfig, bv: int,
+) -> tuple[int, int, tuple[int, ...], int, int]:
+    """B's part of a low-power run: masked copies, add lanes, the forward
+    fill's schedule, and the closed forms of mux data and the feeder's clock.
+
+    A bypass cycle holds the adder's state, so the kernel fills each other
+    lane from the nearest add lane below it, doubling the reach per step:
+    step k shifts by L << k and fills the lanes of the schedule's mask k.
+    The lanes below the first add lane hold the reset state 0 and count as
+    filled from the start (all lanes, when no cycle adds), and the schedule
+    ends once every lane is filled."""
     n = cfg.width
     _, add_ffs = cfg.charges
-    L, copies, prefixes, selects, _, _, lanes, _ = cfg.lanes
+    L, copies, prefixes, selects, _, _, _, lanes, _, _ = cfg.lanes
     copied = bv * copies
     masked = copied & prefixes
     fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
-    # the lanes below the first add lane hold the reset state 0 and count
-    # as filled (all lanes, when no cycle adds)
-    filled = fired | ((fired & -fired) - 1) & lanes
+    gaps = (lanes ^ fired) & -(fired & -fired)  # lanes to fill, 0 if none adds
+    fill = []
+    step = L
+    while gaps:
+        fill.append(gaps)
+        # a gap lane stays a gap if the lane it is filled from was a gap too
+        gaps &= gaps << step
+        step <<= 1
     # the mux output switches whenever the selected bit differs from the
     # previous cycle's (reset: 0)
     mux_data = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
     adds = bv.bit_count()
     feeder_clock = adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g
-    return masked, fired, filled, mux_data, feeder_clock
+    return masked, fired, tuple(fill), mux_data, feeder_clock
 
 
 def run_conventional(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
@@ -395,7 +436,7 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     register (carry, sum, low half) captures the result shifted right by
     one; B shifts right; the counter increments.  All three registers are
     clocked every cycle; those clock charges and the counter's toggles come
-    from ``cfg.charges``.  The data-dependent work is computed for all
+    from ``cfg.constants``.  The data-dependent work is computed for all
     cycles at once on packed lanes (see ``Lanes``), B's part of it in one
     call of ``cfg.plan`` (``_conventional_plan``).
     """
@@ -404,33 +445,33 @@ def run_conventional(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
         _check_operands(a, b, cfg)
     if cfg.results is not None:
         return cfg.results[a.value << n | b.value]
-    fixed, _ = cfg.charges
-    L, _, _, _, low, running, lanes, top = cfg.lanes
+    (L, L_1, n_1, low, carries, running, register, lanes, top,
+     partial_product_fixed, counter_internal) = cfg.constants
     av = a.value
     masked, multiplier_shift, mux_select = cfg.plan(b.value)
     partial = av * masked
-    # lane i: the partial product register after cycle i, a*(b mod 2^(i+1))
-    # shifted up by the n - 1 - i cycles still to run
-    reg = partial << (n - 1)
     out = partial & running  # lane i: the adder's output (carry : sum)
     # the adder's internal signals, (carry chain : sum) in bits [n, 2n) and
     # [0, n) of each lane.  Its inputs are the previous lane's output shifted
     # down one and the addend, their difference; the carry out of stage j
     # is bit j + 1 of input ^ addend ^ output
-    high = (out << L) >> 1 & low
-    adder = (out & low) | (((high ^ (out - high) ^ out) >> 1 & low) << n)
+    high = out << L_1 & low
+    adder = (out & low) | ((high ^ (out - high) ^ out) << n_1 & carries)
 
     ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
         multiplier_shift,
-        fixed.partial_product_shift + ((reg ^ (reg << L)) & lanes).bit_count(),
+        # lane i of the register after cycle i is a*(b mod 2^(i+1)) shifted
+        # up by the n - 1 - i cycles still to run: lane i of partial << (n - 1)
+        partial_product_fixed + ((partial ^ (partial << L)) & register).bit_count(),
         ((adder ^ (adder << L)) & lanes).bit_count(),
-        fixed.counter_internal,
+        counter_internal,
         0,  # counter_output
         mux_select,
         # mux_data: the mux output swings between 0 and A on a select change
         mux_select * av.bit_count(),
     )
-    return SimResult(Word(partial >> top, 2 * n), ledger, n)
+    # the last copy is a*b < 2**(2n), and 2n <= 64
+    return SimResult(_exact_word(partial >> top, 2 * n), ledger)
 
 
 def run_lowpower(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
@@ -445,7 +486,7 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     next cycle's adder input is fixed wiring, and each cycle latches one
     product low bit.  B is never shifted or clocked, so ``multiplier_shift``
     stays zero.  The ring, gating and select charges come from
-    ``cfg.charges``; the feeder's clock and the mux data line are closed
+    ``cfg.constants``; the feeder's clock and the mux data line are closed
     forms in the multiplier bits.  The adder and the feeder's data toggles
     are computed for all cycles at once on packed lanes (see ``Lanes``),
     B's part of it in one call of ``cfg.plan`` (``_lowpower_plan``).
@@ -455,38 +496,37 @@ def run_lowpower(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
         _check_operands(a, b, cfg)
     if cfg.results is not None:
         return cfg.results[a.value << n | b.value]
-    fixed, _ = cfg.charges
-    L, _, _, _, low, running, lanes, top = cfg.lanes
-    masked, fired, filled, mux_data, feeder_clock = cfg.plan(b.value)
+    (L, L_1, n_1, low, carries, running, lanes, top,
+     counter_internal, counter_output, mux_select, gating) = cfg.constants
+    masked, fired, fill, mux_data, feeder_clock = cfg.plan(b.value)
     partial = a.value * masked
     # lane i: the feeder/bypass storage (carry : sum) after cycle i, which
     # is what the conventional adder outputs on that cycle
     feeder = partial & running
     # the adder's signals on add cycles, as in run_conventional
-    high = (feeder << L) >> 1 & low
-    adder = ((feeder & low) | (((high ^ (feeder - high) ^ feeder) >> 1 & low) << n)) & fired
-    # a bypass cycle holds the adder's state: fill each other lane from the
-    # nearest add lane below it, doubling the reach per step, and stop once
-    # nothing is left
+    high = feeder << L_1 & low
+    adder = ((feeder & low) | ((high ^ (feeder - high) ^ feeder) << n_1 & carries)) & fired
+    # a bypass cycle holds the adder's state: the plan's schedule fills each
+    # other lane from the nearest add lane below it, doubling the reach per step
     step = L
-    while filled != lanes:
-        adder |= (adder << step) & (lanes ^ filled)
-        filled = (filled | filled << step) & lanes
+    for mask in fill:
+        adder |= (adder << step) & mask
         step <<= 1
 
     ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
         0,  # multiplier_shift
         ((feeder ^ (feeder << L)) & lanes).bit_count(),
         ((adder ^ (adder << L)) & lanes).bit_count(),
-        fixed.counter_internal,
-        fixed.counter_output,
-        fixed.mux_select,
+        counter_internal,
+        counter_output,
+        mux_select,
         mux_data,
         feeder_clock,
-        fixed.gating,
+        gating,
     )
-    # cycle i latches bit i of a*(b mod 2^(i+1)); later adds touch only bit i + 1 and up
-    return SimResult(Word(partial >> top, 2 * n), ledger, n)
+    # cycle i latches bit i of a*(b mod 2^(i+1)); later adds touch only bit
+    # i + 1 and up.  The last copy is a*b < 2**(2n), and 2n <= 64
+    return SimResult(_exact_word(partial >> top, 2 * n), ledger)
 
 
 def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:

@@ -285,7 +285,7 @@ def loop_conventional(
         mux_select=mux_select,
         mux_data=mux_data,
     )
-    return SimResult(Word(reg_p, 2 * n), ledger, n), tuple(rows)
+    return SimResult(Word(reg_p, 2 * n), ledger), tuple(rows)
 
 
 def loop_lowpower(
@@ -376,4 +376,4 @@ def loop_lowpower(
         gating=gating,
     )
     product = Word(((reg_fb >> 1) << n) | low_bits, 2 * n)
-    return SimResult(product, ledger, n), tuple(rows)
+    return SimResult(product, ledger), tuple(rows)

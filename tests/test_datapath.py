@@ -75,6 +75,8 @@ class TestConventional:
         assert result.product.value == 6
         assert result.product.width == 6
         assert result.cycles == 3
+        with pytest.raises(AttributeError):  # half the product's width, not stored
+            result.cycles = 4
 
     def test_worked_example_ledger(self):
         # hand-evaluated cycle by cycle at s=2 (clock charges: B 6/cycle,
@@ -293,8 +295,11 @@ class TestAgainstLoopOracle:
                 sum(((2 << i) - 1) << 2 * n * i for i in cycles),
                 sum(1 << L * i for i in cycles),
                 sum(((1 << n) - 1) << L * i for i in cycles),
+                sum(((1 << n) - 1) << L * i + n for i in cycles),
                 sum(((2 << n) - 1) << L * i for i in cycles),
                 (1 << L * n) - 1,
+                # lane i moved down n - 1 bits, lane 0 cut at bit 0
+                sum(((1 << L) - 1) << L * i >> (n - 1) for i in cycles),
                 2 * n * (n - 1),
             ), n
 
@@ -345,7 +350,7 @@ class TestPlanTables:
             # the result table holds 4**n entries, under the same bound
             assert (cfg.results is None) == (2 * n > PLAN_WIDTH_LIMIT), n
 
-    @pytest.mark.parametrize("name", ["plan", "lanes", "charges"])
+    @pytest.mark.parametrize("name", ["plan", "lanes", "constants", "charges"])
     def test_built_constants_frozen(self, name):
         cfg = make_config(Variant.LOW_POWER, 4)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -371,6 +376,69 @@ class TestPlanTables:
             for other in configs[i + 1:]:
                 assert other is not cfg and other != cfg
                 assert other.charges is not cfg.charges and other.plan is not cfg.plan
+                assert other.constants is not cfg.constants
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 32])
+    def test_kernel_constants_from_lanes_and_charges(self, n):
+        # each kernel's one tuple, in the order it unpacks it
+        conv, low = (make_config(variant, n, s=3, g=2) for variant in Variant)
+        lanes = Lanes.build(n)
+        shared = (lanes.L, lanes.L - 1, n - 1, lanes.low, lanes.carries, lanes.running)
+        fixed = fixed_charges(conv)
+        assert conv.constants == shared + (
+            lanes.register, lanes.lanes, lanes.top,
+            fixed.partial_product_shift, fixed.counter_internal)
+        fixed = fixed_charges(low)
+        assert low.constants == shared + (
+            lanes.lanes, lanes.top, fixed.counter_internal, fixed.counter_output,
+            fixed.mux_select, fixed.gating)
+
+
+def lane_mask(n, indices):
+    L = 2 * n + 1
+    return sum(((1 << L) - 1) << L * i for i in indices)
+
+
+class TestFillSchedule:
+    """The low-power plan's forward-fill schedule: mask k holds the lanes
+    that the step by L << k fills, those 2**k or more lanes above the
+    nearest add lane at or below them."""
+
+    @staticmethod
+    def expected(n, bv):
+        # each lane's distance to the nearest add lane at or below it; None
+        # below the first add lane, whose lanes hold the reset state
+        distance, last = [], None
+        for i in range(n):
+            if bv >> i & 1:
+                last = i
+            distance.append(None if last is None else i - last)
+        schedule = []
+        while mask := lane_mask(n, [i for i, d in enumerate(distance)
+                                    if d is not None and d >= 1 << len(schedule)]):
+            schedule.append(mask)
+        return tuple(schedule)
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_schedule(self, n):
+        cfg = make_config(Variant.LOW_POWER, n)
+        rng = random.Random(n)
+        values = range(1 << n) if n <= PLAN_WIDTH_LIMIT else (
+            [0, 1, 1 << (n - 1), (1 << n) - 1, (1 << n) - 2]
+            + [rng.getrandbits(n) for _ in range(200)])
+        for bv in values:
+            fill = cfg.plan(bv)[2]
+            assert fill == self.expected(n, bv), (n, bv)
+            # its first mask: every lane but the add lanes and those below the first
+            first = [i for i in range(n) if not bv >> i & 1 and bv & ((1 << i) - 1)]
+            assert fill[:1] == ((lane_mask(n, first),) if first else ()), (n, bv)
+            # each later mask a proper subset of the one before
+            for before, after in zip(fill, fill[1:]):
+                assert after & before == after != before, (n, bv)
+            assert len(fill) <= (n - 1).bit_length(), (n, bv)  # ceil(log2 n)
+            # no step at all when every gap lies below the first add lane
+            # (no bit of b is 0 above its lowest 1, or b is 0)
+            assert (fill == ()) == (bv == 0 or bv | (bv - 1) == (1 << n) - 1), (n, bv)
 
 
 class TestResultTables:
@@ -445,6 +513,21 @@ class TestEquivalence:
         conv = run_conventional(a, b, make_config(Variant.CONVENTIONAL, n))
         low = run_lowpower(a, b, make_config(Variant.LOW_POWER, n))
         assert conv.product.value == low.product.value == av * bv
+
+    @pytest.mark.parametrize("n", [5, 8, 9, 32])
+    def test_computed_product_is_a_whole_word(self, n):
+        # the kernels build their product Word without its checks; it must
+        # still be the Word the constructor gives, equal, hashed alike and frozen
+        full = (1 << n) - 1
+        for variant, (packed, _) in KERNELS.items():
+            cfg = make_config(variant, n)
+            assert cfg.results is None  # computed, not read from a table
+            for av, bv in [(full, full), (0, full), (full, 1), (5, 3), (1 << (n - 1), full)]:
+                product = packed(Word(av, n), Word(bv, n), cfg).product
+                expected = Word(av * bv, 2 * n)
+                assert product == expected and hash(product) == hash(expected)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    product.value = 0
 
     def test_determinism(self):
         a, b = Word(173, 8), Word(94, 8)

@@ -106,7 +106,7 @@ def carryless_conventional(a: Word, b: Word, cfg) -> SimResult:
     for i in range(cfg.width):
         if (b.value >> i) & 1:
             acc ^= a.value << i
-    return SimResult(Word(acc, 2 * cfg.width), ToggleLedger(), cfg.width)
+    return SimResult(Word(acc, 2 * cfg.width), ToggleLedger())
 
 
 def count_words(monkeypatch) -> list[int]:
