@@ -5,7 +5,7 @@ larger than with dense multipliers."""
 
 import argparse
 
-from shiftadd.harness import OperandDistribution, sweep
+from shiftadd.harness import DENSE_P1, SPARSE_P1, OperandDistribution, sweep
 
 
 def main() -> None:
@@ -17,7 +17,7 @@ def main() -> None:
 
     print(f"width={args.width} trials={args.trials} seed={args.seed}")
     print(f"{'distribution':>12}  {'p(bit=1)':>8}  {'reduction':>9}")
-    for kind, p1 in (("sparse", 0.25), ("uniform", 0.50), ("dense", 0.75)):
+    for kind, p1 in (("sparse", SPARSE_P1), ("uniform", 0.50), ("dense", DENSE_P1)):
         rows = sweep([args.width], OperandDistribution(kind, seed=args.seed), args.trials)
         reduction = next(r.reduction_pct for r in rows if r.arch == "lowpower")
         print(f"{kind:>12}  {p1:8.2f}  {reduction:8.2f}%")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -22,7 +23,7 @@ from .power import PowerModel, area_proxy, average_power, estimate_energy
 
 
 def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--block-size", type=int, default=None,
+    parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                         help=f"ring gating block size (default: min({DEFAULT_BLOCK_SIZE}, width))")
     parser.add_argument("--ffs-cost", type=int, default=2, metavar="S",
                         help="internal transitions per clocked flip-flop (default 2)")
@@ -34,8 +35,8 @@ def _check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser)
     """Reject a cost flag below its least value, naming the flag.  The config
     would reject it too, but under its field name (s, g, block_size)."""
     for flag, least in (("--ffs-cost", 1), ("--gate-cost", 0), ("--block-size", 1)):
-        value = getattr(args, flag[2:].replace("-", "_"), None)  # verify takes none
-        if value is not None and value < least:
+        value = getattr(args, flag[2:].replace("-", "_"), least)  # verify takes none
+        if value < least:
             parser.error(f"{flag} must be >= {least}, got {value}")
 
 
@@ -99,13 +100,15 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"operands must be in 0..{limit - 1} for width {args.width}")
     a, b = Word(args.a, args.width), Word(args.b, args.width)
     result = simulate(a, b, cfg)
+    model = PowerModel()
+    energy = estimate_energy(result.ledger, model)
+    if not math.isfinite(energy):  # the default model's power is at most its energy
+        parser.error(f"energy {energy} is beyond the float range: lower --ffs-cost or --gate-cost")
     if args.trace:
         print(render_trace(a, b, cfg))
         print(f"adder firings: {b.value.bit_count()}")
     print(f"product: {result.product.value}")
     print(f"cycles: {result.cycles}")
-    model = PowerModel()
-    energy = estimate_energy(result.ledger, model)
     print(f"energy (uniform weights): {energy}")
     print(f"avg power: {average_power(energy, result.cycles, model)}")
     area = area_proxy(cfg)
@@ -134,9 +137,8 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except OSError as exc:
         parser.error(f"--model {args.model} cannot be read: {exc.strerror or exc}")
     dist = OperandDistribution(args.dist, seed=args.seed, a=args.a, b=args.b)
-    block_size = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
     rows = sweep(widths, dist, args.trials, model,
-                 s=args.ffs_cost, g=args.gate_cost, block_size=block_size)
+                 s=args.ffs_cost, g=args.gate_cost, block_size=args.block_size)
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": args.seed,
@@ -144,12 +146,12 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "trials": args.trials,
         "ffs_cost": args.ffs_cost,
         "gate_cost": args.gate_cost,
-        "block_size": block_size,
+        "block_size": args.block_size,
     }
     # the block size each width ran with, read from the config that ran it
     ran = [make_config(Variant.LOW_POWER, width, s=args.ffs_cost, g=args.gate_cost,
-                       block_size=block_size).cost.block_size for width in widths]
-    if any(size != block_size for size in ran):
+                       block_size=args.block_size).cost.block_size for width in widths]
+    if any(size != args.block_size for size in ran):
         metadata["block_size"] = ran
     if args.dist == "exhaustive":
         # every pair runs whatever --trials says; each row records its count

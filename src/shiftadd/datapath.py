@@ -29,20 +29,21 @@ Hamming sum is one popcount.
 
 Part of that work depends on the multiplier alone: its masked copies, the
 lanes it fires, the schedule of the low-power forward fill, and its
-closed-form charges.  That part is the plan for the multiplier value b,
-computed by one plan function per datapath and read through
-``cfg.plan(b)``.  Up to width ``PLAN_WIDTH_LIMIT`` a config is built
-with a table of every b's plan, at most 256 of them, so a kernel computes
-only the multiplicand's part per call; wider configs call the plan function
-each time.  Where all 4**n operand pairs fit that bound (n <= 4), a config
-also holds ``results``, every (a, b) result its kernel computes, and a kernel
-call returns the entry, shared and never mutated.  A kernel returns a run's
-product and ledger only; ``trace_rows`` reads a run's cycle-by-cycle rows
-from the same lanes.  What a kernel reads on every call that depends on the
-config alone, lane constants and fixed charges, it unpacks from one tuple,
-``cfg.constants``.  A config's charges, lanes, constants, plan and results
-are built whole with it and never change; ``make_config`` returns one
-shared config per config value, so they are built once.
+closed-form charges.  That part is the plan for the multiplier value b, read
+through ``cfg.plan(b)`` and computed by one plan function per datapath, which
+the config binds once to the width, lane masks and clock charges it reads.
+Up to width ``PLAN_WIDTH_LIMIT`` a config is built with a table of every b's
+plan, at most 256 of them, so a kernel computes only the multiplicand's part
+per call; wider configs call the plan function each time.  Where all 4**n
+operand pairs fit that bound (n <= 4), a config also holds ``results``, every
+(a, b) result its kernel computes, and a kernel call returns the entry, shared
+and never mutated.  A kernel returns a run's product and ledger only;
+``trace_rows`` reads a run's cycle-by-cycle rows from the same lanes.  What a
+kernel reads on every call that depends on the config alone, lane constants
+and fixed charges, it unpacks from one tuple, ``cfg.constants``.  A config
+holds only what its kernels read: constants, plan and results, built whole
+with it and never changed; ``make_config`` returns one shared config per
+config value, so they are built once.
 """
 
 from __future__ import annotations
@@ -100,22 +101,20 @@ class ArchConfig:
     """Architecture variant, operand width and cost parameters.
 
     A run processes every multiplier bit, one per cycle, so it takes
-    ``width`` cycles.  The constructor also builds what the kernels read:
-    ``charges``, ``(fixed_charges(self), flip-flops clocked on each add
-    cycle)``; ``lanes``, the lane constants; ``constants``, the tuple its
-    kernel unpacks on each call (lane constants and fixed charges);
-    ``plan``, which maps a multiplier value to its plan; and ``results``,
-    the result of each pair at ``a << width | b``, or None where 4**width
-    exceeds 2**PLAN_WIDTH_LIMIT.  Build configs with ``make_config``, which
-    returns one shared instance per config value, so that a caller who asks
-    for a config per run does not rebuild them.
+    ``width`` cycles.  The constructor also builds what the kernels read, and
+    nothing else: ``constants``, the tuple its kernel unpacks on each call
+    (lane constants and fixed charges); ``plan``, which maps a multiplier
+    value to its plan, the plan function bound to the numbers it reads or a
+    table of its plans; and ``results``, the result of each pair at
+    ``a << width | b``, or None where 4**width exceeds 2**PLAN_WIDTH_LIMIT.
+    Build configs with ``make_config``, which returns one shared instance per
+    config value, so that a caller who asks for a config per run does not
+    rebuild them.
     """
 
     variant: Variant
     width: int
     cost: RingCostModel = RingCostModel()
-    charges: tuple[ToggleLedger, int] = field(init=False, repr=False, compare=False)
-    lanes: Lanes = field(init=False, repr=False, compare=False)
     constants: tuple[int, ...] = field(init=False, repr=False, compare=False)
     plan: Callable[[int], tuple[int, ...]] = field(init=False, repr=False, compare=False)
     results: tuple[SimResult, ...] | None = field(init=False, repr=False, compare=False)
@@ -127,24 +126,23 @@ class ArchConfig:
             raise ValueError(
                 f"block_size {self.cost.block_size} exceeds width {self.width}"
             )
-        add_ffs = sum(reg.width for reg in register_inventory(self)
-                      if reg.clocking is Clocking.ADD_CYCLES)
         n = self.width
         fixed = fixed_charges(self)
         lanes = Lanes.build(n)
-        # the ledger is shared by every run, so it is never mutated
-        object.__setattr__(self, "charges", (fixed, add_ffs))
-        object.__setattr__(self, "lanes", lanes)
         shared = (lanes.L, lanes.L - 1, n - 1, lanes.low, lanes.carries, lanes.running)
         if self.variant is Variant.CONVENTIONAL:
             constants = shared + (lanes.register, lanes.lanes, lanes.top,
                                   fixed.partial_product_shift, fixed.counter_internal)
+            plan = functools.partial(_conventional_plan, n, lanes.copies, lanes.prefixes,
+                                     lanes.low, fixed.multiplier_shift)
         else:
             constants = shared + (lanes.lanes, lanes.top, fixed.counter_internal,
                                   fixed.counter_output, fixed.mux_select, fixed.gating)
+            add_clock = self.cost.s * sum(reg.width for reg in register_inventory(self)
+                                          if reg.clocking is Clocking.ADD_CYCLES)
+            plan = functools.partial(_lowpower_plan, n, lanes.copies, lanes.prefixes,
+                                     lanes.selects, lanes.lanes, add_clock, self.cost.g)
         object.__setattr__(self, "constants", constants)
-        plan = functools.partial(
-            _conventional_plan if self.variant is Variant.CONVENTIONAL else _lowpower_plan, self)
         if self.width <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
             plan = tuple(map(plan, range(1 << self.width))).__getitem__
         object.__setattr__(self, "plan", plan)
@@ -161,14 +159,13 @@ def make_config(
     *,
     s: int = 2,
     g: int = 1,
-    block_size: int | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> ArchConfig:
     """The one shared ArchConfig for this config value, however it is spelled:
     the variant may be given by name.  The one place a block size is clamped:
-    the given one, or ``DEFAULT_BLOCK_SIZE``, is lowered to the width (or 1,
-    so that a width out of range meets ``ArchConfig``'s width check, not the
-    block's); ``RingCostModel`` refuses a block size below 1."""
-    block_size = min(DEFAULT_BLOCK_SIZE if block_size is None else block_size, max(1, width))
+    it is lowered to the width (or 1, so that a width out of range meets
+    ``ArchConfig``'s width check); ``RingCostModel`` refuses one below 1."""
+    block_size = min(block_size, max(1, width))
     return _shared_config(Variant(variant), width, RingCostModel(s, g, block_size))
 
 
@@ -268,9 +265,9 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     operands: the clock pulses of the inventory's registers (those clocked
     on add cycles excepted) and the counter's own output toggles.
 
-    It is computed once per config, when the config is built: the plans
-    read it through ``cfg.charges``, the kernels its entries through
-    ``cfg.constants``.
+    It is computed once per config, when the config is built: the kernels
+    read its entries through ``cfg.constants``, and the conventional plan is
+    bound to its ``multiplier_shift``.
     """
     n = cfg.width
     cost = cfg.cost
@@ -381,23 +378,22 @@ def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
         )
 
 
-def _conventional_plan(cfg: ArchConfig, bv: int) -> tuple[int, int, int]:
-    """B's part of a conventional run: masked copies, shift and select toggles."""
-    n = cfg.width
-    fixed, _ = cfg.charges
-    _, copies, prefixes, _, low, _, _, _, _, _ = cfg.lanes
+def _conventional_plan(n: int, copies: int, prefixes: int, low: int, shift_fixed: int,
+                       bv: int) -> tuple[int, int, int]:
+    """B's part of a conventional run, for the numbers the config binds:
+    masked copies, shift toggles (on top of B's clock) and select toggles."""
     masked = bv * copies & prefixes
-    multiplier_shift = (fixed.multiplier_shift
-                        + (((bv ^ (bv >> 1)) * copies) & low).bit_count())
+    multiplier_shift = shift_fixed + (((bv ^ (bv >> 1)) * copies) & low).bit_count()
     mux_select = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
     return masked, multiplier_shift, mux_select
 
 
 def _lowpower_plan(
-    cfg: ArchConfig, bv: int,
+    n: int, copies: int, prefixes: int, selects: int, lanes: int, add_clock: int, g: int, bv: int,
 ) -> tuple[int, int, tuple[int, ...], int, int]:
-    """B's part of a low-power run: masked copies, add lanes, the forward
-    fill's schedule, and the closed forms of mux data and the feeder's clock.
+    """B's part of a low-power run, for the numbers the config binds: masked
+    copies, add lanes, the forward fill's schedule, and the closed forms of
+    mux data and the feeder's clock (``add_clock`` per add, ``g`` per bypass).
 
     A bypass cycle holds the adder's state, so the kernel fills each other
     lane from the nearest add lane below it, doubling the reach per step:
@@ -405,9 +401,7 @@ def _lowpower_plan(
     The lanes below the first add lane hold the reset state 0 and count as
     filled from the start (all lanes, when no cycle adds), and the schedule
     ends once every lane is filled."""
-    n = cfg.width
-    _, add_ffs = cfg.charges
-    L, copies, prefixes, selects, _, _, _, lanes, _, _ = cfg.lanes
+    L = 2 * n + 1
     copied = bv * copies
     masked = copied & prefixes
     fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
@@ -423,8 +417,7 @@ def _lowpower_plan(
     # previous cycle's (reset: 0)
     mux_data = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
     adds = bv.bit_count()
-    feeder_clock = adds * add_ffs * cfg.cost.s + (n - adds) * cfg.cost.g
-    return masked, fired, tuple(fill), mux_data, feeder_clock
+    return masked, fired, tuple(fill), mux_data, adds * add_clock + (n - adds) * g
 
 
 def run_conventional(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
@@ -544,7 +537,7 @@ def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:
     counter holds i, the ring its hot bit 1 << i."""
     _check_operands(a, b, cfg)
     n = cfg.width
-    L = cfg.lanes.L
+    L = 2 * n + 1
     bv = b.value
     partial = a.value * cfg.plan(bv)[0]  # both plans start with the masked copies
     conventional = cfg.variant is Variant.CONVENTIONAL

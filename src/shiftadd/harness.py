@@ -288,7 +288,7 @@ def sweep(
             else:
                 reduction = reduction_percent(conv_energy, energy)
             if not all(map(math.isfinite, (energy, power, reduction))):
-                raise ValueError(f"the power model overflows at width {width}: "
+                raise ValueError(f"energy or average power overflows at width {width}: "
                                  f"{cfg.variant.value} energy {energy}, average power {power}")
             rows.append(
                 ReportRow(

@@ -19,7 +19,6 @@ from .datapath import (
     ArchConfig,
     ToggleLedger,
     Variant,
-    num_blocks,
     register_inventory,
 )
 
@@ -62,9 +61,10 @@ class PowerModel:
         """Load ``key = value`` lines; keys are ledger categories, plus ``vdd``
         and ``f_clk``; ``#`` starts a comment.  ValueError names ``path:line``
         for a bad line (unknown or repeated key, a value that is not a finite
-        number), and ``path`` for text that is not UTF-8 or a refused model."""
+        number), and ``path`` for text that is not UTF-8 (a leading byte-order
+        mark is skipped) or a refused model."""
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         values: dict[str, float] = {}
@@ -97,11 +97,13 @@ class PowerModel:
 
 
 def estimate_energy(ledger: ToggleLedger, model: PowerModel) -> float:
-    """Energy in arbitrary units: sum of count * C_category * vdd^2."""
+    """Energy in arbitrary units: sum of count * C_category * vdd^2; inf
+    where it, or a count, is beyond the float range."""
     vdd_sq = model.vdd**2
-    return sum(
-        count * model.weights[cat] * vdd_sq for cat, count in ledger.as_dict().items()
-    )
+    try:
+        return sum(count * model.weights[cat] * vdd_sq for cat, count in ledger.as_dict().items())
+    except OverflowError:  # an int count too large for a float
+        return math.inf
 
 
 def average_power(energy: float, cycles: int, model: PowerModel) -> float:
@@ -123,21 +125,22 @@ class AreaInventory:
 def area_proxy(cfg: ArchConfig) -> AreaInventory:
     """Element inventory for a configuration; independent of operand values.
 
-    ``flip_flops`` is the sum over ``datapath.register_inventory``.
-    Conventional: n-bit adder, n-bit 2:1 mux, one control gate.  Low-power:
-    n-bit adder, one-hot mux tree, one clock gate per ring block plus the
-    feeder/bypass gate.
+    ``flip_flops`` is the sum over ``datapath.register_inventory``, and
+    ``gates`` one more than its gate latches, one per ring block: the one is
+    the conventional control gate or the low-power feeder/bypass gate.
+    Conventional: n-bit adder, n-bit 2:1 mux.  Low-power: n-bit adder,
+    one-hot mux tree.
 
     The low-power variant can inventory MORE flip-flops than the
     conventional one; its headline area win comes from technology mapping,
     which this proxy deliberately does not model.
     """
     n = cfg.width
-    flip_flops = sum(reg.width for reg in register_inventory(cfg))
-    if cfg.variant is Variant.CONVENTIONAL:
-        return AreaInventory(flip_flops, full_adders=n, mux_inputs=2 * n, gates=1)
-    blocks = num_blocks(n, cfg.cost.block_size)
-    return AreaInventory(flip_flops, full_adders=n, mux_inputs=n, gates=blocks + 1)
+    inventory = register_inventory(cfg)
+    flip_flops = sum(reg.width for reg in inventory)
+    gates = 1 + sum(reg.width for reg in inventory if reg.gate_latch)
+    mux_inputs = 2 * n if cfg.variant is Variant.CONVENTIONAL else n
+    return AreaInventory(flip_flops, full_adders=n, mux_inputs=mux_inputs, gates=gates)
 
 
 def reduction_percent(base: float, new: float) -> float:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -5,8 +6,16 @@ import sys
 
 import pytest
 
+from shiftadd import cli, harness
+from shiftadd.bits import Word
 from shiftadd.cli import main
-from shiftadd.datapath import DEFAULT_BLOCK_SIZE, LEDGER_CATEGORIES, Variant, make_config
+from shiftadd.datapath import (
+    DEFAULT_BLOCK_SIZE,
+    LEDGER_CATEGORIES,
+    SimResult,
+    Variant,
+    make_config,
+)
 
 
 def run_cli(*argv):
@@ -37,6 +46,24 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("verify")
         assert excinfo.value.code == 2
+
+    def test_mismatches_listed_up_to_ten(self, monkeypatch, capsys):
+        # every width-3 pair misses by one on the low-power kernel: 64 mismatches
+        def off_by_one(a, b, cfg):
+            result = harness.run_lowpower(a, b, cfg)
+            return SimResult(Word(result.product.value ^ 1, 6), result.ledger)
+
+        monkeypatch.setattr(cli, "exhaustive_verify",
+                            functools.partial(harness.exhaustive_verify, lowpower=off_by_one))
+        assert run_cli("verify", "--width", "3") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("width 3: 0/64 products match "
+                            "(both architectures, native-multiply oracle)")
+        # the first ten in operand order: (0, 0) .. (0, 7), (1, 0), (1, 1)
+        assert lines[1:9] == [f"MISMATCH lowpower: 0 x {b} -> 1, expected 0" for b in range(8)]
+        assert lines[9:11] == ["MISMATCH lowpower: 1 x 0 -> 1, expected 0",
+                               "MISMATCH lowpower: 1 x 1 -> 0, expected 1"]
+        assert lines[11:] == ["... and 54 more", "FAIL"]
 
     @pytest.mark.parametrize("flag", ["--ffs-cost", "--gate-cost", "--block-size"])
     def test_cost_flags_refused(self, flag, capsys):
@@ -130,6 +157,33 @@ class TestCostFlagErrors:
         # as a sweep does: the config clamps the block size to the width
         assert run_cli(*argv, "--block-size", "4") == 0
 
+    @pytest.mark.parametrize("arch, flag, cost", [
+        ("conv", "--ffs-cost", 10**309),
+        ("lowpower", "--ffs-cost", 10**309),
+        ("lowpower", "--gate-cost", 10**309),
+        ("conv", "--ffs-cost", 10**307),
+        ("lowpower", "--gate-cost", 3 * 10**307),
+    ], ids=["conv-ffs", "lowpower-ffs", "lowpower-gate", "conv-ffs-sum", "lowpower-gate-sum"])
+    def test_run_energy_beyond_floats_usage_error(self, arch, flag, cost, capsys):
+        # a count too large for a float; in the -sum cases, counts that fit
+        # in floats but whose sum does not
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("run", "--arch", arch, "--width", "4", "--a", "1", "--b", "1",
+                    "--trace", flag, str(cost))
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert "energy inf is beyond the float range" in err
+        assert out == ""
+
+    def test_sweep_energy_beyond_floats_usage_error(self, tmp_path, capsys):
+        out_file = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10", "--out", str(out_file),
+                    "--ffs-cost", str(10**309))
+        assert excinfo.value.code == 2
+        assert "overflows at width 4" in capsys.readouterr().err
+        assert not out_file.exists()
+
 
 class TestSweepCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -188,7 +242,8 @@ class TestSweepCommand:
         # the recorded sizes are those of the configs make_config builds for
         # the sweep, listed only when some width ran a size not requested
         widths = range(1, 7)
-        ran = [make_config(Variant.LOW_POWER, width, block_size=block_size).cost.block_size
+        sized = {} if block_size is None else {"block_size": block_size}
+        ran = [make_config(Variant.LOW_POWER, width, **sized).cost.block_size
                for width in widths]
         requested = DEFAULT_BLOCK_SIZE if block_size is None else block_size
         recorded = requested if ran == [requested] * len(ran) else ran
@@ -239,6 +294,14 @@ class TestSweepCommand:
             run_cli("sweep", "--widths", "4,eight", "--trials", "10",
                     "--out", str(tmp_path / "x.csv"))
         assert excinfo.value.code == 2
+
+    def test_empty_widths_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", ",", "--trials", "10",
+                    "--out", str(tmp_path / "x.csv"))
+        assert excinfo.value.code == 2
+        assert "--widths is empty" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_width_usage_error(self, tmp_path):
         # every width is checked before width 4 runs

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import get_bit, loop_conventional, loop_lowpower
 
+from shiftadd import datapath
 from shiftadd.bits import Word
 from shiftadd.datapath import (
     CONVENTIONAL_CATEGORIES,
@@ -226,10 +227,17 @@ class TestFixedCharges:
                         expected.feeder_bypass_clock -= n * g
                     assert fixed_charges(cfg) == expected, (variant, n, bsz, s, g)
 
-    def test_cached_per_config(self):
-        cfg = make_config(Variant.LOW_POWER, 9, block_size=4)
-        assert cfg.charges is cfg.charges
-        assert cfg.charges[0] == fixed_charges(cfg)
+    def test_cached_per_config(self, monkeypatch):
+        # computed when the config is built, not on a kernel call
+        calls = []
+        monkeypatch.setattr(datapath, "fixed_charges",
+                            lambda cfg: calls.append(cfg) or fixed_charges(cfg))
+        for variant in Variant:
+            cfg = ArchConfig(variant, 9, RingCostModel(13, 11, 4))
+            assert calls == [cfg]
+            simulate(Word(511, 9), Word(511, 9), cfg)
+            assert calls == [cfg]
+            calls.clear()
 
 
 def oracle_operands(n, seed):
@@ -283,8 +291,6 @@ class TestAgainstLoopOracle:
                 assert trace_rows(a, b, cfg) == rows, (n, av, bv)
 
     def test_lanes_closed_forms(self):
-        cfg = make_config(Variant.CONVENTIONAL, 9)
-        assert cfg.lanes.L == 19 and cfg.lanes.lanes == (1 << 171) - 1
         # the closed forms against the constants as sums over the n cycles
         for n in range(1, 33):
             L = 2 * n + 1
@@ -304,10 +310,16 @@ class TestAgainstLoopOracle:
             ), n
 
 
-PLANNERS = {
-    Variant.CONVENTIONAL: _conventional_plan,
-    Variant.LOW_POWER: _lowpower_plan,
-}
+def unbound_plan(cfg, bv):
+    """``cfg``'s plan for ``bv``, from its plan function called with the
+    numbers ``Lanes.build``, ``fixed_charges`` and the cost model give."""
+    n, cost, lanes = cfg.width, cfg.cost, Lanes.build(cfg.width)
+    if cfg.variant is Variant.CONVENTIONAL:
+        return _conventional_plan(n, lanes.copies, lanes.prefixes, lanes.low,
+                                  fixed_charges(cfg).multiplier_shift, bv)
+    # the feeder/bypass storage, n + 1 flip-flops, is clocked on add cycles
+    return _lowpower_plan(n, lanes.copies, lanes.prefixes, lanes.selects, lanes.lanes,
+                          (n + 1) * cost.s, cost.g, bv)
 
 
 class TestPlanTables:
@@ -332,11 +344,11 @@ class TestPlanTables:
     def test_plan_equals_plan_function(self):
         # the table built with the config holds what the plan function gives
         for n in range(1, PLAN_WIDTH_LIMIT + 1):
-            for variant, planner in PLANNERS.items():
+            for variant in Variant:
                 for s, g in COSTS:
                     cfg = make_config(variant, n, s=s, g=g)
                     for bv in range(1 << n):
-                        assert cfg.plan(bv) == planner(cfg, bv), (variant, n, s, g, bv)
+                        assert cfg.plan(bv) == unbound_plan(cfg, bv), (variant, n, s, g, bv)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_plan_tabled_up_to_limit(self, variant):
@@ -346,11 +358,11 @@ class TestPlanTables:
             cfg = make_config(variant, n)
             bv = (1 << n) - 1
             assert (cfg.plan(bv) is cfg.plan(bv)) == (n <= PLAN_WIDTH_LIMIT), n
-            assert cfg.plan(bv) == PLANNERS[variant](cfg, bv)
+            assert cfg.plan(bv) == unbound_plan(cfg, bv)
             # the result table holds 4**n entries, under the same bound
             assert (cfg.results is None) == (2 * n > PLAN_WIDTH_LIMIT), n
 
-    @pytest.mark.parametrize("name", ["plan", "lanes", "constants", "charges"])
+    @pytest.mark.parametrize("name", ["plan", "constants", "results"])
     def test_built_constants_frozen(self, name):
         cfg = make_config(Variant.LOW_POWER, 4)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -375,7 +387,7 @@ class TestPlanTables:
         for i, cfg in enumerate(configs):
             for other in configs[i + 1:]:
                 assert other is not cfg and other != cfg
-                assert other.charges is not cfg.charges and other.plan is not cfg.plan
+                assert other.plan is not cfg.plan
                 assert other.constants is not cfg.constants
 
     @pytest.mark.parametrize("n", [1, 2, 9, 32])

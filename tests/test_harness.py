@@ -147,6 +147,17 @@ class TestExhaustiveVerify:
         bad = outcome.mismatches[0]
         assert bad.got != bad.expected
 
+    def test_detects_injected_lowpower_fault(self):
+        outcome = exhaustive_verify(3, lowpower=carryless_conventional)
+        # a carry-less sum differs from the product exactly where a carry occurs
+        cfg = make_config(Variant.LOW_POWER, 3)
+        words = [Word(v, 3) for v in range(8)]
+        expected = [
+            harness.Mismatch("lowpower", a.value, b.value, got, a.value * b.value)
+            for a in words for b in words
+            if (got := carryless_conventional(a, b, cfg).product.value) != a.value * b.value]
+        assert expected and outcome.mismatches == expected
+
 
 class TestSweep:
     def test_fixed_pair_rows(self):

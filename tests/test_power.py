@@ -66,6 +66,12 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             PowerModel(weights={"adder": value})
 
+    def test_from_file_skips_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_bytes("adder = 2.5\nvdd = 1.2\n".encode("utf-8-sig"))
+        model = PowerModel.from_file(cfg)
+        assert model.weights["adder"] == 2.5 and model.vdd == 1.2
+
     def test_from_file(self, tmp_path):
         cfg = tmp_path / "model.cfg"
         cfg.write_text(
