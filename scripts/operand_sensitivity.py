@@ -5,6 +5,7 @@ larger than with dense multipliers."""
 
 import argparse
 
+from shiftadd.datapath import MAX_OPERAND_WIDTH
 from shiftadd.harness import DENSE_P1, SPARSE_P1, OperandDistribution, sweep
 
 
@@ -14,11 +15,18 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20250811)
     args = parser.parse_args()
+    if not 1 <= args.width <= MAX_OPERAND_WIDTH:
+        parser.error(f"--width must be in 1..{MAX_OPERAND_WIDTH}, got {args.width}")
 
+    kinds = (("sparse", SPARSE_P1), ("uniform", 0.50), ("dense", DENSE_P1))
+    try:
+        sweeps = [sweep([args.width], OperandDistribution(kind, seed=args.seed), args.trials)
+                  for kind, _ in kinds]
+    except ValueError as exc:
+        parser.error(str(exc))
     print(f"width={args.width} trials={args.trials} seed={args.seed}")
     print(f"{'distribution':>12}  {'p(bit=1)':>8}  {'reduction':>9}")
-    for kind, p1 in (("sparse", SPARSE_P1), ("uniform", 0.50), ("dense", DENSE_P1)):
-        rows = sweep([args.width], OperandDistribution(kind, seed=args.seed), args.trials)
+    for (kind, p1), rows in zip(kinds, sweeps):
         reduction = next(r.reduction_pct for r in rows if r.arch == "lowpower")
         print(f"{kind:>12}  {p1:8.2f}  {reduction:8.2f}%")
 

@@ -4,7 +4,7 @@ reduction next to the FPGA-reported figures for the 4- and 8-bit designs."""
 
 import argparse
 
-from shiftadd.datapath import DEFAULT_BLOCK_SIZE
+from shiftadd.datapath import DEFAULT_BLOCK_SIZE, MAX_OPERAND_WIDTH
 from shiftadd.harness import REPORTED_FPGA_REDUCTION, OperandDistribution, sweep
 from shiftadd.power import PowerModel
 
@@ -21,11 +21,23 @@ def main() -> None:
     parser.add_argument("--model", default=None, help="power model config file")
     args = parser.parse_args()
 
-    widths = [int(w) for w in args.widths.split(",")]
-    model = PowerModel.from_file(args.model) if args.model else PowerModel()
+    try:
+        widths = [int(w) for w in args.widths.split(",")]
+    except ValueError:
+        parser.error(f"bad --widths value {args.widths!r}")
+    for width in widths:
+        if not 1 <= width <= MAX_OPERAND_WIDTH:
+            parser.error(f"--widths: width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
+    try:
+        model = PowerModel.from_file(args.model) if args.model else PowerModel()
+    except (OSError, ValueError) as exc:
+        parser.error(f"--model {args.model}: {exc}")
     dist = OperandDistribution(args.dist, seed=args.seed)
-    rows = sweep(widths, dist, args.trials, model,
-                 s=args.ffs_cost, g=args.gate_cost, block_size=args.block_size)
+    try:
+        rows = sweep(widths, dist, args.trials, model,
+                     s=args.ffs_cost, g=args.gate_cost, block_size=args.block_size)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"dist={args.dist} trials={args.trials} seed={args.seed} "
           f"s={args.ffs_cost} g={args.gate_cost} block={args.block_size}")

@@ -44,6 +44,12 @@ and fixed charges, it unpacks from one tuple, ``cfg.constants``.  A config
 holds only what its kernels read: constants, plan and results, built whole
 with it and never changed; ``make_config`` returns one shared config per
 config value, so they are built once.
+
+``run_sliced`` runs many multiplications at once, bit-sliced: each signal
+bit is one int whose bit t belongs to trial t, and each cycle of the
+datapath is a few big-int operations per signal bit for all trials.  It
+returns the product slices and the summed ledger, and ``exhaustive_verify``
+runs it over every operand pair.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .bits import Word, _exact_word
 
@@ -138,10 +144,8 @@ class ArchConfig:
         else:
             constants = shared + (lanes.lanes, lanes.top, fixed.counter_internal,
                                   fixed.counter_output, fixed.mux_select, fixed.gating)
-            add_clock = self.cost.s * sum(reg.width for reg in register_inventory(self)
-                                          if reg.clocking is Clocking.ADD_CYCLES)
             plan = functools.partial(_lowpower_plan, n, lanes.copies, lanes.prefixes,
-                                     lanes.selects, lanes.lanes, add_clock, self.cost.g)
+                                     lanes.selects, lanes.lanes, _add_clock(self), self.cost.g)
         object.__setattr__(self, "constants", constants)
         if self.width <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
             plan = tuple(map(plan, range(1 << self.width))).__getitem__
@@ -292,6 +296,13 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
         # two one-hot select lines of the mux tree they drive
         ledger.counter_output = ledger.mux_select = 2 * n
     return ledger
+
+
+def _add_clock(cfg: ArchConfig) -> int:
+    """The clock charge of one add cycle: s per flip-flop the inventory clocks
+    on add cycles only (the low-power feeder/bypass storage)."""
+    return cfg.cost.s * sum(reg.width for reg in register_inventory(cfg)
+                            if reg.clocking is Clocking.ADD_CYCLES)
 
 
 def _ring_pulses(n: int, block_size: int) -> int:
@@ -526,6 +537,109 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     if cfg.variant is Variant.CONVENTIONAL:
         return run_conventional(a, b, cfg)
     return run_lowpower(a, b, cfg)
+
+
+def run_sliced(cfg: ArchConfig, a_slices: Sequence[int], b_slices: Sequence[int],
+               trials: int) -> tuple[list[int], ToggleLedger]:
+    """Run ``trials`` multiplications under ``cfg`` at once, bit-sliced: bit t
+    of slice j is bit j of trial t's operand, so each signal of the datapath is
+    one int for all trials (Biham, "A Fast New DES Implementation in
+    Software", FSE 1997).  Returns the 2n product slices and the ledger summed
+    over all trials, equal to the sum of the per-pair kernels' ledgers.
+
+    It runs the cycle-by-cycle model of the loop oracles, one big-int
+    operation per signal bit: a ripple adder over slices, and the registers
+    as lists of slices.  Charges that do not depend on the operands are
+    ``fixed_charges(cfg)`` for each trial."""
+    n = cfg.width
+    ledger = ToggleLedger(*(trials * count for count in fixed_charges(cfg).as_dict().values()))
+    if cfg.variant is Variant.CONVENTIONAL:
+        products = _sliced_conventional(n, a_slices, b_slices, ledger)
+    else:
+        products = _sliced_lowpower(n, a_slices, b_slices, trials, _add_clock(cfg),
+                                    cfg.cost.g, ledger)
+    return products, ledger
+
+
+def _sliced_conventional(n: int, A: Sequence[int], B: Sequence[int],
+                         ledger: ToggleLedger) -> list[int]:
+    """``run_sliced`` for the conventional datapath: cycle i selects B_i, the
+    bottom bit of B after i shifts.  Returns the partial-product register,
+    whose bit 2n is never set: the adder's output (carry : sum : low half)
+    is captured shifted right by one."""
+    reg = [0] * (2 * n)
+    sums = [0] * n  # the adder's sum and carry-out of each stage, from reset
+    carries = [0] * n
+    select = 0
+    adder = partial_product_shift = mux_select = mux_data = 0
+    for sel in B:
+        change = sel ^ select
+        select = sel
+        mux_select += change.bit_count()
+        # the mux output swings between 0 and A where the select changed
+        mux_data += sum((a & change).bit_count() for a in A)
+        carry = 0
+        for j, (x, a) in enumerate(zip(reg[n:], A)):
+            m = a & sel
+            t = x ^ m
+            s = t ^ carry
+            carry = (x & m) | (carry & t)
+            adder += (s ^ sums[j]).bit_count() + (carry ^ carries[j]).bit_count()
+            sums[j] = s
+            carries[j] = carry
+        new = reg[1:n] + sums + [carry]
+        partial_product_shift += sum((old ^ v).bit_count() for old, v in zip(reg, new))
+        reg = new
+    # cycle i's shift of B toggles bit k >= i where B_k != B_(k+1), with B_n = 0
+    ledger.multiplier_shift += sum((k + 1) * (bk ^ above).bit_count()
+                                   for k, (bk, above) in enumerate(zip(B, [*B[1:], 0])))
+    ledger.partial_product_shift += partial_product_shift
+    ledger.adder += adder
+    ledger.mux_select += mux_select
+    ledger.mux_data += mux_data
+    return reg
+
+
+def _sliced_lowpower(n: int, A: Sequence[int], B: Sequence[int], trials: int, add_clock: int,
+                     g: int, ledger: ToggleLedger) -> list[int]:
+    """``run_sliced`` for the low-power datapath: cycle i adds where B_i is
+    set (``fired``).  The adder computes x + A for every trial, but only the
+    fired trials' state moves; the feeder takes (carry : sum) there and x
+    elsewhere.  Returns the bits latched on each cycle and the feeder's top n."""
+    full = (1 << trials) - 1
+    feeder = [0] * (n + 1)  # (carry : sum)
+    sums = [0] * n  # the adder's sum and carry-out of each stage, from reset
+    carries = [0] * n
+    latched = []
+    previous = 0
+    adder = partial_product_shift = mux_data = adds = 0
+    for fired in B:
+        bypass = full ^ fired
+        mux_data += (fired ^ previous).bit_count()
+        previous = fired
+        adds += fired.bit_count()
+        carry = 0
+        pair = []
+        for j, (x, a) in enumerate(zip(feeder[1:], A)):  # x: the feeder shifted down by one
+            t = x ^ a
+            s = t ^ carry
+            carry = (x & a) | (carry & t)
+            d = (s ^ sums[j]) & fired
+            sums[j] ^= d
+            adder += d.bit_count()
+            d = (carry ^ carries[j]) & fired
+            carries[j] ^= d
+            adder += d.bit_count()
+            pair.append((s & fired) | (x & bypass))
+        pair.append(carry & fired)
+        latched.append(pair[0])
+        partial_product_shift += sum((old ^ v).bit_count() for old, v in zip(feeder, pair))
+        feeder = pair
+    ledger.partial_product_shift += partial_product_shift
+    ledger.adder += adder
+    ledger.mux_data += mux_data
+    ledger.feeder_bypass_clock += adds * add_clock + (n * trials - adds) * g
+    return latched + feeder[1:]
 
 
 def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import random
+import sys
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -15,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 from .bits import Word
 from .datapath import (
     CONVENTIONAL_CATEGORIES,
+    ArchConfig,
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
     SimResult,
@@ -23,6 +28,7 @@ from .datapath import (
     make_config,
     run_conventional,
     run_lowpower,
+    run_sliced,
 )
 from .power import PowerModel, area_proxy, average_power, estimate_energy, reduction_percent
 
@@ -137,18 +143,27 @@ class VerifyOutcome:
 def exhaustive_verify(
     width: int,
     *,
-    conventional: Runner = run_conventional,
-    lowpower: Runner = run_lowpower,
+    conventional: Runner | None = None,
+    lowpower: Runner | None = None,
 ) -> VerifyOutcome:
     """Run both datapaths over every operand pair and check products against
-    native integer multiplication.  Mismatches are collected, not raised.
+    native integer multiplication.  Mismatches are collected, not raised, in
+    operand order, the conventional one first where both datapaths miss.
 
     The configs are built first, so ``ArchConfig`` checks the width's range;
     then ``gen_operands`` refuses a width above ``EXHAUSTIVE_WIDTH_LIMIT``,
-    before its operand table is built."""
+    before any operand is built.  Both datapaths then run once over all
+    4**width pairs with ``run_sliced``.  Passing either per-pair runner (a
+    kernel's signature; the other defaults to the packed kernel) runs every
+    pair through the runners instead, each value wrapped once in a ``Word``
+    table."""
     conv_cfg = make_config(Variant.CONVENTIONAL, width)
     low_cfg = make_config(Variant.LOW_POWER, width)
     pairs = gen_operands(OperandDistribution("exhaustive"), width, 0)
+    if conventional is None and lowpower is None:
+        return _verify_sliced(width, (conv_cfg, low_cfg))
+    conventional = conventional or run_conventional
+    lowpower = lowpower or run_lowpower
     mismatches: list[Mismatch] = []
     total = 0
     words = word_table(width)
@@ -163,6 +178,75 @@ def exhaustive_verify(
         if got != expected:
             mismatches.append(Mismatch("lowpower", av, bv, got, expected))
     return VerifyOutcome(width, total, mismatches)
+
+
+def _verify_sliced(width: int, configs: Sequence[ArchConfig]) -> VerifyOutcome:
+    """``exhaustive_verify`` with ``run_sliced``: the mismatches are listed
+    from the XOR of the engine's product slices and the native products'."""
+    total = 1 << 2 * width
+    a_slices, b_slices = _exhaustive_slices(width)
+    expected = _exhaustive_products(width)
+    got = [run_sliced(cfg, a_slices, b_slices, total)[0] for cfg in configs]
+    wrong = [functools.reduce(operator.or_, map(operator.xor, slices, expected))
+             for slices in got]
+    mismatches: list[Mismatch] = []
+    if not wrong[0] | wrong[1]:
+        return VerifyOutcome(width, total, mismatches)
+    # each slice decoded once into a bit string, character t for trial t
+    flags = [_bit_string(trials, total) for trials in wrong]
+    columns = [[_bit_string(bit, total) for bit in reversed(slices)] if trials else []
+               for slices, trials in zip(got, wrong)]
+    either = _bit_string(wrong[0] | wrong[1], total)
+    mask = (1 << width) - 1
+    t = either.find("1")
+    while t >= 0:
+        a, b = t >> width, t & mask
+        for cfg, flag, column in zip(configs, flags, columns):
+            if flag[t] == "1":
+                product = int("".join([bit[t] for bit in column]), 2)
+                mismatches.append(Mismatch(cfg.variant.value, a, b, product, a * b))
+        t = either.find("1", t + 1)
+    return VerifyOutcome(width, total, mismatches)
+
+
+def _exhaustive_slices(width: int) -> tuple[list[int], list[int]]:
+    """The operand slices of every (a, b) pair in operand order, trial
+    a << width | b: bit j of b is bit j of the trial number, and bit j of a
+    is bit width + j, so each slice is a periodic bit string."""
+    total = 1 << 2 * width
+
+    def periodic(bit: int) -> int:
+        half = 1 << bit
+        return int(("1" * half + "0" * half) * (total >> bit + 1), 2)
+
+    return [periodic(width + j) for j in range(width)], [periodic(j) for j in range(width)]
+
+
+# byte value -> b"0" or b"1", its bit j
+_BIT_CHARS = [bytes(48 + (value >> j & 1) for value in range(256)) for j in range(8)]
+
+
+def _exhaustive_products(width: int) -> list[int]:
+    """The 2 * width slices of the native products a*b of every pair, in the
+    order of ``_exhaustive_slices``: the products are laid out in one
+    array, and product bit k is one strided slice of its bytes, each byte
+    translated to the character of bit k."""
+    # 16-bit items hold every product up to EXHAUSTIVE_WIDTH_LIMIT = 8; a
+    # wider product does not fit, and extend raises OverflowError
+    products = array("H", itertools.repeat(0, 1 << width))  # a = 0
+    for a in range(1, 1 << width):
+        products.extend(range(0, a << width, a))
+    if sys.byteorder == "big":
+        products.byteswap()
+    raw = products.tobytes()
+    size = products.itemsize
+    return [int(raw[k >> 3::size].translate(_BIT_CHARS[k & 7])[::-1], 2)
+            for k in range(2 * width)]
+
+
+def _bit_string(value: int, length: int) -> str:
+    """``value``'s bits as '0' and '1', bit t at index t."""
+    return format(value, f"0{length}b")[::-1]
 
 
 @dataclass(frozen=True)

@@ -97,11 +97,14 @@ class PowerModel:
 
 
 def estimate_energy(ledger: ToggleLedger, model: PowerModel) -> float:
-    """Energy in arbitrary units: sum of count * C_category * vdd^2; inf
-    where it, or a count, is beyond the float range."""
+    """Energy in arbitrary units: sum of count * C_category * vdd^2 over the
+    categories the model weighs above 0; inf where it, or one of their
+    counts, is beyond the float range."""
     vdd_sq = model.vdd**2
+    weights = model.weights
     try:
-        return sum(count * model.weights[cat] * vdd_sq for cat, count in ledger.as_dict().items())
+        return sum((count * weights[cat] * vdd_sq
+                    for cat, count in ledger.as_dict().items() if weights[cat]), 0.0)
     except OverflowError:  # an int count too large for a float
         return math.inf
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,17 @@ class TestCostFlagErrors:
         assert excinfo.value.code == 2
         assert "overflows at width 4" in capsys.readouterr().err
         assert not out_file.exists()
+
+    def test_sweep_count_beyond_floats_weighted_zero_runs(self, tmp_path, capsys):
+        # a gate cost of 10**309 reaches only the categories this model weighs 0
+        model = tmp_path / "model.cfg"
+        model.write_text("gating = 0\nfeeder_bypass_clock = 0\n")
+        out_file = tmp_path / "x.json"
+        assert run_cli("sweep", "--widths", "4", "--trials", "10", "--out", str(out_file),
+                       "--format", "json", "--gate-cost", str(10**309),
+                       "--model", str(model)) == 0
+        conv, low = json.loads(out_file.read_text())["rows"]
+        assert low["gating"] > 10**309 and 0 < low["energy"] < conv["energy"]
 
 
 class TestSweepCommand:
@@ -480,3 +492,20 @@ class TestEntryPoint:
             os.close(write_end)
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+class TestExperimentScripts:
+    @pytest.mark.parametrize("script, argv, flag", [
+        ("reduction_vs_width.py", ["--widths", "4,"], "--widths"),
+        ("operand_sensitivity.py", ["--width", "33"], "--width"),
+    ])
+    def test_bad_input_usage_error(self, script, argv, flag):
+        env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+        proc = subprocess.run([sys.executable, str(SCRIPTS / script), *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert flag in proc.stderr.splitlines()[-1]  # the message, below the usage lines

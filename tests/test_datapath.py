@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from shiftadd.datapath import (
     render_trace,
     run_conventional,
     run_lowpower,
+    run_sliced,
     simulate,
     trace_rows,
 )
@@ -547,6 +549,59 @@ class TestEquivalence:
             cfg = make_config(variant, 8)
             assert simulate(a, b, cfg) == simulate(a, b, cfg)
             assert trace_rows(a, b, cfg) == trace_rows(a, b, cfg)
+
+
+def to_slices(values, width):
+    """Slice j of ``values``: bit t is bit j of ``values[t]``."""
+    return [int("".join(str(v >> j & 1) for v in reversed(values)), 2) for j in range(width)]
+
+
+def packed_sums(cfg, pairs):
+    """The product slices of ``pairs`` and their summed ledger, from the
+    per-pair packed kernels."""
+    n = cfg.width
+    total = ToggleLedger()
+    products = []
+    for av, bv in pairs:
+        result = simulate(Word(av, n), Word(bv, n), cfg)
+        total.add(result.ledger)
+        products.append(result.product.value)
+    return to_slices(products, 2 * n), total
+
+
+def sliced(cfg, pairs):
+    n = cfg.width
+    return run_sliced(cfg, to_slices([a for a, _ in pairs], n),
+                      to_slices([b for _, b in pairs], n), len(pairs))
+
+
+class TestSlicedEngine:
+    """``run_sliced`` over many pairs at once against the per-pair packed
+    kernels: equal product slices and summed ledgers."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_pair(self, n):
+        pairs = list(itertools.product(range(1 << n), repeat=2))
+        costs = [(2, 1, DEFAULT_BLOCK_SIZE)]
+        if n <= 5:
+            costs += [(s, g, bsz) for s, g in COSTS for bsz in sorted({1, min(4, n), n})]
+        for s, g, bsz in costs:
+            for variant in Variant:
+                cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
+                assert list(sliced(cfg, pairs)) == list(packed_sums(cfg, pairs)), (
+                    variant, n, s, g, bsz)
+
+    @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
+               st.just(n),
+               st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+                        min_size=1, max_size=40),
+               st.integers(1, 5), st.integers(0, 5), st.integers(1, n))),
+           st.sampled_from(list(Variant)))
+    @settings(max_examples=100, deadline=None)
+    def test_random_pair_lists(self, args, variant):
+        n, pairs, s, g, bsz = args
+        cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
+        assert list(sliced(cfg, pairs)) == list(packed_sums(cfg, pairs))
 
 
 class TestRenderTrace:

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import loop_conventional, loop_lowpower
 
-from shiftadd import harness
+from shiftadd import datapath, harness
 from shiftadd.bits import Word
 from shiftadd.datapath import (
     LEDGER_CATEGORIES,
@@ -12,6 +12,8 @@ from shiftadd.datapath import (
     ToggleLedger,
     Variant,
     make_config,
+    run_conventional,
+    run_sliced,
     simulate,
 )
 from shiftadd.harness import (
@@ -129,16 +131,55 @@ class TestExhaustiveVerify:
         assert outcome.mismatches == []
 
     def test_width_guard(self, monkeypatch):
-        # refused before the operand table is built
+        # refused before any operand Word or slice is built, with or without
+        # a per-pair runner
         built = count_words(monkeypatch)
-        with pytest.raises(ValueError, match="width 9"):
-            exhaustive_verify(9)
+        monkeypatch.setattr(harness, "_exhaustive_slices", lambda width: built.append(width))
+        for runners in ({}, {"conventional": simulate}):
+            with pytest.raises(ValueError, match="width 9"):
+                exhaustive_verify(9, **runners)
         assert built == [0]
 
     def test_wraps_each_operand_once(self, monkeypatch):
+        # the per-pair path, taken when a runner is passed
         built = count_words(monkeypatch)
-        assert exhaustive_verify(4).passed
+        assert exhaustive_verify(4, conventional=run_conventional).passed
         assert built == [16]
+
+    def test_default_path_runs_no_per_pair_kernel(self, monkeypatch):
+        built = count_words(monkeypatch)
+        calls = []
+
+        def kernel(a, b, cfg):
+            calls.append((a, b))
+            raise AssertionError("a per-pair kernel ran")
+
+        for module in (harness, datapath):
+            monkeypatch.setattr(module, "run_conventional", kernel)
+            monkeypatch.setattr(module, "run_lowpower", kernel)
+        outcome = exhaustive_verify(5)
+        assert outcome.passed and outcome.total_pairs == 1024
+        assert built == [0] and calls == []
+
+    @pytest.mark.parametrize("width", [3, 8])
+    @pytest.mark.parametrize("every_pair", [True, False], ids=["every-pair", "b-bit-1"])
+    def test_planted_fault_same_outcome_as_per_pair(self, width, every_pair, monkeypatch):
+        # product bit 0 flipped on every pair, or where bit 1 of b is set
+        def flipped_runner(a, b, cfg):
+            result = simulate(a, b, cfg)
+            if every_pair or b.value >> 1 & 1:
+                return SimResult(Word(result.product.value ^ 1, 2 * width), result.ledger)
+            return result
+
+        def flipped_engine(cfg, a_slices, b_slices, trials):
+            products, ledger = run_sliced(cfg, a_slices, b_slices, trials)
+            flip = (1 << trials) - 1 if every_pair else b_slices[1]
+            return [products[0] ^ flip, *products[1:]], ledger
+
+        expected = exhaustive_verify(width, conventional=flipped_runner, lowpower=flipped_runner)
+        assert len(expected.mismatches) == (2 if every_pair else 1) * 4**width
+        monkeypatch.setattr(harness, "run_sliced", flipped_engine)
+        assert exhaustive_verify(width) == expected
 
     def test_detects_injected_fault(self):
         outcome = exhaustive_verify(3, conventional=carryless_conventional)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,6 +127,13 @@ class TestEstimateEnergy:
 
     def test_single_category(self):
         assert estimate_energy(ToggleLedger(adder=10), PowerModel()) == 10.0
+
+    def test_count_beyond_floats_in_zero_weight_category_skipped(self):
+        # the only categories a gate cost of 10**309 reaches, weighted 0
+        led = ToggleLedger(adder=5, feeder_bypass_clock=10**309, gating=10**309)
+        model = PowerModel(weights={"feeder_bypass_clock": 0, "gating": 0})
+        assert estimate_energy(led, model) == 5.0
+        assert estimate_energy(led, PowerModel()) == math.inf
 
     def test_vdd_squares(self):
         led = ToggleLedger(adder=7, gating=3)
