@@ -4,7 +4,8 @@ reduction next to the FPGA-reported figures for the 4- and 8-bit designs."""
 
 import argparse
 
-from shiftadd.datapath import DEFAULT_BLOCK_SIZE, MAX_OPERAND_WIDTH
+from shiftadd.cli import add_cost_flags, check_cost_flags
+from shiftadd.datapath import MAX_OPERAND_WIDTH
 from shiftadd.harness import REPORTED_FPGA_REDUCTION, OperandDistribution, sweep
 from shiftadd.power import PowerModel
 
@@ -15,11 +16,10 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20250811)
     parser.add_argument("--dist", default="uniform", choices=["uniform", "sparse", "dense"])
-    parser.add_argument("--ffs-cost", type=int, default=2)
-    parser.add_argument("--gate-cost", type=int, default=1)
-    parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     parser.add_argument("--model", default=None, help="power model config file")
+    add_cost_flags(parser)
     args = parser.parse_args()
+    check_cost_flags(args, parser)
 
     try:
         widths = [int(w) for w in args.widths.split(",")]

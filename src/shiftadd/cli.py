@@ -22,7 +22,7 @@ from .harness import (
 from .power import PowerModel, area_proxy, average_power, estimate_energy
 
 
-def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
+def add_cost_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                         help=f"ring gating block size (default: min({DEFAULT_BLOCK_SIZE}, width))")
     parser.add_argument("--ffs-cost", type=int, default=2, metavar="S",
@@ -31,7 +31,7 @@ def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
                         help="gating-logic transitions per block per clock (default 1)")
 
 
-def _check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Reject a cost flag below its least value, naming the flag.  The config
     would reject it too, but under its field name (s, g, block_size)."""
     for flag, least in (("--ffs-cost", 1), ("--gate-cost", 0), ("--block-size", 1)):
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--a", type=int, required=True)
     p_run.add_argument("--b", type=int, required=True)
     p_run.add_argument("--trace", action="store_true", help="print the per-cycle table")
-    _add_cost_flags(p_run)
+    add_cost_flags(p_run)
 
     p_sweep = sub.add_parser("sweep", help="compare architectures across widths")
     p_sweep.add_argument("--widths", required=True, help="comma-separated, e.g. 4,8,16")
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="multiplicand for --dist fixed, in 0..2^w-1 at every width")
     p_sweep.add_argument("--b", type=int, default=None,
                          help="multiplier for --dist fixed, in 0..2^w-1 at every width")
-    _add_cost_flags(p_sweep)
+    add_cost_flags(p_sweep)
 
     return parser
 
@@ -173,7 +173,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_cost_flags(args, parser)
+    check_cost_flags(args, parser)
     try:
         if args.command == "verify":
             code = _cmd_verify(args)

@@ -69,12 +69,65 @@ class OperandDistribution:
             raise ValueError(f"a and b are operands of the fixed distribution, not {self.kind!r}")
 
 
-def _biased_bits(rng: random.Random, width: int, p1: float) -> int:
-    value = 0
-    for i in range(width):
-        if rng.random() < p1:
-            value |= 1 << i
-    return value
+def _bit_tables(p1: float) -> list[bytes]:
+    """Table j maps a 32-bit word's top byte to 1 << j where ``random() < p1``
+    would draw a 1 from the word, and to 0 where it would draw a 0.
+
+    ``random()`` builds its float from two words, (hi >> 5) / 2**27 plus
+    (lo >> 6) / 2**53, so for p1 a multiple of 1/256 it is below p1 exactly
+    when hi < p1 * 2**32: when hi's top byte is below p1 * 256."""
+    limit = int(p1 * 256)
+    if limit != p1 * 256:
+        raise ValueError(f"bit probability {p1} is not a multiple of 1/256")
+    return [bytes([1 << j]) * limit + bytes(256 - limit) for j in range(8)]
+
+
+_BIT_TABLES = {"sparse": _bit_tables(SPARSE_P1), "dense": _bit_tables(DENSE_P1)}
+
+if array("I").itemsize != 4:
+    raise ImportError("shiftadd decodes 32-bit words through array('I') items of 4 bytes")
+
+
+def _words(raw: bytes) -> array:
+    """``raw``'s little-endian 32-bit words."""
+    words = array("I", raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _decode_block(width: int) -> int:
+    """Pairs per ``getrandbits`` call of a sparse or dense stream: a pair
+    takes 1 + 2 * width 32-bit words, and a call at most ``SWEEP_CHUNK``."""
+    return max(1, SWEEP_CHUNK // (1 + 2 * width))
+
+
+def _decode_pairs(
+    rng: random.Random, width: int, count: int, tables: list[bytes]
+) -> Iterator[tuple[int, int]]:
+    """The ``count`` pairs that ``getrandbits(width)`` for a, then one
+    ``random() < p1`` per multiplier bit, least significant first, draw
+    from ``rng``, decoded bit for bit from one ``getrandbits`` call.
+
+    That call holds the same 32-bit words, least significant first, that
+    the per-call draws take: a pair's word 0 is a's, ``getrandbits(width)``
+    being the word shifted right by 32 - width, and bit i's ``random()``
+    takes words 1 + 2i and 2 + 2i.  Bit i of every b is one strided slice
+    of the top bytes of word 1 + 2i, translated by ``tables`` to the bit's
+    place in its byte of b; the bits of each byte are OR-ed as ints and
+    laid into that byte lane of b's 4-byte items."""
+    stride = 1 + 2 * width
+    step = 4 * stride  # bytes per pair
+    raw = rng.getrandbits(32 * stride * count).to_bytes(step * count, "little")
+    b_bytes = bytearray(4 * count)
+    for lane in range(0, width, 8):
+        bits = 0
+        for i in range(lane, min(lane + 8, width)):
+            # the top byte of word 1 + 2i is byte 4 * (1 + 2i) + 3
+            bits |= int.from_bytes(raw[8 * i + 7::step].translate(tables[i & 7]), "little")
+        b_bytes[lane >> 3::4] = bits.to_bytes(count, "little")
+    a_values = map(operator.rshift, _words(raw)[::stride], itertools.repeat(32 - width))
+    return zip(a_values, _words(b_bytes))
 
 
 def gen_operands(
@@ -88,6 +141,9 @@ def gen_operands(
     ``EXHAUSTIVE_WIDTH_LIMIT`` to bound the explosion; every other kind
     needs ``trials >= 1``, and ``fixed`` refuses operands outside
     ``0..2**width - 1``.  The width's own range is ``ArchConfig``'s check.
+    ``sparse`` and ``dense`` pairs are decoded from one ``getrandbits`` call
+    per ``_decode_block(width)`` pairs, made when the stream reaches the
+    block, so a stream holds one block at a time.
     """
     if dist.kind == "exhaustive":
         if width > EXHAUSTIVE_WIDTH_LIMIT:
@@ -108,8 +164,11 @@ def gen_operands(
     rng = random.Random(dist.seed)
     if dist.kind == "uniform":
         return ((rng.getrandbits(width), rng.getrandbits(width)) for _ in range(trials))
-    p1 = SPARSE_P1 if dist.kind == "sparse" else DENSE_P1
-    return ((rng.getrandbits(width), _biased_bits(rng, width, p1)) for _ in range(trials))
+    tables = _BIT_TABLES[dist.kind]
+    block = _decode_block(width)
+    counts = (min(block, trials - start) for start in range(0, trials, block))
+    return itertools.chain.from_iterable(
+        _decode_pairs(rng, width, count, tables) for count in counts)
 
 
 def word_table(width: int) -> list[Word]:

@@ -11,6 +11,10 @@ can replay them and demand equal results.  The loops charge every clock
 pulse and counter toggle themselves, cycle by cycle, from their own
 registers and stepped counters, so they check those closed forms too.
 
+``biased_operands`` draws the sparse and dense operand streams one call
+per value, as ``gen_operands`` did before it decoded whole blocks of the
+Mersenne stream at once.
+
 Transition counts use the zero-delay activity convention: one evaluation of
 a combinational block costs the Hamming distance between its previous and
 current steady-state internal signals.  Counter step functions return raw
@@ -20,6 +24,7 @@ caller.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from shiftadd.bits import Word
@@ -377,3 +382,19 @@ def loop_lowpower(
     )
     product = Word(((reg_fb >> 1) << n) | low_bits, 2 * n)
     return SimResult(product, ledger), tuple(rows)
+
+
+def biased_operands(seed: int, width: int, trials: int, p1: float) -> list[tuple[int, int]]:
+    """The (a, b) pairs of a sparse or dense stream, drawn one call at a time
+    from ``random.Random(seed)``: ``getrandbits(width)`` for a, then one
+    ``random() < p1`` per multiplier bit, least significant first."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(trials):
+        a = rng.getrandbits(width)
+        b = 0
+        for i in range(width):
+            if rng.random() < p1:
+                b |= 1 << i
+        pairs.append((a, b))
+    return pairs

@@ -501,6 +501,9 @@ class TestExperimentScripts:
     @pytest.mark.parametrize("script, argv, flag", [
         ("reduction_vs_width.py", ["--widths", "4,"], "--widths"),
         ("operand_sensitivity.py", ["--width", "33"], "--width"),
+        ("reduction_vs_width.py", ["--ffs-cost", "0"], "--ffs-cost"),
+        ("reduction_vs_width.py", ["--gate-cost", "-1"], "--gate-cost"),
+        ("reduction_vs_width.py", ["--block-size", "0"], "--block-size"),
     ])
     def test_bad_input_usage_error(self, script, argv, flag):
         env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import loop_conventional, loop_lowpower
+from oracles import biased_operands, loop_conventional, loop_lowpower
 
 from shiftadd import datapath, harness
 from shiftadd.bits import Word
@@ -17,7 +20,9 @@ from shiftadd.datapath import (
     simulate,
 )
 from shiftadd.harness import (
+    DENSE_P1,
     REPORT_COLUMNS,
+    SPARSE_P1,
     SWEEP_CHUNK,
     OperandDistribution,
     emit_report,
@@ -100,6 +105,71 @@ class TestGenOperands:
         # refused by the call itself, before any pair is asked for
         with pytest.raises(ValueError, match=match):
             gen_operands(dist, 9, trials)
+
+
+BIT_PROBABILITY = {"sparse": SPARSE_P1, "dense": DENSE_P1}
+
+
+class TestBiasedDecode:
+    """The sparse and dense streams are decoded from whole blocks of the
+    Mersenne stream, which leans on CPython ``random`` internals that its
+    docs do not promise; the per-call draws of ``oracles.biased_operands``
+    are the reference."""
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_matches_per_call_draws(self, width, kind):
+        block = harness._decode_block(width)
+        longest = 3 * block + 7
+        for seed in (0, 7, 2**40 + 3):
+            expected = biased_operands(seed, width, longest, BIT_PROBABILITY[kind])
+            dist = OperandDistribution(kind, seed=seed)
+            # a stream is a prefix of every longer stream of the same seed
+            for trials in sorted({1, max(1, block - 1), block, block + 1, longest}):
+                assert list(gen_operands(dist, width, trials)) == expected[:trials], \
+                    (seed, trials)
+
+    @given(st.integers(0, 2**64), st.integers(1, 32), st.integers(1, 300),
+           st.sampled_from(["sparse", "dense"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_streams(self, seed, width, trials, kind):
+        got = list(gen_operands(OperandDistribution(kind, seed=seed), width, trials))
+        assert got == biased_operands(seed, width, trials, BIT_PROBABILITY[kind])
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("width, trials", [
+        (1, 10 * SWEEP_CHUNK), (4, 3 * SWEEP_CHUNK + 1), (32, SWEEP_CHUNK + 5), (32, 1)])
+    def test_draws_bounded_by_block(self, monkeypatch, width, trials, kind):
+        # memory holds one block, whatever the trial count, and the blocks
+        # together draw exactly the words of the per-call stream
+        sizes = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                sizes.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(harness.random, "Random", Recording)
+        for _ in gen_operands(OperandDistribution(kind, seed=1), width, trials):
+            pass
+        assert sizes and max(sizes) <= 32 * SWEEP_CHUNK
+        assert sum(sizes) == 32 * (1 + 2 * width) * trials
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("width", [1, 4, 8, 32])
+    def test_sweep_across_blocks(self, width, kind):
+        # several decode blocks and one SWEEP_CHUNK boundary: each row's
+        # ledger is the sum over the per-call stream
+        trials = SWEEP_CHUNK + 2 * harness._decode_block(width) + 3
+        rows = sweep([width], OperandDistribution(kind, seed=11), trials)
+        operands = biased_operands(11, width, trials, BIT_PROBABILITY[kind])
+        for row in rows:
+            cfg = make_config(row.arch, width)
+            totals = ToggleLedger()
+            for av, bv in operands:
+                totals.add(simulate(Word(av, width), Word(bv, width), cfg).ledger)
+            assert row.trials == trials
+            assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
 
 
 def carryless_conventional(a: Word, b: Word, cfg) -> SimResult:
