@@ -32,9 +32,8 @@ def main() -> None:
         model = PowerModel.from_file(args.model) if args.model else PowerModel()
     except (OSError, ValueError) as exc:
         parser.error(f"--model {args.model}: {exc}")
-    dist = OperandDistribution(args.dist, seed=args.seed)
     try:
-        rows = sweep(widths, dist, args.trials, model,
+        rows = sweep(widths, OperandDistribution(args.dist, seed=args.seed), args.trials, model,
                      s=args.ffs_cost, g=args.gate_cost, block_size=args.block_size)
     except ValueError as exc:
         parser.error(str(exc))

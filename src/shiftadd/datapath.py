@@ -47,9 +47,11 @@ config value, so they are built once.
 
 ``run_sliced`` runs many multiplications at once, bit-sliced: each signal
 bit is one int whose bit t belongs to trial t, and each cycle of the
-datapath is a few big-int operations per signal bit for all trials.  It
-returns the product slices and the summed ledger, and ``exhaustive_verify``
-runs it over every operand pair.
+datapath is a few big-int operations per signal bit for all trials.  One
+cycle loop serves both datapaths: the low-power one is the conventional
+register and adder, with the adder's state held on bypass cycles and
+toggles counted on the feeder alone.  It returns the product slices and the
+summed ledger, and ``exhaustive_verify`` runs it over every operand pair.
 """
 
 from __future__ import annotations
@@ -547,99 +549,61 @@ def run_sliced(cfg: ArchConfig, a_slices: Sequence[int], b_slices: Sequence[int]
     Software", FSE 1997).  Returns the 2n product slices and the ledger summed
     over all trials, equal to the sum of the per-pair kernels' ledgers.
 
-    It runs the cycle-by-cycle model of the loop oracles, one big-int
-    operation per signal bit: a ripple adder over slices, and the registers
-    as lists of slices.  Charges that do not depend on the operands are
-    ``fixed_charges(cfg)`` for each trial."""
+    One cycle loop runs both datapaths: cycle i's ripple adder sums
+    x + (A & B_i), x the top n slices of the register ``reg``, and ``reg``
+    takes (carry : sum : its low half) shifted right by one.  The low-power
+    feeder takes that sum where B_i is set and holds x elsewhere, the same
+    value, since adding 0 leaves x and no carry: it is ``reg[n - 1:]``.  The
+    low-power datapath differs in two charges: its adder holds its state
+    where B_i is clear, and only the feeder's toggles count.  Charges that
+    do not depend on the operands are ``fixed_charges(cfg)`` for each trial;
+    the rest are closed forms in the multiplier slices."""
     n = cfg.width
-    ledger = ToggleLedger(*(trials * count for count in fixed_charges(cfg).as_dict().values()))
-    if cfg.variant is Variant.CONVENTIONAL:
-        products = _sliced_conventional(n, a_slices, b_slices, ledger)
-    else:
-        products = _sliced_lowpower(n, a_slices, b_slices, trials, _add_clock(cfg),
-                                    cfg.cost.g, ledger)
-    return products, ledger
-
-
-def _sliced_conventional(n: int, A: Sequence[int], B: Sequence[int],
-                         ledger: ToggleLedger) -> list[int]:
-    """``run_sliced`` for the conventional datapath: cycle i selects B_i, the
-    bottom bit of B after i shifts.  Returns the partial-product register,
-    whose bit 2n is never set: the adder's output (carry : sum : low half)
-    is captured shifted right by one."""
+    conventional = cfg.variant is Variant.CONVENTIONAL
+    all_trials = (1 << trials) - 1
+    window = 0 if conventional else n - 1  # the register slices whose toggles count
     reg = [0] * (2 * n)
     sums = [0] * n  # the adder's sum and carry-out of each stage, from reset
     carries = [0] * n
-    select = 0
-    adder = partial_product_shift = mux_select = mux_data = 0
-    for sel in B:
-        change = sel ^ select
-        select = sel
-        mux_select += change.bit_count()
-        # the mux output swings between 0 and A where the select changed
-        mux_data += sum((a & change).bit_count() for a in A)
+    adder = register = 0
+    for sel in b_slices:
+        hold = all_trials if conventional else sel  # where the adder's state moves
+        new = reg[1:n]
         carry = 0
-        for j, (x, a) in enumerate(zip(reg[n:], A)):
+        for j, (x, a) in enumerate(zip(reg[n:], a_slices)):
             m = a & sel
             t = x ^ m
             s = t ^ carry
             carry = (x & m) | (carry & t)
-            adder += (s ^ sums[j]).bit_count() + (carry ^ carries[j]).bit_count()
-            sums[j] = s
-            carries[j] = carry
-        new = reg[1:n] + sums + [carry]
-        partial_product_shift += sum((old ^ v).bit_count() for old, v in zip(reg, new))
-        reg = new
-    # cycle i's shift of B toggles bit k >= i where B_k != B_(k+1), with B_n = 0
-    ledger.multiplier_shift += sum((k + 1) * (bk ^ above).bit_count()
-                                   for k, (bk, above) in enumerate(zip(B, [*B[1:], 0])))
-    ledger.partial_product_shift += partial_product_shift
-    ledger.adder += adder
-    ledger.mux_select += mux_select
-    ledger.mux_data += mux_data
-    return reg
-
-
-def _sliced_lowpower(n: int, A: Sequence[int], B: Sequence[int], trials: int, add_clock: int,
-                     g: int, ledger: ToggleLedger) -> list[int]:
-    """``run_sliced`` for the low-power datapath: cycle i adds where B_i is
-    set (``fired``).  The adder computes x + A for every trial, but only the
-    fired trials' state moves; the feeder takes (carry : sum) there and x
-    elsewhere.  Returns the bits latched on each cycle and the feeder's top n."""
-    full = (1 << trials) - 1
-    feeder = [0] * (n + 1)  # (carry : sum)
-    sums = [0] * n  # the adder's sum and carry-out of each stage, from reset
-    carries = [0] * n
-    latched = []
-    previous = 0
-    adder = partial_product_shift = mux_data = adds = 0
-    for fired in B:
-        bypass = full ^ fired
-        mux_data += (fired ^ previous).bit_count()
-        previous = fired
-        adds += fired.bit_count()
-        carry = 0
-        pair = []
-        for j, (x, a) in enumerate(zip(feeder[1:], A)):  # x: the feeder shifted down by one
-            t = x ^ a
-            s = t ^ carry
-            carry = (x & a) | (carry & t)
-            d = (s ^ sums[j]) & fired
+            new.append(s)
+            d = (s ^ sums[j]) & hold
             sums[j] ^= d
             adder += d.bit_count()
-            d = (carry ^ carries[j]) & fired
+            d = (carry ^ carries[j]) & hold
             carries[j] ^= d
             adder += d.bit_count()
-            pair.append((s & fired) | (x & bypass))
-        pair.append(carry & fired)
-        latched.append(pair[0])
-        partial_product_shift += sum((old ^ v).bit_count() for old, v in zip(feeder, pair))
-        feeder = pair
-    ledger.partial_product_shift += partial_product_shift
+        new.append(carry)
+        register += sum((old ^ v).bit_count() for old, v in zip(reg[window:], new[window:]))
+        reg = new
+    ledger = ToggleLedger(*(trials * count for count in fixed_charges(cfg).as_dict().values()))
+    ledger.partial_product_shift += register
     ledger.adder += adder
-    ledger.mux_data += mux_data
-    ledger.feeder_bypass_clock += adds * add_clock + (n * trials - adds) * g
-    return latched + feeder[1:]
+    # where each cycle's select differs from the previous cycle's (reset: 0)
+    changes = [sel ^ below for sel, below in zip(b_slices, [0, *b_slices])]
+    select_toggles = sum(change.bit_count() for change in changes)
+    if conventional:
+        ledger.mux_select += select_toggles
+        # the mux output swings between 0 and A where the select changed
+        ledger.mux_data += sum((a & change).bit_count() for change in changes for a in a_slices)
+        # cycle i's shift of B toggles bit k >= i where B_k != B_(k+1), with B_n = 0
+        ledger.multiplier_shift += sum((k + 1) * (bk ^ above).bit_count() for k, (bk, above)
+                                       in enumerate(zip(b_slices, [*b_slices[1:], 0])))
+    else:
+        # the low-power select lines are the ring's; its mux output is the selected bit
+        ledger.mux_data += select_toggles
+        adds = sum(sel.bit_count() for sel in b_slices)
+        ledger.feeder_bypass_clock += adds * _add_clock(cfg) + (n * trials - adds) * cfg.cost.g
+    return reg, ledger
 
 
 def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:

@@ -52,7 +52,8 @@ class OperandDistribution:
 
     ``sparse``/``dense`` bias each multiplier bit to 1 with probability 0.25
     or 0.75 (the multiplicand stays uniform); ``fixed`` repeats the given
-    (a, b) pair; ``exhaustive`` enumerates every pair.
+    (a, b) pair; ``exhaustive`` enumerates every pair.  ``seed`` must be
+    >= 0, since ``random.Random`` seeds with its absolute value.
     """
 
     kind: str
@@ -67,6 +68,8 @@ class OperandDistribution:
             raise ValueError("fixed distribution needs both a and b")
         if self.kind != "fixed" and (self.a is not None or self.b is not None):
             raise ValueError(f"a and b are operands of the fixed distribution, not {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _bit_tables(p1: float) -> list[bytes]:

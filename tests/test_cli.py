@@ -275,6 +275,16 @@ class TestSweepCommand:
         assert ran == []
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_seed_usage_error_before_any_run(self, tmp_path, ran, capsys):
+        # it would write seed 1's rows under metadata that records -1
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10", "--seed", "-1",
+                    "--out", str(tmp_path / "x.csv"))
+        assert excinfo.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert ran == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fixed_metadata_records_pair(self, tmp_path):
         # the report names the pair that ran, so it can be reproduced
         argv = ["sweep", "--widths", "4", "--dist", "fixed", "--a", "6", "--b", "5",
@@ -504,6 +514,8 @@ class TestExperimentScripts:
         ("reduction_vs_width.py", ["--ffs-cost", "0"], "--ffs-cost"),
         ("reduction_vs_width.py", ["--gate-cost", "-1"], "--gate-cost"),
         ("reduction_vs_width.py", ["--block-size", "0"], "--block-size"),
+        ("reduction_vs_width.py", ["--seed", "-1"], "seed must be >= 0"),
+        ("operand_sensitivity.py", ["--seed", "-1"], "seed must be >= 0"),
     ])
     def test_bad_input_usage_error(self, script, argv, flag):
         env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}

@@ -556,14 +556,15 @@ def to_slices(values, width):
     return [int("".join(str(v >> j & 1) for v in reversed(values)), 2) for j in range(width)]
 
 
-def packed_sums(cfg, pairs):
+def per_pair_sums(cfg, pairs, loop=False):
     """The product slices of ``pairs`` and their summed ledger, from the
-    per-pair packed kernels."""
+    per-pair packed kernels, or from the loop oracles if ``loop``."""
     n = cfg.width
     total = ToggleLedger()
     products = []
     for av, bv in pairs:
-        result = simulate(Word(av, n), Word(bv, n), cfg)
+        a, b = Word(av, n), Word(bv, n)
+        result = KERNELS[cfg.variant][1](a, b, cfg)[0] if loop else simulate(a, b, cfg)
         total.add(result.ledger)
         products.append(result.product.value)
     return to_slices(products, 2 * n), total
@@ -577,7 +578,9 @@ def sliced(cfg, pairs):
 
 class TestSlicedEngine:
     """``run_sliced`` over many pairs at once against the per-pair packed
-    kernels: equal product slices and summed ledgers."""
+    kernels, and over every pair up to width 5 against the loop oracles,
+    which share no code with either: equal product slices and summed
+    ledgers."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_pair(self, n):
@@ -585,11 +588,16 @@ class TestSlicedEngine:
         costs = [(2, 1, DEFAULT_BLOCK_SIZE)]
         if n <= 5:
             costs += [(s, g, bsz) for s, g in COSTS for bsz in sorted({1, min(4, n), n})]
+        # the loop oracles run the whole grid up to width 4, the default cost at 5
+        loop_costs = costs if n <= 4 else costs[:1] if n == 5 else []
         for s, g, bsz in costs:
             for variant in Variant:
                 cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
-                assert list(sliced(cfg, pairs)) == list(packed_sums(cfg, pairs)), (
-                    variant, n, s, g, bsz)
+                got = list(sliced(cfg, pairs))
+                assert got == list(per_pair_sums(cfg, pairs)), (variant, n, s, g, bsz)
+                if (s, g, bsz) in loop_costs:
+                    assert got == list(per_pair_sums(cfg, pairs, loop=True)), (
+                        "loop", variant, n, s, g, bsz)
 
     @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
                st.just(n),
@@ -601,7 +609,7 @@ class TestSlicedEngine:
     def test_random_pair_lists(self, args, variant):
         n, pairs, s, g, bsz = args
         cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
-        assert list(sliced(cfg, pairs)) == list(packed_sums(cfg, pairs))
+        assert list(sliced(cfg, pairs)) == list(per_pair_sums(cfg, pairs))
 
 
 class TestRenderTrace:

@@ -91,6 +91,15 @@ class TestGenOperands:
         with pytest.raises(ValueError):
             OperandDistribution("gaussian")
 
+    @pytest.mark.parametrize("kind, operands", [
+        ("uniform", {}), ("sparse", {}), ("dense", {}), ("exhaustive", {}),
+        ("fixed", {"a": 3, "b": 5})])
+    def test_negative_seed_refused(self, kind, operands):
+        # random.Random seeds with |seed|: -1 would draw seed 1's pairs, and a
+        # report would record -1
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            OperandDistribution(kind, seed=-1, **operands)
+
     def test_trials_guard(self):
         with pytest.raises(ValueError):
             list(gen_operands(OperandDistribution("uniform"), 4, 0))
