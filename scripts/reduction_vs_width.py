@@ -4,8 +4,7 @@ reduction next to the FPGA-reported figures for the 4- and 8-bit designs."""
 
 import argparse
 
-from shiftadd.cli import add_cost_flags, check_cost_flags
-from shiftadd.datapath import MAX_OPERAND_WIDTH
+from shiftadd.cli import add_cost_flags, check_cost_flags, parse_widths
 from shiftadd.harness import REPORTED_FPGA_REDUCTION, OperandDistribution, sweep
 from shiftadd.power import PowerModel
 
@@ -21,13 +20,7 @@ def main() -> None:
     args = parser.parse_args()
     check_cost_flags(args, parser)
 
-    try:
-        widths = [int(w) for w in args.widths.split(",")]
-    except ValueError:
-        parser.error(f"bad --widths value {args.widths!r}")
-    for width in widths:
-        if not 1 <= width <= MAX_OPERAND_WIDTH:
-            parser.error(f"--widths: width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
+    widths = parse_widths(args.widths, parser)
     try:
         model = PowerModel.from_file(args.model) if args.model else PowerModel()
     except (OSError, ValueError) as exc:

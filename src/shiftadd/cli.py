@@ -9,7 +9,8 @@ import sys
 from typing import Sequence
 
 from .bits import Word
-from .datapath import DEFAULT_BLOCK_SIZE, Variant, make_config, render_trace, simulate
+from .datapath import (DEFAULT_BLOCK_SIZE, MAX_OPERAND_WIDTH, Variant, make_config,
+                       render_trace, simulate)
 from .harness import (
     DIST_KINDS,
     REPORTED_FPGA_REDUCTION,
@@ -38,6 +39,23 @@ def check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         value = getattr(args, flag[2:].replace("-", "_"), least)  # verify takes none
         if value < least:
             parser.error(f"{flag} must be >= {least}, got {value}")
+
+
+def parse_widths(text: str, parser: argparse.ArgumentParser) -> list[int]:
+    """The widths of a comma-separated ``--widths`` value.  An entry that is
+    not an int, an empty one among them, or a width outside
+    1..MAX_OPERAND_WIDTH is a usage error naming the flag."""
+    entries = text.split(",")
+    if not any(entries):
+        parser.error("--widths is empty")
+    try:
+        widths = [int(entry) for entry in entries]
+    except ValueError:
+        parser.error(f"bad --widths value {text!r}")
+    for width in widths:
+        if not 1 <= width <= MAX_OPERAND_WIDTH:
+            parser.error(f"--widths: width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
+    return widths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,12 +138,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        widths = [int(w) for w in args.widths.split(",") if w]
-    except ValueError:
-        parser.error(f"bad --widths value {args.widths!r}")
-    if not widths:
-        parser.error("--widths is empty")
+    widths = parse_widths(args.widths, parser)
     # the report is written after the sweep has run: check its path first
     if os.path.isdir(args.out):
         parser.error(f"--out {args.out} is a directory, not a report file path")

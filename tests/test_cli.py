@@ -317,6 +317,18 @@ class TestSweepCommand:
                     "--out", str(tmp_path / "x.csv"))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("widths", ["4,,8", "4,", ",4"])
+    def test_empty_width_entry_usage_error(self, tmp_path, ran, capsys, widths):
+        # refused like any entry that is not an int, not dropped: the sweep
+        # and scripts/reduction_vs_width.py share the one parser
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", widths, "--trials", "10",
+                    "--out", str(tmp_path / "x.csv"))
+        assert excinfo.value.code == 2
+        assert f"bad --widths value {widths!r}" in capsys.readouterr().err
+        assert ran == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_widths_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", ",", "--trials", "10",
@@ -325,12 +337,14 @@ class TestSweepCommand:
         assert "--widths is empty" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_oversized_width_usage_error(self, tmp_path):
+    def test_oversized_width_usage_error(self, tmp_path, ran, capsys):
         # every width is checked before width 4 runs
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "4,33", "--trials", "10",
                     "--out", str(tmp_path / "x.csv"))
         assert excinfo.value.code == 2
+        assert "--widths: width must be in 1..32, got 33" in capsys.readouterr().err
+        assert ran == []
         assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_destination_fails(self, tmp_path, capsys):

@@ -251,7 +251,7 @@ def oracle_operands(n, seed):
 
 
 class TestAgainstLoopOracle:
-    """The packed kernels and ``trace_rows`` against the per-cycle loops they
+    """The packed kernel and ``trace_rows`` against the per-cycle loops they
     replaced: equal products, ledgers, cycle counts and every ``CycleTrace``
     field of the loops' own rows."""
 
@@ -278,6 +278,19 @@ class TestAgainstLoopOracle:
         expected, rows = loop(a, b, cfg)
         assert packed(a, b, cfg) == expected
         assert trace_rows(a, b, cfg) == rows
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 32])
+    def test_every_kernel_name_runs_the_configs_datapath(self, n, variant):
+        # one kernel under three names: each runs cfg's own datapath, from
+        # the result table (n <= 4) or computed
+        cfg = make_config(variant, n)
+        loop = KERNELS[variant][1]
+        for av, bv in oracle_operands(n, seed=n):
+            a, b = Word(av, n), Word(bv, n)
+            expected = loop(a, b, cfg)[0]
+            for kernel in (run_conventional, run_lowpower, simulate):
+                assert kernel(a, b, cfg) == expected, (kernel.__name__, av, bv)
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_lowpower_fill_edges(self, n):
@@ -315,12 +328,12 @@ class TestAgainstLoopOracle:
 def unbound_plan(cfg, bv):
     """``cfg``'s plan for ``bv``, from its plan function called with the
     numbers ``Lanes.build``, ``fixed_charges`` and the cost model give."""
-    n, cost, lanes = cfg.width, cfg.cost, Lanes.build(cfg.width)
+    n, cost, lanes, fixed = cfg.width, cfg.cost, Lanes.build(cfg.width), fixed_charges(cfg)
+    shared = (n, lanes.copies, lanes.prefixes, lanes.low, lanes.carries)
     if cfg.variant is Variant.CONVENTIONAL:
-        return _conventional_plan(n, lanes.copies, lanes.prefixes, lanes.low,
-                                  fixed_charges(cfg).multiplier_shift, bv)
+        return _conventional_plan(*shared, fixed.multiplier_shift, bv)
     # the feeder/bypass storage, n + 1 flip-flops, is clocked on add cycles
-    return _lowpower_plan(n, lanes.copies, lanes.prefixes, lanes.selects, lanes.lanes,
+    return _lowpower_plan(*shared, lanes.selects, lanes.lanes, fixed.mux_select,
                           (n + 1) * cost.s, cost.g, bv)
 
 
@@ -394,18 +407,31 @@ class TestPlanTables:
 
     @pytest.mark.parametrize("n", [1, 2, 9, 32])
     def test_kernel_constants_from_lanes_and_charges(self, n):
-        # each kernel's one tuple, in the order it unpacks it
-        conv, low = (make_config(variant, n, s=3, g=2) for variant in Variant)
+        # one layout for both datapaths, in the order the kernel unpacks it;
+        # they differ in the toggle window: the whole conventional register,
+        # or the low-power feeder
         lanes = Lanes.build(n)
-        shared = (lanes.L, lanes.L - 1, n - 1, lanes.low, lanes.carries, lanes.running)
-        fixed = fixed_charges(conv)
-        assert conv.constants == shared + (
-            lanes.register, lanes.lanes, lanes.top,
-            fixed.partial_product_shift, fixed.counter_internal)
-        fixed = fixed_charges(low)
-        assert low.constants == shared + (
-            lanes.lanes, lanes.top, fixed.counter_internal, fixed.counter_output,
-            fixed.mux_select, fixed.gating)
+        for variant, window in ((Variant.CONVENTIONAL, lanes.register),
+                                (Variant.LOW_POWER, lanes.running)):
+            cfg = make_config(variant, n, s=3, g=2)
+            fixed = fixed_charges(cfg)
+            assert cfg.constants == (
+                lanes.L, lanes.L - 1, n - 1, lanes.running, window, lanes.lanes, lanes.top,
+                fixed.partial_product_shift, fixed.counter_internal, fixed.counter_output,
+                fixed.gating), variant
+
+    @pytest.mark.parametrize("n", range(1, PLAN_WIDTH_LIMIT + 1))
+    def test_adder_masks_are_the_add_lanes(self, n):
+        # every conventional lane adds: its plan's adder masks are the
+        # config's own and it fills nothing.  The low-power masks keep the
+        # lanes of b's 1 bits alone
+        lanes = Lanes.build(n)
+        conv, low = (make_config(variant, n) for variant in Variant)
+        for bv in range(1 << n):
+            _, low_mask, carries, fill, *_ = conv.plan(bv)
+            assert (low_mask, carries, fill) == (lanes.low, lanes.carries, ()), (n, bv)
+            fired = lane_mask(n, [i for i in range(n) if bv >> i & 1])
+            assert low.plan(bv)[1:3] == (lanes.low & fired, lanes.carries & fired), (n, bv)
 
 
 def lane_mask(n, indices):
@@ -441,7 +467,7 @@ class TestFillSchedule:
             [0, 1, 1 << (n - 1), (1 << n) - 1, (1 << n) - 2]
             + [rng.getrandbits(n) for _ in range(200)])
         for bv in values:
-            fill = cfg.plan(bv)[2]
+            fill = cfg.plan(bv)[3]
             assert fill == self.expected(n, bv), (n, bv)
             # its first mask: every lane but the add lanes and those below the first
             first = [i for i in range(n) if not bv >> i & 1 and bv & ((1 << i) - 1)]
@@ -530,7 +556,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("n", [5, 8, 9, 32])
     def test_computed_product_is_a_whole_word(self, n):
-        # the kernels build their product Word without its checks; it must
+        # the kernel builds its product Word without its checks; it must
         # still be the Word the constructor gives, equal, hashed alike and frozen
         full = (1 << n) - 1
         for variant, (packed, _) in KERNELS.items():
@@ -558,7 +584,7 @@ def to_slices(values, width):
 
 def per_pair_sums(cfg, pairs, loop=False):
     """The product slices of ``pairs`` and their summed ledger, from the
-    per-pair packed kernels, or from the loop oracles if ``loop``."""
+    per-pair packed kernel, or from the loop oracles if ``loop``."""
     n = cfg.width
     total = ToggleLedger()
     products = []
