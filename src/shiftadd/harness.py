@@ -274,35 +274,35 @@ def _verify_sliced(width: int, configs: Sequence[ArchConfig]) -> VerifyOutcome:
 def _exhaustive_slices(width: int) -> tuple[list[int], list[int]]:
     """The operand slices of every (a, b) pair in operand order, trial
     a << width | b: bit j of b is bit j of the trial number, and bit j of a
-    is bit width + j, so each slice is a periodic bit string."""
+    is bit width + j.  Each is one byte pattern repeated (0xAA, 0xCC or 0xF0
+    for bits 0-2, 0x00 then 0xFF runs above), masked to the 4**width trials."""
     total = 1 << 2 * width
 
     def periodic(bit: int) -> int:
-        half = 1 << bit
-        return int(("1" * half + "0" * half) * (total >> bit + 1), 2)
+        half = 1 << bit >> 3  # bytes per run, from bit 3 up
+        pattern = bytes(half) + b"\xff" * half if half else (b"\xaa", b"\xcc", b"\xf0")[bit]
+        repeats = max(1, total >> 3) // len(pattern)
+        return int.from_bytes(pattern * repeats, "little") & (1 << total) - 1
 
     return [periodic(width + j) for j in range(width)], [periodic(j) for j in range(width)]
 
 
-# byte value -> b"0" or b"1", its bit j
-_BIT_CHARS = [bytes(48 + (value >> j & 1) for value in range(256)) for j in range(8)]
-
-
 def _exhaustive_products(width: int) -> list[int]:
     """The 2 * width slices of the native products a*b of every pair, in the
-    order of ``_exhaustive_slices``: the products are laid out in one
-    array, and product bit k is one strided slice of its bytes, each byte
-    translated to the character of bit k."""
-    # 16-bit items hold every product up to EXHAUSTIVE_WIDTH_LIMIT = 8; a
-    # wider product does not fit, and extend raises OverflowError
-    products = array("H", itertools.repeat(0, 1 << width))  # a = 0
-    for a in range(1, 1 << width):
-        products.extend(range(0, a << width, a))
-    if sys.byteorder == "big":
-        products.byteswap()
-    raw = products.tobytes()
-    size = products.itemsize
-    return [int(raw[k >> 3::size].translate(_BIT_CHARS[k & 7])[::-1], 2)
+    order of ``_exhaustive_slices``.  The row of a is one multiply,
+    a * sum(b << lane * b), with lanes of whole bytes at least 2 * width bits
+    wide, so no product carries into the next.  Byte g of column i is one
+    product byte of trial 8g + i; its bit k % 8, shifted to bit i and OR-ed
+    over the 8 columns, is product bit k of trials 8g .. 8g + 7."""
+    pairs, lane = 1 << width, (2 * width + 7) >> 3
+    ramp = int.from_bytes(b"".join(b.to_bytes(lane, "little") for b in range(pairs)), "little")
+    rows = b"".join([(a * ramp).to_bytes(lane * pairs, "little") for a in range(pairs)])
+    ones = int.from_bytes(b"\x01" * max(1, pairs * pairs >> 3), "little")
+    places = [ones << i for i in range(8)]  # bit i of every byte
+    columns = [[int.from_bytes(rows[byte + lane * i::8 * lane], "little") for i in range(8)]
+               for byte in range(lane)]
+    return [functools.reduce(operator.or_, [column << i >> k % 8 & places[i]
+                                            for i, column in enumerate(columns[k >> 3])])
             for k in range(2 * width)]
 
 

@@ -13,7 +13,10 @@ registers and stepped counters, so they check those closed forms too.
 
 ``biased_operands`` draws the sparse and dense operand streams one call
 per value, as ``gen_operands`` did before it decoded whole blocks of the
-Mersenne stream at once.
+Mersenne stream at once.  ``string_exhaustive_slices`` and
+``string_exhaustive_products`` build the exhaustive verify's operand and
+product slices through '0'/'1' strings, as the harness did before it built
+them from bytes.
 
 Transition counts use the zero-delay activity convention: one evaluation of
 a combinational block costs the Hamming distance between its previous and
@@ -24,7 +27,10 @@ caller.
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 from shiftadd.bits import Word
@@ -398,3 +404,32 @@ def biased_operands(seed: int, width: int, trials: int, p1: float) -> list[tuple
                 b |= 1 << i
         pairs.append((a, b))
     return pairs
+
+
+def string_exhaustive_slices(width: int) -> tuple[list[int], list[int]]:
+    """The operand slices of every (a, b) pair, trial a << width | b, each
+    built as a string of '1' and '0' runs and read with ``int(…, 2)``."""
+    total = 1 << 2 * width
+
+    def periodic(bit: int) -> int:
+        half = 1 << bit
+        return int(("1" * half + "0" * half) * (total >> bit + 1), 2)
+
+    return [periodic(width + j) for j in range(width)], [periodic(j) for j in range(width)]
+
+
+def string_exhaustive_products(width: int) -> list[int]:
+    """The 2 * width slices of the products a*b of every pair, in the trial
+    order of ``string_exhaustive_slices``: every product is laid out in one
+    16-bit array (so up to width 8), and product bit k is one strided slice
+    of its bytes, each byte translated to the character of bit k."""
+    bit_chars = [bytes(48 + (value >> j & 1) for value in range(256)) for j in range(8)]
+    products = array("H", itertools.repeat(0, 1 << width))  # a = 0
+    for a in range(1, 1 << width):
+        products.extend(range(0, a << width, a))
+    if sys.byteorder == "big":
+        products.byteswap()
+    raw = products.tobytes()
+    size = products.itemsize
+    return [int(raw[k >> 3::size].translate(bit_chars[k & 7])[::-1], 2)
+            for k in range(2 * width)]

@@ -66,6 +66,22 @@ class TestVerifyCommand:
                                "MISMATCH lowpower: 1 x 1 -> 0, expected 1"]
         assert lines[11:] == ["... and 54 more", "FAIL"]
 
+    def test_pair_missed_by_both_counted_once(self, monkeypatch, capsys):
+        # both datapaths miss every width-3 pair: 128 mismatches over 64 pairs
+        def off_by_one(a, b, cfg):
+            result = harness.run_lowpower(a, b, cfg)  # the one packed kernel, either config
+            return SimResult(Word(result.product.value ^ 1, 6), result.ledger)
+
+        monkeypatch.setattr(cli, "exhaustive_verify", functools.partial(
+            harness.exhaustive_verify, conventional=off_by_one, lowpower=off_by_one))
+        assert run_cli("verify", "--width", "3") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("width 3: 0/64 products match "
+                            "(both architectures, native-multiply oracle)")
+        assert lines[1:3] == ["MISMATCH conv: 0 x 0 -> 1, expected 0",
+                              "MISMATCH lowpower: 0 x 0 -> 1, expected 0"]
+        assert lines[11:] == ["... and 118 more", "FAIL"]
+
     @pytest.mark.parametrize("flag", ["--ffs-cost", "--gate-cost", "--block-size"])
     def test_cost_flags_refused(self, flag, capsys):
         # a product depends on the operands and the width alone

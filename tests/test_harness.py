@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import biased_operands, loop_conventional, loop_lowpower
+from oracles import (
+    biased_operands,
+    loop_conventional,
+    loop_lowpower,
+    string_exhaustive_products,
+    string_exhaustive_slices,
+)
 
 from shiftadd import datapath, harness
 from shiftadd.bits import Word
@@ -200,6 +206,40 @@ def count_words(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(harness, "Word", counting)
     return built
+
+
+def decode_slices(slices: list[int], total: int) -> list[int]:
+    """Trial t's value for t < ``total``, bit j read from ``slices[j]``
+    through a '0'/'1' string per slice."""
+    assert all(0 <= bits < 1 << total for bits in slices)
+    columns = [format(bits, f"0{total}b")[::-1] for bits in reversed(slices)]
+    return [int("".join(chars), 2) for chars in zip(*columns)]
+
+
+class TestExhaustiveBuilders:
+    """The slices ``exhaustive_verify`` checks the engine against, read
+    back per trial t = a << width | b without running the engine."""
+
+    @staticmethod
+    def check_every_trial(width: int) -> None:
+        total, mask = 1 << 2 * width, (1 << width) - 1
+        a_slices, b_slices = harness._exhaustive_slices(width)
+        assert decode_slices(a_slices, total) == [t >> width for t in range(total)]
+        assert decode_slices(b_slices, total) == [t & mask for t in range(total)]
+        assert decode_slices(harness._exhaustive_products(width), total) == [
+            (t >> width) * (t & mask) for t in range(total)]
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_every_trial_and_string_built_slices(self, width):
+        self.check_every_trial(width)
+        assert harness._exhaustive_slices(width) == string_exhaustive_slices(width)
+        assert harness._exhaustive_products(width) == string_exhaustive_products(width)
+
+    def test_lanes_hold_products_above_the_limit(self):
+        # lanes are sized from the width: at width 9 a product takes 18 bits
+        # and its lane 3 bytes, so no product overlaps the next
+        assert harness.EXHAUSTIVE_WIDTH_LIMIT < 9
+        self.check_every_trial(9)
 
 
 class TestExhaustiveVerify:
