@@ -49,21 +49,23 @@ toggle window, fixed charges) it unpacks from one tuple of one layout,
 plan and results, built whole with it and never changed; ``make_config``
 returns one shared config per config value, so they are built once.
 
-``run_sliced`` runs many multiplications at once, bit-sliced: each signal
-bit is one int whose bit t belongs to trial t, and each cycle of the
-datapath is a few big-int operations per signal bit for all trials.  One
-cycle loop serves both datapaths: the low-power one is the conventional
-register and adder, with the adder's state held on bypass cycles and
-toggles counted on the feeder alone.  It returns the product slices and the
-summed ledger, and ``exhaustive_verify`` runs it over every operand pair.
+``sliced_cycles`` runs many multiplications at once, bit-sliced: each
+signal bit is one int whose bit t belongs to trial t, and each cycle is a few
+big-int operations per signal bit for all trials.  It takes no config: the
+low-power feeder holds what the conventional register's top part does, so
+the products do not depend on the datapath, and ``exhaustive_verify`` runs
+it once for both, reading its final register alone.  ``run_sliced`` charges
+one config's summed ledger from its cycles: the low-power adder holds its
+state on bypass cycles, and its register toggles count on the feeder alone.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bits import Word, _exact_word
 
@@ -521,49 +523,61 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
 run_conventional = run_lowpower = simulate
 
 
-def run_sliced(cfg: ArchConfig, a_slices: Sequence[int], b_slices: Sequence[int],
-               trials: int) -> tuple[list[int], ToggleLedger]:
-    """Run ``trials`` multiplications under ``cfg`` at once, bit-sliced: bit t
-    of slice j is bit j of trial t's operand, so each signal of the datapath is
-    one int for all trials (Biham, "A Fast New DES Implementation in
-    Software", FSE 1997).  Returns the 2n product slices and the ledger summed
-    over all trials, equal to the sum of the per-pair kernels' ledgers.
+def sliced_cycles(a_slices: Sequence[int],
+                  b_slices: Sequence[int]) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The shift-add recurrence of both datapaths, bit-sliced: bit t of slice
+    j is bit j of trial t's operand, so each signal is one int for all trials
+    (Biham, "A Fast New DES Implementation in Software", FSE 1997).  Yields,
+    for each cycle i, the selected multiplier slice B_i, the 2n-slice register
+    ``reg`` after the cycle and the carry-out of each adder stage.
 
-    One cycle loop runs both datapaths: cycle i's ripple adder sums
-    x + (A & B_i), x the top n slices of the register ``reg``, and ``reg``
-    takes (carry : sum : its low half) shifted right by one.  The low-power
+    Cycle i's ripple adder sums x + (A & B_i), x the top n slices of ``reg``,
+    and ``reg`` takes (carry : sum : its low half) shifted right by one; after
+    n cycles it holds the product slices.  No config enters: the low-power
     feeder takes that sum where B_i is set and holds x elsewhere, the same
-    value, since adding 0 leaves x and no carry: it is ``reg[n - 1:]``.  The
-    low-power datapath differs in two charges: its adder holds its state
-    where B_i is clear, and only the feeder's toggles count.  Charges that
-    do not depend on the operands are ``fixed_charges(cfg)`` for each trial;
-    the rest are closed forms in the multiplier slices."""
-    n = cfg.width
-    conventional = cfg.variant is Variant.CONVENTIONAL
-    all_trials = (1 << trials) - 1
-    window = 0 if conventional else n - 1  # the register slices whose toggles count
+    value, since adding 0 leaves x and no carry, so it is ``reg[n - 1:]`` and
+    the products do not depend on the datapath."""
+    n = len(a_slices)
     reg = [0] * (2 * n)
-    sums = [0] * n  # the adder's sum and carry-out of each stage, from reset
-    carries = [0] * n
-    adder = register = 0
     for sel in b_slices:
-        hold = all_trials if conventional else sel  # where the adder's state moves
         new = reg[1:n]
+        carries = []
         carry = 0
-        for j, (x, a) in enumerate(zip(reg[n:], a_slices)):
+        for x, a in zip(reg[n:], a_slices):
             m = a & sel
             t = x ^ m
-            s = t ^ carry
+            new.append(t ^ carry)
             carry = (x & m) | (carry & t)
-            new.append(s)
-            d = (s ^ sums[j]) & hold
-            sums[j] ^= d
-            adder += d.bit_count()
-            d = (carry ^ carries[j]) & hold
-            carries[j] ^= d
-            adder += d.bit_count()
+            carries.append(carry)
         new.append(carry)
-        register += sum((old ^ v).bit_count() for old, v in zip(reg[window:], new[window:]))
+        reg = new
+        yield sel, reg, carries
+
+
+def run_sliced(cfg: ArchConfig, a_slices: Sequence[int], b_slices: Sequence[int],
+               trials: int) -> tuple[list[int], ToggleLedger]:
+    """Run ``trials`` multiplications under ``cfg`` at once through
+    ``sliced_cycles``.  Returns the 2n product slices and the ledger summed
+    over all trials, equal to the sum of the per-pair kernels' ledgers.
+
+    Each cycle's adder signals are its sums, ``reg[n - 1:2n - 1]``, and the
+    carries.  The low-power datapath differs in two charges: its adder holds
+    its state where B_i is clear, and only the feeder's toggles count.
+    Charges that do not depend on the operands are ``fixed_charges(cfg)`` for
+    each trial; the rest are closed forms in the multiplier slices."""
+    n = cfg.width
+    conventional = cfg.variant is Variant.CONVENTIONAL
+    window = 0 if conventional else n - 1  # the register slices whose toggles count
+    reg = [0] * (2 * n)
+    state = [0] * (2 * n)  # the adder's sums and carries, from reset
+    adder = register = 0
+    for sel, new, carries in sliced_cycles(a_slices, b_slices):
+        signals = new[n - 1:2 * n - 1] + carries
+        if not conventional:  # the low-power adder moves only where B_i is set
+            signals = [old ^ ((v ^ old) & sel) for v, old in zip(signals, state)]
+        adder += sum(map(int.bit_count, map(operator.xor, signals, state)))
+        state = signals
+        register += sum(map(int.bit_count, map(operator.xor, reg[window:], new[window:])))
         reg = new
     ledger = ToggleLedger(*(trials * count for count in fixed_charges(cfg).as_dict().values()))
     ledger.partial_product_shift += register

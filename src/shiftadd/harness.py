@@ -19,7 +19,6 @@ from typing import Callable, Iterator, Sequence
 from .bits import Word
 from .datapath import (
     CONVENTIONAL_CATEGORIES,
-    ArchConfig,
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
     SimResult,
@@ -28,7 +27,7 @@ from .datapath import (
     make_config,
     run_conventional,
     run_lowpower,
-    run_sliced,
+    sliced_cycles,
 )
 from .power import PowerModel, area_proxy, average_power, estimate_energy, reduction_percent
 
@@ -214,8 +213,8 @@ def exhaustive_verify(
 
     The configs are built first, so ``ArchConfig`` checks the width's range;
     then ``gen_operands`` refuses a width above ``EXHAUSTIVE_WIDTH_LIMIT``,
-    before any operand is built.  Both datapaths then run once over all
-    4**width pairs with ``run_sliced``.  Passing either per-pair runner (a
+    before any operand is built.  Then ``sliced_cycles`` runs once over all
+    4**width pairs, for both datapaths.  Passing either per-pair runner (a
     kernel's signature; the other defaults to the packed kernel) runs every
     pair through the runners instead, each value wrapped once in a ``Word``
     table."""
@@ -223,7 +222,7 @@ def exhaustive_verify(
     low_cfg = make_config(Variant.LOW_POWER, width)
     pairs = gen_operands(OperandDistribution("exhaustive"), width, 0)
     if conventional is None and lowpower is None:
-        return _verify_sliced(width, (conv_cfg, low_cfg))
+        return _verify_sliced(width)
     conventional = conventional or run_conventional
     lowpower = lowpower or run_lowpower
     mismatches: list[Mismatch] = []
@@ -242,32 +241,28 @@ def exhaustive_verify(
     return VerifyOutcome(width, total, mismatches)
 
 
-def _verify_sliced(width: int, configs: Sequence[ArchConfig]) -> VerifyOutcome:
-    """``exhaustive_verify`` with ``run_sliced``: the mismatches are listed
-    from the XOR of the engine's product slices and the native products'."""
+def _verify_sliced(width: int) -> VerifyOutcome:
+    """``exhaustive_verify`` with ``sliced_cycles``, run once for both
+    datapaths, whose products it computes alike: each trial where its final
+    register differs from the native products' slices is listed once per
+    datapath, conventional first."""
     total = 1 << 2 * width
-    a_slices, b_slices = _exhaustive_slices(width)
-    expected = _exhaustive_products(width)
-    got = [run_sliced(cfg, a_slices, b_slices, total)[0] for cfg in configs]
-    wrong = [functools.reduce(operator.or_, map(operator.xor, slices, expected))
-             for slices in got]
+    for _, got, _ in sliced_cycles(*_exhaustive_slices(width)):
+        pass  # only the final register is read
+    wrong = functools.reduce(operator.or_, map(operator.xor, got, _exhaustive_products(width)))
     mismatches: list[Mismatch] = []
-    if not wrong[0] | wrong[1]:
+    if not wrong:
         return VerifyOutcome(width, total, mismatches)
     # each slice decoded once into a bit string, character t for trial t
-    flags = [_bit_string(trials, total) for trials in wrong]
-    columns = [[_bit_string(bit, total) for bit in reversed(slices)] if trials else []
-               for slices, trials in zip(got, wrong)]
-    either = _bit_string(wrong[0] | wrong[1], total)
+    flags = _bit_string(wrong, total)
+    columns = [_bit_string(bit, total) for bit in reversed(got)]
     mask = (1 << width) - 1
-    t = either.find("1")
+    t = flags.find("1")
     while t >= 0:
         a, b = t >> width, t & mask
-        for cfg, flag, column in zip(configs, flags, columns):
-            if flag[t] == "1":
-                product = int("".join([bit[t] for bit in column]), 2)
-                mismatches.append(Mismatch(cfg.variant.value, a, b, product, a * b))
-        t = either.find("1", t + 1)
+        product = int("".join([bit[t] for bit in columns]), 2)
+        mismatches += [Mismatch(variant.value, a, b, product, a * b) for variant in Variant]
+        t = flags.find("1", t + 1)
     return VerifyOutcome(width, total, mismatches)
 
 

@@ -16,7 +16,7 @@ per value, as ``gen_operands`` did before it decoded whole blocks of the
 Mersenne stream at once.  ``string_exhaustive_slices`` and
 ``string_exhaustive_products`` build the exhaustive verify's operand and
 product slices through '0'/'1' strings, as the harness did before it built
-them from bytes.
+them from bytes; ``decode_slices`` reads slices back per trial the same way.
 
 Transition counts use the zero-delay activity convention: one evaluation of
 a combinational block costs the Hamming distance between its previous and
@@ -433,3 +433,11 @@ def string_exhaustive_products(width: int) -> list[int]:
     size = products.itemsize
     return [int(raw[k >> 3::size].translate(bit_chars[k & 7])[::-1], 2)
             for k in range(2 * width)]
+
+
+def decode_slices(slices: list[int], total: int) -> list[int]:
+    """Trial t's value for t < ``total``, bit j read from ``slices[j]``
+    through a '0'/'1' string per slice."""
+    assert all(0 <= bits < 1 << total for bits in slices)
+    columns = [format(bits, f"0{total}b")[::-1] for bits in reversed(slices)]
+    return [int("".join(chars), 2) for chars in zip(*columns)]

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import get_bit, loop_conventional, loop_lowpower
+from oracles import (
+    AdderState,
+    decode_slices,
+    get_bit,
+    loop_conventional,
+    loop_lowpower,
+    ripple_carry_add,
+)
 
 from shiftadd import datapath
 from shiftadd.bits import Word
@@ -29,6 +36,7 @@ from shiftadd.datapath import (
     run_lowpower,
     run_sliced,
     simulate,
+    sliced_cycles,
     trace_rows,
 )
 
@@ -636,6 +644,41 @@ class TestSlicedEngine:
         n, pairs, s, g, bsz = args
         cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
         assert list(sliced(cfg, pairs)) == list(per_pair_sums(cfg, pairs))
+
+
+class TestSlicedCycles:
+    """``sliced_cycles``, the one recurrence ``exhaustive_verify`` runs for
+    both datapaths, read back per trial after every cycle against both loop
+    oracles' rows and a ripple-carry adder."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pair_every_cycle(self, n):
+        pairs = list(itertools.product(range(1 << n), repeat=2))
+        trials = len(pairs)
+        rows = [[loop(Word(av, n), Word(bv, n), make_config(variant, n))[1]
+                 for av, bv in pairs] for variant, (_, loop) in KERNELS.items()]
+        cycles = sliced_cycles(to_slices([a for a, _ in pairs], n),
+                               to_slices([b for _, b in pairs], n))
+        before = [0] * trials
+        for i, (sel, reg, carries) in enumerate(cycles):
+            after = decode_slices(reg, trials)
+            for t, ((av, bv), x, value, carry) in enumerate(zip(
+                    pairs, before, after, decode_slices(carries, trials))):
+                assert sel >> t & 1 == bv >> i & 1
+                # the chain sums the register's top half and A & B_i, and the
+                # register takes (carry : sum : low half) shifted right by one
+                addend = av if bv >> i & 1 else 0
+                total, cout, _, state = ripple_carry_add(
+                    AdderState.zero(n), Word(x >> n, n), Word(addend, n))
+                assert carry == state.carry_bits.value
+                assert value >> n - 1 == cout << n | total.value
+                for variant_rows in rows:
+                    row = variant_rows[t][i]
+                    assert value >> n - 1 == row.running_sum.value, (i, av, bv)
+                    assert value == row.product_so_far.value << n - 1 - i, (i, av, bv)
+            before = after
+        assert i == n - 1
+        assert before == [a * b for a, b in pairs]
 
 
 class TestRenderTrace:

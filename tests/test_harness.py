@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     biased_operands,
+    decode_slices,
     loop_conventional,
     loop_lowpower,
     string_exhaustive_products,
@@ -22,8 +23,8 @@ from shiftadd.datapath import (
     Variant,
     make_config,
     run_conventional,
-    run_sliced,
     simulate,
+    sliced_cycles,
 )
 from shiftadd.harness import (
     DENSE_P1,
@@ -208,14 +209,6 @@ def count_words(monkeypatch) -> list[int]:
     return built
 
 
-def decode_slices(slices: list[int], total: int) -> list[int]:
-    """Trial t's value for t < ``total``, bit j read from ``slices[j]``
-    through a '0'/'1' string per slice."""
-    assert all(0 <= bits < 1 << total for bits in slices)
-    columns = [format(bits, f"0{total}b")[::-1] for bits in reversed(slices)]
-    return [int("".join(chars), 2) for chars in zip(*columns)]
-
-
 class TestExhaustiveBuilders:
     """The slices ``exhaustive_verify`` checks the engine against, read
     back per trial t = a << width | b without running the engine."""
@@ -251,12 +244,14 @@ class TestExhaustiveVerify:
 
     def test_width_guard(self, monkeypatch):
         # refused before any operand Word or slice is built, with or without
-        # a per-pair runner
+        # a per-pair runner: above the exhaustive limit, and below 1 by
+        # ArchConfig's range check
         built = count_words(monkeypatch)
         monkeypatch.setattr(harness, "_exhaustive_slices", lambda width: built.append(width))
-        for runners in ({}, {"conventional": simulate}):
-            with pytest.raises(ValueError, match="width 9"):
-                exhaustive_verify(9, **runners)
+        for width, match in ((9, "width 9"), (0, "1..32, got 0"), (-1, "1..32, got -1")):
+            for runners in ({}, {"conventional": simulate}):
+                with pytest.raises(ValueError, match=match):
+                    exhaustive_verify(width, **runners)
         assert built == [0]
 
     def test_wraps_each_operand_once(self, monkeypatch):
@@ -280,6 +275,20 @@ class TestExhaustiveVerify:
         assert outcome.passed and outcome.total_pairs == 1024
         assert built == [0] and calls == []
 
+    def test_default_path_charges_no_ledger(self, monkeypatch):
+        # the configs are built first: their constructor charges fixed_charges
+        # once, and make_config keeps them
+        for variant in Variant:
+            make_config(variant, 5)
+
+        def ledger(*args):
+            raise AssertionError("verify paid for a ledger")
+
+        monkeypatch.setattr(datapath, "run_sliced", ledger)
+        monkeypatch.setattr(datapath, "fixed_charges", ledger)
+        outcome = exhaustive_verify(5)
+        assert outcome.passed and outcome.total_pairs == 1024
+
     @pytest.mark.parametrize("width", [3, 8])
     @pytest.mark.parametrize("every_pair", [True, False], ids=["every-pair", "b-bit-1"])
     def test_planted_fault_same_outcome_as_per_pair(self, width, every_pair, monkeypatch):
@@ -290,14 +299,16 @@ class TestExhaustiveVerify:
                 return SimResult(Word(result.product.value ^ 1, 2 * width), result.ledger)
             return result
 
-        def flipped_engine(cfg, a_slices, b_slices, trials):
-            products, ledger = run_sliced(cfg, a_slices, b_slices, trials)
-            flip = (1 << trials) - 1 if every_pair else b_slices[1]
-            return [products[0] ^ flip, *products[1:]], ledger
+        def flipped_cycles(a_slices, b_slices):
+            # the recurrence, with bit 0 of its final register flipped
+            *cycles, (sel, products, carries) = sliced_cycles(a_slices, b_slices)
+            flip = (1 << 4**width) - 1 if every_pair else b_slices[1]
+            yield from cycles
+            yield sel, [products[0] ^ flip, *products[1:]], carries
 
         expected = exhaustive_verify(width, conventional=flipped_runner, lowpower=flipped_runner)
         assert len(expected.mismatches) == (2 if every_pair else 1) * 4**width
-        monkeypatch.setattr(harness, "run_sliced", flipped_engine)
+        monkeypatch.setattr(harness, "sliced_cycles", flipped_cycles)
         assert exhaustive_verify(width) == expected
 
     def test_detects_injected_fault(self):
