@@ -14,7 +14,7 @@ from .datapath import (DEFAULT_BLOCK_SIZE, MAX_OPERAND_WIDTH, Variant, make_conf
 from .harness import (
     DIST_KINDS,
     REPORTED_FPGA_REDUCTION,
-    RNG_ALGORITHM,
+    RNG_IDS,
     OperandDistribution,
     emit_report,
     exhaustive_verify,
@@ -153,7 +153,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     rows = sweep(widths, dist, args.trials, model,
                  s=args.ffs_cost, g=args.gate_cost, block_size=args.block_size)
     metadata = {
-        "rng": RNG_ALGORITHM,
+        "rng": RNG_IDS[args.dist],
         "seed": args.seed,
         "dist": args.dist,
         "trials": args.trials,

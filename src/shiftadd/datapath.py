@@ -106,6 +106,12 @@ class RingCostModel:
             raise ValueError("block_size must be >= 1")
 
 
+def check_width(width: int) -> None:
+    """Refuse an operand width outside 1..MAX_OPERAND_WIDTH."""
+    if not 1 <= width <= MAX_OPERAND_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
+
+
 def num_blocks(width: int, block_size: int) -> int:
     return -(-width // block_size)
 
@@ -134,8 +140,7 @@ class ArchConfig:
     results: tuple[SimResult, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_OPERAND_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_OPERAND_WIDTH}, got {self.width}")
+        check_width(self.width)
         if self.cost.block_size > self.width:
             raise ValueError(
                 f"block_size {self.cost.block_size} exceeds width {self.width}"

@@ -10,8 +10,6 @@ import math
 import operator
 import os
 import random
-import sys
-from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -24,6 +22,7 @@ from .datapath import (
     SimResult,
     ToggleLedger,
     Variant,
+    check_width,
     make_config,
     run_conventional,
     run_lowpower,
@@ -34,6 +33,10 @@ from .power import PowerModel, area_proxy, average_power, estimate_energy, reduc
 RNG_ALGORITHM = "python-random-mersenne-twister"
 
 DIST_KINDS = ("uniform", "sparse", "dense", "exhaustive", "fixed")
+# a report's ``rng`` id, which for sparse and dense names the multiplier's
+# recipe too; with no spaces, since the CSV metadata line splits on them
+RNG_IDS = dict.fromkeys(DIST_KINDS, RNG_ALGORITHM) | {
+    "sparse": f"{RNG_ALGORITHM}/b-and-of-two-draws", "dense": f"{RNG_ALGORITHM}/b-or-of-two-draws"}
 SPARSE_P1 = 0.25
 DENSE_P1 = 0.75
 EXHAUSTIVE_WIDTH_LIMIT = 8
@@ -49,8 +52,10 @@ REPORTED_FPGA_REDUCTION = {4: 20.51, 8: 35.25}
 class OperandDistribution:
     """A reproducible operand stream recipe.
 
-    ``sparse``/``dense`` bias each multiplier bit to 1 with probability 0.25
-    or 0.75 (the multiplicand stays uniform); ``fixed`` repeats the given
+    ``uniform`` draws a and b with one ``getrandbits(width)`` each;
+    ``sparse``/``dense`` draw a the same way, then b as the AND / OR of two
+    more draws, so each multiplier bit is 1 with probability 1/4 or 3/4,
+    independently of the other bits and of a; ``fixed`` repeats the given
     (a, b) pair; ``exhaustive`` enumerates every pair.  ``seed`` must be
     >= 0, since ``random.Random`` seeds with its absolute value.
     """
@@ -71,67 +76,6 @@ class OperandDistribution:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _bit_tables(p1: float) -> list[bytes]:
-    """Table j maps a 32-bit word's top byte to 1 << j where ``random() < p1``
-    would draw a 1 from the word, and to 0 where it would draw a 0.
-
-    ``random()`` builds its float from two words, (hi >> 5) / 2**27 plus
-    (lo >> 6) / 2**53, so for p1 a multiple of 1/256 it is below p1 exactly
-    when hi < p1 * 2**32: when hi's top byte is below p1 * 256."""
-    limit = int(p1 * 256)
-    if limit != p1 * 256:
-        raise ValueError(f"bit probability {p1} is not a multiple of 1/256")
-    return [bytes([1 << j]) * limit + bytes(256 - limit) for j in range(8)]
-
-
-_BIT_TABLES = {"sparse": _bit_tables(SPARSE_P1), "dense": _bit_tables(DENSE_P1)}
-
-if array("I").itemsize != 4:
-    raise ImportError("shiftadd decodes 32-bit words through array('I') items of 4 bytes")
-
-
-def _words(raw: bytes) -> array:
-    """``raw``'s little-endian 32-bit words."""
-    words = array("I", raw)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
-
-
-def _decode_block(width: int) -> int:
-    """Pairs per ``getrandbits`` call of a sparse or dense stream: a pair
-    takes 1 + 2 * width 32-bit words, and a call at most ``SWEEP_CHUNK``."""
-    return max(1, SWEEP_CHUNK // (1 + 2 * width))
-
-
-def _decode_pairs(
-    rng: random.Random, width: int, count: int, tables: list[bytes]
-) -> Iterator[tuple[int, int]]:
-    """The ``count`` pairs that ``getrandbits(width)`` for a, then one
-    ``random() < p1`` per multiplier bit, least significant first, draw
-    from ``rng``, decoded bit for bit from one ``getrandbits`` call.
-
-    That call holds the same 32-bit words, least significant first, that
-    the per-call draws take: a pair's word 0 is a's, ``getrandbits(width)``
-    being the word shifted right by 32 - width, and bit i's ``random()``
-    takes words 1 + 2i and 2 + 2i.  Bit i of every b is one strided slice
-    of the top bytes of word 1 + 2i, translated by ``tables`` to the bit's
-    place in its byte of b; the bits of each byte are OR-ed as ints and
-    laid into that byte lane of b's 4-byte items."""
-    stride = 1 + 2 * width
-    step = 4 * stride  # bytes per pair
-    raw = rng.getrandbits(32 * stride * count).to_bytes(step * count, "little")
-    b_bytes = bytearray(4 * count)
-    for lane in range(0, width, 8):
-        bits = 0
-        for i in range(lane, min(lane + 8, width)):
-            # the top byte of word 1 + 2i is byte 4 * (1 + 2i) + 3
-            bits |= int.from_bytes(raw[8 * i + 7::step].translate(tables[i & 7]), "little")
-        b_bytes[lane >> 3::4] = bits.to_bytes(count, "little")
-    a_values = map(operator.rshift, _words(raw)[::stride], itertools.repeat(32 - width))
-    return zip(a_values, _words(b_bytes))
-
-
 def gen_operands(
     dist: OperandDistribution, width: int, trials: int
 ) -> Iterator[tuple[int, int]]:
@@ -142,10 +86,9 @@ def gen_operands(
     ``2**(2*width)`` pairs in lexicographic order, refusing widths above
     ``EXHAUSTIVE_WIDTH_LIMIT`` to bound the explosion; every other kind
     needs ``trials >= 1``, and ``fixed`` refuses operands outside
-    ``0..2**width - 1``.  The width's own range is ``ArchConfig``'s check.
-    ``sparse`` and ``dense`` pairs are decoded from one ``getrandbits`` call
-    per ``_decode_block(width)`` pairs, made when the stream reaches the
-    block, so a stream holds one block at a time.
+    ``0..2**width - 1``.  The width's own range is ``check_width``'s check.
+    A random pair is drawn as ``OperandDistribution`` says, from one
+    ``random.Random(seed)``, when the stream reaches it.
     """
     if dist.kind == "exhaustive":
         if width > EXHAUSTIVE_WIDTH_LIMIT:
@@ -163,14 +106,12 @@ def gen_operands(
                 f"got a={dist.a}, b={dist.b}"
             )
         return itertools.repeat((dist.a, dist.b), trials)
-    rng = random.Random(dist.seed)
+    draw = random.Random(dist.seed).getrandbits
     if dist.kind == "uniform":
-        return ((rng.getrandbits(width), rng.getrandbits(width)) for _ in range(trials))
-    tables = _BIT_TABLES[dist.kind]
-    block = _decode_block(width)
-    counts = (min(block, trials - start) for start in range(0, trials, block))
-    return itertools.chain.from_iterable(
-        _decode_pairs(rng, width, count, tables) for count in counts)
+        return ((draw(width), draw(width)) for _ in range(trials))
+    if dist.kind == "sparse":
+        return ((draw(width), draw(width) & draw(width)) for _ in range(trials))
+    return ((draw(width), draw(width) | draw(width)) for _ in range(trials))
 
 
 def word_table(width: int) -> list[Word]:
@@ -211,25 +152,24 @@ def exhaustive_verify(
     native integer multiplication.  Mismatches are collected, not raised, in
     operand order, the conventional one first where both datapaths miss.
 
-    The configs are built first, so ``ArchConfig`` checks the width's range;
-    then ``gen_operands`` refuses a width above ``EXHAUSTIVE_WIDTH_LIMIT``,
-    before any operand is built.  Then ``sliced_cycles`` runs once over all
-    4**width pairs, for both datapaths.  Passing either per-pair runner (a
-    kernel's signature; the other defaults to the packed kernel) runs every
-    pair through the runners instead, each value wrapped once in a ``Word``
-    table."""
-    conv_cfg = make_config(Variant.CONVENTIONAL, width)
-    low_cfg = make_config(Variant.LOW_POWER, width)
+    The width's range is checked first, by ``check_width``; then
+    ``gen_operands`` refuses a width above ``EXHAUSTIVE_WIDTH_LIMIT``, before
+    any operand is built.  Then ``sliced_cycles`` runs once over all
+    4**width pairs, for both datapaths, with no config.  Passing either
+    per-pair runner (a kernel's signature; the other defaults to the packed
+    kernel) runs every pair through the runners instead, with both configs,
+    each value wrapped once in a ``Word`` table."""
+    check_width(width)
     pairs = gen_operands(OperandDistribution("exhaustive"), width, 0)
     if conventional is None and lowpower is None:
         return _verify_sliced(width)
+    conv_cfg = make_config(Variant.CONVENTIONAL, width)
+    low_cfg = make_config(Variant.LOW_POWER, width)
     conventional = conventional or run_conventional
     lowpower = lowpower or run_lowpower
     mismatches: list[Mismatch] = []
-    total = 0
     words = word_table(width)
     for av, bv in pairs:
-        total += 1
         expected = av * bv
         a, b = words[av], words[bv]
         got = conventional(a, b, conv_cfg).product.value
@@ -238,7 +178,7 @@ def exhaustive_verify(
         got = lowpower(a, b, low_cfg).product.value
         if got != expected:
             mismatches.append(Mismatch("lowpower", av, bv, got, expected))
-    return VerifyOutcome(width, total, mismatches)
+    return VerifyOutcome(width, 1 << 2 * width, mismatches)
 
 
 def _verify_sliced(width: int) -> VerifyOutcome:

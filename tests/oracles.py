@@ -12,9 +12,8 @@ pulse and counter toggle themselves, cycle by cycle, from their own
 registers and stepped counters, so they check those closed forms too.
 
 ``biased_operands`` draws the sparse and dense operand streams one call
-per value, as ``gen_operands`` did before it decoded whole blocks of the
-Mersenne stream at once.  ``string_exhaustive_slices`` and
-``string_exhaustive_products`` build the exhaustive verify's operand and
+per value and builds each multiplier bit by bit.
+``string_exhaustive_slices`` and ``string_exhaustive_products`` build the exhaustive verify's operand and
 product slices through '0'/'1' strings, as the harness did before it built
 them from bytes; ``decode_slices`` reads slices back per trial the same way.
 
@@ -390,18 +389,21 @@ def loop_lowpower(
     return SimResult(product, ledger), tuple(rows)
 
 
-def biased_operands(seed: int, width: int, trials: int, p1: float) -> list[tuple[int, int]]:
+def biased_operands(seed: int, width: int, trials: int, kind: str) -> list[tuple[int, int]]:
     """The (a, b) pairs of a sparse or dense stream, drawn one call at a time
-    from ``random.Random(seed)``: ``getrandbits(width)`` for a, then one
-    ``random() < p1`` per multiplier bit, least significant first."""
+    from ``random.Random(seed)``: ``getrandbits(width)`` for a, then two more
+    for x and y; bit i of b is the lesser (sparse) or the greater (dense) of
+    bit i of x and bit i of y."""
+    combine = min if kind == "sparse" else max
     rng = random.Random(seed)
     pairs = []
     for _ in range(trials):
         a = rng.getrandbits(width)
+        x = rng.getrandbits(width)
+        y = rng.getrandbits(width)
         b = 0
         for i in range(width):
-            if rng.random() < p1:
-                b |= 1 << i
+            b |= combine(x >> i & 1, y >> i & 1) << i
         pairs.append((a, b))
     return pairs
 

@@ -213,6 +213,9 @@ class TestCostFlagErrors:
         assert low["gating"] > 10**309 and 0 < low["energy"] < conv["energy"]
 
 
+MT = "python-random-mersenne-twister"
+
+
 class TestSweepCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         out_file = tmp_path / "report.csv"
@@ -228,6 +231,19 @@ class TestSweepCommand:
         console = capsys.readouterr().out
         assert "modeled reduction" in console
         assert "20.51%" in console and "35.25%" in console
+
+    @pytest.mark.parametrize("dist, rng", [
+        ("uniform", MT), ("exhaustive", MT), ("fixed", MT),
+        ("sparse", f"{MT}/b-and-of-two-draws"), ("dense", f"{MT}/b-or-of-two-draws")])
+    def test_rng_id_names_the_multiplier_recipe(self, tmp_path, dist, rng):
+        # a sparse or dense report of another recipe cannot pass for this one;
+        # the id has no spaces, which split the CSV metadata line
+        out_file = tmp_path / "report.csv"
+        operands = ["--a", "3", "--b", "5"] if dist == "fixed" else []
+        assert run_cli("sweep", "--widths", "4", "--dist", dist, "--trials", "10",
+                       *operands, "--out", str(out_file)) == 0
+        metadata = out_file.read_text().splitlines()[0][2:].split(" ")
+        assert f"rng={rng}" in metadata and not any(c.isspace() for c in rng)
 
     def test_json_format(self, tmp_path):
         out_file = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -127,21 +128,19 @@ BIT_PROBABILITY = {"sparse": SPARSE_P1, "dense": DENSE_P1}
 
 
 class TestBiasedDecode:
-    """The sparse and dense streams are decoded from whole blocks of the
-    Mersenne stream, which leans on CPython ``random`` internals that its
-    docs do not promise; the per-call draws of ``oracles.biased_operands``
-    are the reference."""
+    """A sparse (dense) multiplier is the AND (OR) of two ``getrandbits(width)``
+    draws taken after the multiplicand's; the per-call, bit-by-bit loop of
+    ``oracles.biased_operands`` is the reference."""
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     @pytest.mark.parametrize("width", range(1, 33))
     def test_matches_per_call_draws(self, width, kind):
-        block = harness._decode_block(width)
-        longest = 3 * block + 7
+        longest = 40
         for seed in (0, 7, 2**40 + 3):
-            expected = biased_operands(seed, width, longest, BIT_PROBABILITY[kind])
+            expected = biased_operands(seed, width, longest, kind)
             dist = OperandDistribution(kind, seed=seed)
             # a stream is a prefix of every longer stream of the same seed
-            for trials in sorted({1, max(1, block - 1), block, block + 1, longest}):
+            for trials in (1, 2, longest - 1, longest):
                 assert list(gen_operands(dist, width, trials)) == expected[:trials], \
                     (seed, trials)
 
@@ -150,14 +149,14 @@ class TestBiasedDecode:
     @settings(max_examples=60, deadline=None)
     def test_random_streams(self, seed, width, trials, kind):
         got = list(gen_operands(OperandDistribution(kind, seed=seed), width, trials))
-        assert got == biased_operands(seed, width, trials, BIT_PROBABILITY[kind])
+        assert got == biased_operands(seed, width, trials, kind)
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     @pytest.mark.parametrize("width, trials", [
         (1, 10 * SWEEP_CHUNK), (4, 3 * SWEEP_CHUNK + 1), (32, SWEEP_CHUNK + 5), (32, 1)])
     def test_draws_bounded_by_block(self, monkeypatch, width, trials, kind):
-        # memory holds one block, whatever the trial count, and the blocks
-        # together draw exactly the words of the per-call stream
+        # each pair is its own block of draws: exactly three getrandbits(width)
+        # calls, made when the stream reaches the pair, whatever the trial count
         sizes = []
 
         class Recording(random.Random):
@@ -166,19 +165,20 @@ class TestBiasedDecode:
                 return super().getrandbits(k)
 
         monkeypatch.setattr(harness.random, "Random", Recording)
-        for _ in gen_operands(OperandDistribution(kind, seed=1), width, trials):
-            pass
-        assert sizes and max(sizes) <= 32 * SWEEP_CHUNK
-        assert sum(sizes) == 32 * (1 + 2 * width) * trials
+        stream = gen_operands(OperandDistribution(kind, seed=1), width, trials)
+        assert not sizes
+        for count, _ in enumerate(stream, 1):
+            assert len(sizes) == 3 * count
+        assert count == trials and set(sizes) == {width}
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     @pytest.mark.parametrize("width", [1, 4, 8, 32])
     def test_sweep_across_blocks(self, width, kind):
-        # several decode blocks and one SWEEP_CHUNK boundary: each row's
-        # ledger is the sum over the per-call stream
-        trials = SWEEP_CHUNK + 2 * harness._decode_block(width) + 3
+        # one SWEEP_CHUNK boundary: each row's ledger is the sum over the
+        # per-call stream
+        trials = SWEEP_CHUNK + 3
         rows = sweep([width], OperandDistribution(kind, seed=11), trials)
-        operands = biased_operands(11, width, trials, BIT_PROBABILITY[kind])
+        operands = biased_operands(11, width, trials, kind)
         for row in rows:
             cfg = make_config(row.arch, width)
             totals = ToggleLedger()
@@ -186,6 +186,34 @@ class TestBiasedDecode:
                 totals.add(simulate(Word(av, width), Word(bv, width), cfg).ledger)
             assert row.trials == trials
             assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_bit_probability_is_exact(self, monkeypatch, kind):
+        # gen_operands' own recipe over every pair (x, y) of 4-bit draws, each
+        # after an a draw: the share of multiplier bits set is exactly P1
+        draws = iter([value for x in range(16) for y in range(16) for value in (0, x, y)])
+
+        class Scripted(random.Random):
+            def getrandbits(self, k):
+                return next(draws)
+
+        monkeypatch.setattr(harness.random, "Random", Scripted)
+        pairs = list(gen_operands(OperandDistribution(kind), 4, 256))
+        ones = sum(b.bit_count() for _, b in pairs)
+        assert Fraction(ones, 4 * 256) == Fraction(BIT_PROBABILITY[kind])
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_every_bit_biased_at_width_32(self, kind):
+        # each multiplier bit is set with probability P1, also where a's bit is
+        # set: 0.02 is over four standard deviations at 10,000 pairs
+        trials = 20_000
+        p1 = BIT_PROBABILITY[kind]
+        pairs = list(gen_operands(OperandDistribution(kind, seed=3), 32, trials))
+        for i in range(32):
+            bits = [(a >> i & 1, b >> i & 1) for a, b in pairs]
+            assert abs(sum(b for _, b in bits) / trials - p1) < 0.02, i
+            with_a = [b for a, b in bits if a]
+            assert abs(sum(with_a) / len(with_a) - p1) < 0.02, i
 
 
 def carryless_conventional(a: Word, b: Word, cfg) -> SimResult:
@@ -275,12 +303,21 @@ class TestExhaustiveVerify:
         assert outcome.passed and outcome.total_pairs == 1024
         assert built == [0] and calls == []
 
-    def test_default_path_charges_no_ledger(self, monkeypatch):
-        # the configs are built first: their constructor charges fixed_charges
-        # once, and make_config keeps them
-        for variant in Variant:
-            make_config(variant, 5)
+    def test_default_path_builds_no_config(self, monkeypatch):
+        # the width's range and the exhaustive limit are still checked, in
+        # that order, with no config to check them
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a config")
 
+        monkeypatch.setattr(datapath.ArchConfig, "__post_init__", refuse)
+        monkeypatch.setattr(harness, "make_config", refuse)
+        outcome = exhaustive_verify(5)
+        assert outcome.passed and outcome.total_pairs == 1024
+        for width, match in ((0, "1..32, got 0"), (9, "width 9"), (33, "1..32, got 33")):
+            with pytest.raises(ValueError, match=match):
+                exhaustive_verify(width)
+
+    def test_default_path_charges_no_ledger(self, monkeypatch):
         def ledger(*args):
             raise AssertionError("verify paid for a ledger")
 
