@@ -12,8 +12,8 @@ pulse and counter toggle themselves, cycle by cycle, from their own
 registers and stepped counters, so they check those closed forms too.
 
 ``biased_operands`` draws the sparse and dense operand streams one call
-per value and builds each multiplier bit by bit.
-``string_exhaustive_slices`` and ``string_exhaustive_products`` build the exhaustive verify's operand and
+per value and builds each multiplier bit by bit.  ``string_exhaustive_slices``
+and ``string_exhaustive_products`` build the exhaustive verify's operand and
 product slices through '0'/'1' strings, as the harness did before it built
 them from bytes; ``decode_slices`` reads slices back per trial the same way.
 
