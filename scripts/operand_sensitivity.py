@@ -5,7 +5,7 @@ larger than with dense multipliers."""
 
 import argparse
 
-from shiftadd.datapath import MAX_OPERAND_WIDTH
+from shiftadd.datapath import check_width
 from shiftadd.harness import DENSE_P1, SPARSE_P1, OperandDistribution, sweep
 
 
@@ -15,8 +15,10 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20250811)
     args = parser.parse_args()
-    if not 1 <= args.width <= MAX_OPERAND_WIDTH:
-        parser.error(f"--width must be in 1..{MAX_OPERAND_WIDTH}, got {args.width}")
+    try:
+        check_width(args.width)
+    except ValueError as exc:
+        parser.error(f"--width: {exc}")
 
     kinds = (("sparse", SPARSE_P1), ("uniform", 0.50), ("dense", DENSE_P1))
     try:

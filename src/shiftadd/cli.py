@@ -9,8 +9,8 @@ import sys
 from typing import Sequence
 
 from .bits import Word
-from .datapath import (DEFAULT_BLOCK_SIZE, MAX_OPERAND_WIDTH, Variant, make_config,
-                       render_trace, simulate)
+from .datapath import (DEFAULT_BLOCK_SIZE, Variant, check_width, make_config, render_trace,
+                       simulate)
 from .harness import (
     DIST_KINDS,
     REPORTED_FPGA_REDUCTION,
@@ -43,8 +43,9 @@ def check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 def parse_widths(text: str, parser: argparse.ArgumentParser) -> list[int]:
     """The widths of a comma-separated ``--widths`` value.  An entry that is
-    not an int, an empty one among them, or a width outside
-    1..MAX_OPERAND_WIDTH is a usage error naming the flag."""
+    not an int, an empty one among them, a width ``check_width`` refuses, or
+    one given twice (its rows would be written twice) is a usage error
+    naming the flag."""
     entries = text.split(",")
     if not any(entries):
         parser.error("--widths is empty")
@@ -52,9 +53,13 @@ def parse_widths(text: str, parser: argparse.ArgumentParser) -> list[int]:
         widths = [int(entry) for entry in entries]
     except ValueError:
         parser.error(f"bad --widths value {text!r}")
-    for width in widths:
-        if not 1 <= width <= MAX_OPERAND_WIDTH:
-            parser.error(f"--widths: width must be in 1..{MAX_OPERAND_WIDTH}, got {width}")
+    for i, width in enumerate(widths):
+        try:
+            check_width(width)
+        except ValueError as exc:
+            parser.error(f"--widths: {exc}")
+        if width in widths[:i]:
+            parser.error(f"--widths: width {width} is given more than once")
     return widths
 
 

@@ -239,8 +239,7 @@ class Clocking(Enum):
     NEVER = "never"
 
 
-@dataclass(frozen=True, slots=True)
-class Register:
+class Register(NamedTuple):
     """``width`` flip-flops that take the pulses ``clocking`` names, each
     pulse charged to ledger ``category`` at ``s`` transitions per flip-flop
     (``g`` for the latches of clock gates).  A ``category`` of None marks a
@@ -371,8 +370,7 @@ class Lanes(NamedTuple):
                    lanes, lanes >> (n - 1), 2 * n * (n - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class CycleTrace:
+class CycleTrace(NamedTuple):
     """One simulated cycle: counter state, selected bit, and running values."""
 
     cycle: int

@@ -5,14 +5,13 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import json
 import math
 import operator
 import os
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bits import Word
 from .datapath import (
@@ -122,8 +121,7 @@ def word_table(width: int) -> list[Word]:
 Runner = Callable[[Word, Word, object], SimResult]
 
 
-@dataclass(frozen=True, slots=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     arch: str
     a: int
     b: int
@@ -131,8 +129,7 @@ class Mismatch:
     expected: int
 
 
-@dataclass
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     width: int
     total_pairs: int
     mismatches: list[Mismatch]
@@ -246,8 +243,7 @@ def _bit_string(value: int, length: int) -> str:
     return format(value, f"0{length}b")[::-1]
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One sweep cell: a (width, architecture) aggregate over a trial set."""
 
     width: int
@@ -269,10 +265,10 @@ class ReportRow:
     reduction_pct: float
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
-REPORT_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(ReportRow))
+REPORT_COLUMNS: tuple[str, ...] = ReportRow._fields
 
 
 def _aggregate(
@@ -419,6 +415,7 @@ def emit_report(
                 for row in rows:
                     writer.writerow([getattr(row, col) for col in REPORT_COLUMNS])
             else:
+                import json  # here: verify, run and CSV sweeps never pay for its import
                 payload: object = [row.as_dict() for row in rows]
                 if metadata:
                     payload = {"metadata": metadata, "rows": payload}

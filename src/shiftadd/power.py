@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .datapath import (
     LEDGER_CATEGORIES,
@@ -115,8 +115,7 @@ def average_power(energy: float, cycles: int, model: PowerModel) -> float:
     return energy * model.f_clk / cycles
 
 
-@dataclass(frozen=True, slots=True)
-class AreaInventory:
+class AreaInventory(NamedTuple):
     """Structural element counts standing in for physical area."""
 
     flip_flops: int

@@ -379,6 +379,17 @@ class TestSweepCommand:
         assert ran == []
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("widths", ["4,4", "4,8,4"])
+    def test_repeated_width_usage_error(self, tmp_path, ran, capsys, widths):
+        # a repeated width would run twice and write its two rows twice
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", widths, "--trials", "5",
+                    "--out", str(tmp_path / "x.csv"))
+        assert excinfo.value.code == 2
+        assert "--widths: width 4 is given more than once" in capsys.readouterr().err
+        assert ran == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_destination_fails(self, tmp_path, capsys):
         # its directory exists, so the write fails only after the sweep: the
         # file name is longer than a file system allows
@@ -531,6 +542,16 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
+    def test_import_loads_no_json(self):
+        # only a JSON report needs the json module; verify, run and CSV
+        # sweeps do not pay for importing it
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import shiftadd.cli; "
+                "print('json' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
+
     def test_closed_stdout_pipe_exits_quietly(self):
         # the reader of the pipe stopped early, like ``| head -n 1``; its read
         # end is closed before the spawn, so every write fails
@@ -562,6 +583,8 @@ class TestExperimentScripts:
         ("reduction_vs_width.py", ["--block-size", "0"], "--block-size"),
         ("reduction_vs_width.py", ["--seed", "-1"], "seed must be >= 0"),
         ("operand_sensitivity.py", ["--seed", "-1"], "seed must be >= 0"),
+        ("reduction_vs_width.py", ["--widths", "8,4,8"], "--widths: width 8 is given more than once"),
+        ("operand_sensitivity.py", ["--width", "0"], "--width: width must be in 1..32, got 0"),
     ])
     def test_bad_input_usage_error(self, script, argv, flag):
         env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}

@@ -15,7 +15,7 @@ from oracles import (
     string_exhaustive_slices,
 )
 
-from shiftadd import datapath, harness
+from shiftadd import datapath, harness, power
 from shiftadd.bits import Word
 from shiftadd.datapath import (
     LEDGER_CATEGORIES,
@@ -551,6 +551,46 @@ class TestSweep:
     def test_deterministic(self):
         dist = OperandDistribution("uniform", seed=31)
         assert sweep([4], dist, 400) == sweep([4], dist, 400)
+
+
+class TestRecords:
+    """The plain records are named tuples: no generated dataclass code to
+    build at import.  They stay immutable, and the report's columns keep
+    their order."""
+
+    RECORDS = [
+        datapath.Register("multiplier", 4, datapath.Clocking.NEVER, None),
+        datapath.CycleTrace(0, Word(0, 4), 1, Word(3, 4), Word(3, 8)),
+        power.AreaInventory(1, 2, 3, 4),
+        harness.Mismatch("conv", 1, 2, 3, 2),
+        harness.VerifyOutcome(1, 4, []),
+        harness.ReportRow(*range(17)),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_field_assignment_refused(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 0
+        assert record == tuple(record)
+
+    def test_report_columns_in_order(self):
+        columns = (
+            "width", "arch", "trials", "multiplier_shift", "partial_product_shift", "adder",
+            "counter_internal", "counter_output", "mux_select", "mux_data",
+            "feeder_bypass_clock", "gating", "energy", "avg_power", "flip_flops",
+            "full_adders", "reduction_pct")
+        assert REPORT_COLUMNS == columns
+        row = sweep([4], OperandDistribution("uniform", seed=3), 10)[1]
+        assert tuple(row.as_dict()) == columns
+        assert list(row.as_dict().values()) == list(row)
+        assert type(row.as_dict()) is dict
+
+    def test_verify_outcome_passed(self):
+        assert harness.VerifyOutcome(1, 4, []).passed
+        assert not harness.VerifyOutcome(1, 4, [harness.Mismatch("conv", 1, 1, 0, 1)]).passed
 
 
 class TestEmitReport:
