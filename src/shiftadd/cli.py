@@ -9,8 +9,8 @@ import sys
 from typing import Sequence
 
 from .bits import Word
-from .datapath import (DEFAULT_BLOCK_SIZE, Variant, check_width, make_config, render_trace,
-                       simulate)
+from .datapath import (DEFAULT_BLOCK_SIZE, RingCostModel, Variant, check_width, make_config,
+                       render_trace, simulate)
 from .harness import (
     DIST_KINDS,
     REPORTED_FPGA_REDUCTION,
@@ -26,10 +26,10 @@ from .power import PowerModel, area_proxy, average_power, estimate_energy
 def add_cost_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                         help=f"ring gating block size (default: min({DEFAULT_BLOCK_SIZE}, width))")
-    parser.add_argument("--ffs-cost", type=int, default=2, metavar="S",
-                        help="internal transitions per clocked flip-flop (default 2)")
-    parser.add_argument("--gate-cost", type=int, default=1, metavar="G",
-                        help="gating-logic transitions per block per clock (default 1)")
+    parser.add_argument("--ffs-cost", type=int, default=RingCostModel().s, metavar="S",
+                        help="internal transitions per clocked flip-flop (default %(default)s)")
+    parser.add_argument("--gate-cost", type=int, default=RingCostModel().g, metavar="G",
+                        help="gating-logic transitions per block per clock (default %(default)s)")
 
 
 def check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -145,6 +145,8 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     widths = parse_widths(args.widths, parser)
     # the report is written after the sweep has run: check its path first
+    if not args.out:
+        parser.error("--out is empty, not a report file path")
     if os.path.isdir(args.out):
         parser.error(f"--out {args.out} is a directory, not a report file path")
     directory = os.path.dirname(args.out) or "."

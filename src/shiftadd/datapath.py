@@ -155,7 +155,7 @@ class ArchConfig:
         else:
             window = lanes.running  # the feeder/bypass storage
             plan = functools.partial(_lowpower_plan, *shared, lanes.selects, lanes.lanes,
-                                     fixed.mux_select, _add_clock(self), self.cost.g)
+                                     fixed.mux_select, fixed.feeder_bypass_clock, _add_clock(self))
         object.__setattr__(self, "constants", (
             lanes.L, lanes.L - 1, n - 1, lanes.running, window, lanes.lanes, lanes.top,
             fixed.partial_product_shift, fixed.counter_internal, fixed.counter_output,
@@ -174,8 +174,8 @@ def make_config(
     variant: Variant | str,
     width: int,
     *,
-    s: int = 2,
-    g: int = 1,
+    s: int = RingCostModel().s,
+    g: int = RingCostModel().g,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> ArchConfig:
     """The one shared ArchConfig for this config value, however it is spelled:
@@ -278,8 +278,10 @@ def register_inventory(cfg: ArchConfig) -> tuple[Register, ...]:
 
 def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     """Every charge of one run under ``cfg`` that does not depend on the
-    operands: the clock pulses of the inventory's registers (those clocked
-    on add cycles excepted) and the counter's own output toggles.
+    operands, the ledger of the run 0 x 0: the clock pulses of the
+    inventory's registers, the counter's own output toggles, and the clock
+    gate of a register clocked on add cycles, as b = 0 bypasses on every
+    cycle.  With ``_add_clock`` it is all that reads ``s`` and ``g``.
 
     It is computed once per config, when the config is built: the kernel
     reads its entries through ``cfg.constants`` and the plans, which are bound
@@ -292,12 +294,13 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
         if reg.category is None:
             continue
         if reg.clocking is Clocking.EVERY_CYCLE:
-            pulses = n * reg.width
+            charge = n * reg.width * (cost.g if reg.gate_latch else cost.s)
         elif reg.clocking is Clocking.RING_BLOCK:
-            pulses = _ring_pulses(reg.width, cost.block_size)
-        else:  # add-cycle pulses depend on the multiplier; NEVER gets none
+            charge = _ring_pulses(reg.width, cost.block_size) * cost.s
+        elif reg.clocking is Clocking.ADD_CYCLES:  # every cycle bypasses
+            charge = n * cost.g
+        else:  # NEVER gets no pulse
             continue
-        charge = pulses * (cost.g if reg.gate_latch else cost.s)
         setattr(ledger, reg.category, getattr(ledger, reg.category) + charge)
     if cfg.variant is Variant.CONVENTIONAL:
         # counting from 0 up to n - 1 flips 2(n - 1) - popcount(n - 1) bits,
@@ -311,10 +314,11 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
 
 
 def _add_clock(cfg: ArchConfig) -> int:
-    """The clock charge of one add cycle: s per flip-flop the inventory clocks
-    on add cycles only (the low-power feeder/bypass storage)."""
-    return cfg.cost.s * sum(reg.width for reg in register_inventory(cfg)
-                            if reg.clocking is Clocking.ADD_CYCLES)
+    """What one add cycle charges over a bypass, for each register the
+    inventory clocks on add cycles only (the low-power feeder/bypass
+    storage): s per flip-flop, less the g its clock gate costs a bypass."""
+    return sum(cfg.cost.s * reg.width - cfg.cost.g for reg in register_inventory(cfg)
+               if reg.clocking is Clocking.ADD_CYCLES)
 
 
 def _ring_pulses(n: int, block_size: int) -> int:
@@ -415,14 +419,14 @@ def _conventional_plan(n: int, copies: int, prefixes: int, low: int, carries: in
 
 def _lowpower_plan(
     n: int, copies: int, prefixes: int, low: int, carries: int, selects: int, lanes: int,
-    mux_select: int, add_clock: int, g: int, bv: int,
+    mux_select: int, feeder: int, add_clock: int, bv: int,
 ) -> tuple:
     """B's part of a low-power run, for the numbers the config binds, in the
     plan shape ``simulate`` reads: the adder masks cut to the add lanes, the
     forward fill's schedule, the ring's fixed select toggles, and the closed
-    forms of mux data and the feeder's clock (``add_clock`` per add, ``g`` per
-    bypass).  B is never clocked or shifted, and the mux output is the
-    selected bit, so no mux data swing depends on A.
+    forms of mux data and the feeder's clock (``feeder``, its charge in the
+    run 0 x 0, plus ``add_clock`` per add).  B is never clocked or shifted,
+    and the mux output is the selected bit, so no mux data swing depends on A.
 
     A bypass cycle holds the adder's state, so the kernel fills each other
     lane from the nearest add lane below it, doubling the reach per step:
@@ -447,7 +451,7 @@ def _lowpower_plan(
     mux_data = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
     adds = bv.bit_count()
     return (masked, low & fired, carries & fired, tuple(fill), 0, mux_select, 0, mux_data,
-            adds * add_clock + (n - adds) * g)
+            feeder + adds * add_clock)
 
 
 def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
@@ -598,8 +602,7 @@ def run_sliced(cfg: ArchConfig, a_slices: Sequence[int], b_slices: Sequence[int]
     else:
         # the low-power select lines are the ring's; its mux output is the selected bit
         ledger.mux_data += select_toggles
-        adds = sum(sel.bit_count() for sel in b_slices)
-        ledger.feeder_bypass_clock += adds * _add_clock(cfg) + (n * trials - adds) * cfg.cost.g
+        ledger.feeder_bypass_clock += sum(sel.bit_count() for sel in b_slices) * _add_clock(cfg)
     return reg, ledger
 
 

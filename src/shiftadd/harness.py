@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -10,7 +11,6 @@ import operator
 import os
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .bits import Word
@@ -18,6 +18,7 @@ from .datapath import (
     CONVENTIONAL_CATEGORIES,
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
+    RingCostModel,
     SimResult,
     ToggleLedger,
     Variant,
@@ -308,8 +309,8 @@ def sweep(
     trials: int,
     model: PowerModel | None = None,
     *,
-    s: int = 2,
-    g: int = 1,
+    s: int = RingCostModel().s,
+    g: int = RingCostModel().g,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[ReportRow]:
     """Run both architectures over the same operand stream at each width.
@@ -386,7 +387,7 @@ def sweep(
 def emit_report(
     rows: Sequence[ReportRow],
     fmt: str,
-    destination: str | Path,
+    destination: str | os.PathLike[str],
     metadata: dict | None = None,
 ) -> None:
     """Write rows as CSV or JSON.
@@ -401,10 +402,10 @@ def emit_report(
         raise ValueError("no rows to emit")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    path = Path(destination)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    head, name = os.path.split(os.fspath(destination))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
-        with tmp.open("x", newline="" if fmt == "csv" else None) as fh:
+        with open(tmp, "x", newline="" if fmt == "csv" else None) as fh:
             if fmt == "csv":
                 if metadata:
                     fh.write("# " + " ".join(
@@ -420,7 +421,8 @@ def emit_report(
                 if metadata:
                     payload = {"metadata": metadata, "rows": payload}
                 fh.write(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, path)
+        os.replace(tmp, destination)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # never made: the first error stands
+            os.remove(tmp)
         raise

@@ -10,8 +10,8 @@ category, so with the default model energy equals the raw transition total.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .datapath import (
@@ -57,14 +57,15 @@ class PowerModel:
             raise ValueError("power model weights are all 0, so no energy can be compared")
 
     @classmethod
-    def from_file(cls, path: str | Path) -> PowerModel:
+    def from_file(cls, path: str | os.PathLike[str]) -> PowerModel:
         """Load ``key = value`` lines; keys are ledger categories, plus ``vdd``
         and ``f_clk``; ``#`` starts a comment.  ValueError names ``path:line``
         for a bad line (unknown or repeated key, a value that is not a finite
         number), and ``path`` for text that is not UTF-8 (a leading byte-order
         mark is skipped) or a refused model."""
         try:
-            lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+            with open(path, encoding="utf-8-sig") as fh:
+                lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         values: dict[str, float] = {}

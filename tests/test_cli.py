@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from shiftadd.cli import main
 from shiftadd.datapath import (
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
+    RingCostModel,
     SimResult,
     Variant,
     make_config,
@@ -163,6 +165,24 @@ class TestCostFlagErrors:
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_defaults_are_the_cost_models(self, capsys):
+        # s and g are defaulted once, in RingCostModel: make_config, sweep
+        # and both commands' flags read it, and the help text says its values
+        default = RingCostModel()
+        for function in (make_config, harness.sweep):
+            parameters = inspect.signature(function).parameters
+            assert (parameters["s"].default, parameters["g"].default) == (
+                default.s, default.g), function.__name__
+        parser = cli.build_parser()
+        for argv in (RUN_4, SWEEP_4):
+            args = parser.parse_args(argv)
+            assert (args.ffs_cost, args.gate_cost) == (default.s, default.g), argv[0]
+            with pytest.raises(SystemExit):
+                parser.parse_args([argv[0], "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert f"per clocked flip-flop (default {default.s})" in help_text
+            assert f"per block per clock (default {default.g})" in help_text
 
     def test_least_values_accepted(self, capsys):
         assert run_cli(*RUN_4, "--ffs-cost", "1", "--gate-cost", "0", "--block-size", "1") == 0
@@ -400,6 +420,16 @@ class TestSweepCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_out_usage_error_before_any_run(self, tmp_path, monkeypatch, ran, capsys):
+        # it names no file: refused before the sweep, not when the report is written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "5", "--out", "")
+        assert excinfo.value.code == 2
+        assert "--out is empty" in capsys.readouterr().err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_out_directory_usage_error_before_any_run(self, tmp_path, ran, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "4", "--trials", "10",
@@ -542,15 +572,26 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
+    @staticmethod
+    def loaded_after_import(module):
+        """Whether ``module`` is loaded after ``import shiftadd.cli`` in a
+        fresh ``python -I -S``, which imports nothing else."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import shiftadd.cli; "
+                f"print({module!r} in sys.modules)")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True, check=True)
+        return {"True\n": True, "False\n": False}[proc.stdout]
+
     def test_import_loads_no_json(self):
         # only a JSON report needs the json module; verify, run and CSV
         # sweeps do not pay for importing it
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import shiftadd.cli; "
-                "print('json' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout == "False\n"
+        assert not self.loaded_after_import("json")
+
+    def test_import_loads_no_pathlib(self):
+        # os.path and open write reports and read models: no command pays
+        # for pathlib's import
+        assert not self.loaded_after_import("pathlib")
 
     def test_closed_stdout_pipe_exits_quietly(self):
         # the reader of the pipe stopped early, like ``| head -n 1``; its read
@@ -577,14 +618,16 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 class TestExperimentScripts:
     @pytest.mark.parametrize("script, argv, flag", [
         ("reduction_vs_width.py", ["--widths", "4,"], "--widths"),
-        ("operand_sensitivity.py", ["--width", "33"], "--width"),
+        ("reduction_vs_width.py", ["--dist", "uniform,bimodal"],
+         "--dist: unknown distribution 'bimodal'"),
         ("reduction_vs_width.py", ["--ffs-cost", "0"], "--ffs-cost"),
         ("reduction_vs_width.py", ["--gate-cost", "-1"], "--gate-cost"),
         ("reduction_vs_width.py", ["--block-size", "0"], "--block-size"),
         ("reduction_vs_width.py", ["--seed", "-1"], "seed must be >= 0"),
-        ("operand_sensitivity.py", ["--seed", "-1"], "seed must be >= 0"),
+        ("reduction_vs_width.py", ["--dist", "sparse,dense,sparse"],
+         "--dist: distribution sparse is given more than once"),
         ("reduction_vs_width.py", ["--widths", "8,4,8"], "--widths: width 8 is given more than once"),
-        ("operand_sensitivity.py", ["--width", "0"], "--width: width must be in 1..32, got 0"),
+        ("reduction_vs_width.py", ["--dist", ""], "--dist is empty"),
     ])
     def test_bad_input_usage_error(self, script, argv, flag):
         env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
@@ -593,3 +636,19 @@ class TestExperimentScripts:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert flag in proc.stderr.splitlines()[-1]  # the message, below the usage lines
+
+    def test_one_block_per_distribution_as_sweep_reports(self):
+        # each block's header names the distribution and its p(bit = 1), and
+        # its reduction is the one sweep gives under the script's default seed
+        env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "reduction_vs_width.py"), "--widths", "8",
+             "--dist", "sparse,uniform,dense", "--trials", "200"],
+            capture_output=True, text=True, env=env, check=True)
+        blocks = [block.splitlines() for block in proc.stdout.split("\n\n")]
+        for (kind, p1), (header, _, row) in zip(
+                (("sparse", "0.25"), ("uniform", "0.50"), ("dense", "0.75")), blocks, strict=True):
+            assert header.startswith(f"dist={kind} p(bit=1)={p1} trials=200 seed=20250811 ")
+            rows = harness.sweep([8], harness.OperandDistribution(kind, seed=20250811), 200)
+            reduction = next(r.reduction_pct for r in rows if r.arch == "lowpower")
+            assert row.split()[3] == f"{reduction:.2f}%", kind

@@ -225,17 +225,30 @@ KERNELS = {
 class TestFixedCharges:
     @pytest.mark.parametrize("n", range(1, 33))
     def test_closed_forms_match_oracle_replay(self, n):
-        # with a = b = 0 nothing data-dependent moves in the loop oracles,
-        # except that every low-power cycle is a bypass cycle and pays its gate
+        # with a = b = 0 nothing data-dependent moves: the operand-free
+        # charges are the whole ledger of the run 0 x 0, in the packed kernel
+        # and the loop oracles alike
         zero = Word(0, n)
         for s, g in COSTS:
             for bsz in range(1, n + 1):
-                for variant, (_, loop) in KERNELS.items():
+                for variant, (packed, loop) in KERNELS.items():
                     cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
-                    expected = loop(zero, zero, cfg)[0].ledger
-                    if variant is Variant.LOW_POWER:
-                        expected.feeder_bypass_clock -= n * g
-                    assert fixed_charges(cfg) == expected, (variant, n, bsz, s, g)
+                    case = (variant, n, bsz, s, g)
+                    assert fixed_charges(cfg) == loop(zero, zero, cfg)[0].ledger, case
+                    assert fixed_charges(cfg) == packed(zero, zero, cfg).ledger, case
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 32])
+    def test_sliced_all_zero_trials(self, n):
+        # T runs of 0 x 0 charge T times the operand-free charges, no more
+        trials = 7
+        for s, g in COSTS:
+            for variant in Variant:
+                cfg = make_config(variant, n, s=s, g=g)
+                products, ledger = run_sliced(cfg, [0] * n, [0] * n, trials)
+                assert products == [0] * (2 * n)
+                assert ledger.as_dict() == {
+                    k: trials * v for k, v in fixed_charges(cfg).as_dict().items()}, (
+                    variant, n, s, g)
 
     def test_cached_per_config(self, monkeypatch):
         # computed when the config is built, not on a kernel call
@@ -340,9 +353,11 @@ def unbound_plan(cfg, bv):
     shared = (n, lanes.copies, lanes.prefixes, lanes.low, lanes.carries)
     if cfg.variant is Variant.CONVENTIONAL:
         return _conventional_plan(*shared, fixed.multiplier_shift, bv)
-    # the feeder/bypass storage, n + 1 flip-flops, is clocked on add cycles
+    # the feeder/bypass storage, n + 1 flip-flops, is clocked on add cycles;
+    # its clock gate, switching on bypass cycles instead, charges g on every
+    # cycle of the run 0 x 0, and an add cycle s * (n + 1) - g more
     return _lowpower_plan(*shared, lanes.selects, lanes.lanes, fixed.mux_select,
-                          (n + 1) * cost.s, cost.g, bv)
+                          fixed.feeder_bypass_clock, (n + 1) * cost.s - cost.g, bv)
 
 
 class TestPlanTables:
