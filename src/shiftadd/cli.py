@@ -6,7 +6,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .bits import Word
 from .datapath import (DEFAULT_BLOCK_SIZE, RingCostModel, Variant, check_width, make_config,

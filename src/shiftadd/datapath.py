@@ -63,11 +63,12 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .bits import Word, _exact_word
+from .bits import Word, _exact_word, _read_only
 
 MAX_OPERAND_WIDTH = 32
 # widest config with a plan table, of 2**8 plans; at width 16 a table could
@@ -84,8 +85,14 @@ class Variant(str, Enum):
     LOW_POWER = "lowpower"
 
 
-@dataclass(frozen=True, slots=True)
-class RingCostModel:
+def _checked_make(cls, fields):
+    """``_make`` of a named tuple whose ``__new__`` checks its fields.  The
+    generated ``_make``, which ``_replace`` calls too, builds the tuple
+    without ``__new__``; this one builds it through ``cls``."""
+    return cls(*fields)
+
+
+class RingCostModel(namedtuple("RingCostModel", "s g block_size")):
     """Clocking cost parameters.
 
     ``s``: internal transitions per clocked flip-flop per pulse.
@@ -93,17 +100,19 @@ class RingCostModel:
     ``block_size``: flip-flops per gated block of the low-power ring.
     """
 
-    s: int = 2
-    g: int = 1
-    block_size: int = DEFAULT_BLOCK_SIZE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s < 1:
+    def __new__(cls, s: int = 2, g: int = 1,
+                block_size: int = DEFAULT_BLOCK_SIZE) -> RingCostModel:
+        if s < 1:
             raise ValueError("s must be >= 1")
-        if self.g < 0:
+        if g < 0:
             raise ValueError("g must be >= 0")
-        if self.block_size < 1:
+        if block_size < 1:
             raise ValueError("block_size must be >= 1")
+        return super().__new__(cls, s, g, block_size)
+
+    _make = classmethod(_checked_make)
 
 
 def check_width(width: int) -> None:
@@ -116,7 +125,6 @@ def num_blocks(width: int, block_size: int) -> int:
     return -(-width // block_size)
 
 
-@dataclass(frozen=True, slots=True)
 class ArchConfig:
     """Architecture variant, operand width and cost parameters.
 
@@ -129,23 +137,28 @@ class ArchConfig:
     ``a << width | b``, or None where 4**width exceeds 2**PLAN_WIDTH_LIMIT.
     Build configs with ``make_config``, which returns one shared instance per
     config value, so that a caller who asks for a config per run does not
-    rebuild them.
+    rebuild them.  A config is immutable; two are equal, and hash alike, where
+    their variant, width and cost are.
     """
 
+    __slots__ = ("variant", "width", "cost", "constants", "plan", "results")
     variant: Variant
     width: int
-    cost: RingCostModel = RingCostModel()
-    constants: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    plan: Callable[[int], tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    results: tuple[SimResult, ...] | None = field(init=False, repr=False, compare=False)
+    cost: RingCostModel
+    constants: tuple[int, ...]
+    plan: Callable[[int], tuple[int, ...]]
+    results: tuple[SimResult, ...] | None
 
-    def __post_init__(self) -> None:
-        check_width(self.width)
-        if self.cost.block_size > self.width:
-            raise ValueError(
-                f"block_size {self.cost.block_size} exceeds width {self.width}"
-            )
-        n = self.width
+    def __init__(self, variant: Variant, width: int,
+                 cost: RingCostModel = RingCostModel()) -> None:
+        init = object.__setattr__  # past the refusing __setattr__
+        init(self, "variant", variant)
+        init(self, "width", width)
+        init(self, "cost", cost)
+        check_width(width)
+        if cost.block_size > width:
+            raise ValueError(f"block_size {cost.block_size} exceeds width {width}")
+        n = width
         fixed = fixed_charges(self)
         lanes = Lanes.build(n)
         shared = (n, lanes.copies, lanes.prefixes, lanes.low, lanes.carries)
@@ -156,18 +169,33 @@ class ArchConfig:
             window = lanes.running  # the feeder/bypass storage
             plan = functools.partial(_lowpower_plan, *shared, lanes.selects, lanes.lanes,
                                      fixed.mux_select, fixed.feeder_bypass_clock, _add_clock(self))
-        object.__setattr__(self, "constants", (
+        init(self, "constants", (
             lanes.L, lanes.L - 1, n - 1, lanes.running, window, lanes.lanes, lanes.top,
             fixed.partial_product_shift, fixed.counter_internal, fixed.counter_output,
             fixed.gating))
-        if self.width <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
-            plan = tuple(map(plan, range(1 << self.width))).__getitem__
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "results", None)  # so the kernel below computes
-        if 2 * self.width <= PLAN_WIDTH_LIMIT:  # every (a, b) result, built now
-            words = [Word(v, self.width) for v in range(1 << self.width)]
-            object.__setattr__(self, "results", tuple(
-                simulate(a, b, self) for a in words for b in words))
+        if n <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
+            plan = tuple(map(plan, range(1 << n))).__getitem__
+        init(self, "plan", plan)
+        init(self, "results", None)  # so the kernel below computes
+        if 2 * n <= PLAN_WIDTH_LIMIT:  # every (a, b) result, built now
+            words = [Word(v, n) for v in range(1 << n)]
+            init(self, "results", tuple(simulate(a, b, self) for a in words for b in words))
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variant, self.width, self.cost) == (other.variant, other.width, other.cost)
+
+    def __hash__(self) -> int:
+        return hash((self.variant, self.width, self.cost))
+
+    def __repr__(self) -> str:
+        return f"ArchConfig(variant={self.variant!r}, width={self.width!r}, cost={self.cost!r})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return ArchConfig, (self.variant, self.width, self.cost)
 
 
 def make_config(
@@ -189,22 +217,43 @@ def make_config(
 _shared_config = functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)(ArchConfig)
 
 
-@dataclass(slots=True)
-class ToggleLedger:
-    """Transition and clock-event counts per structural block."""
+LEDGER_CATEGORIES: tuple[str, ...] = (
+    "multiplier_shift", "partial_product_shift", "adder", "counter_internal", "counter_output",
+    "mux_select", "mux_data", "feeder_bypass_clock", "gating")
 
-    multiplier_shift: int = 0
-    partial_product_shift: int = 0
-    adder: int = 0
-    counter_internal: int = 0
-    counter_output: int = 0
-    mux_select: int = 0
-    mux_data: int = 0
-    feeder_bypass_clock: int = 0
-    gating: int = 0
+
+class ToggleLedger:
+    """Transition and clock-event counts per structural block, one slot per
+    category of ``LEDGER_CATEGORIES``.  Two ledgers are equal where every
+    count is; a ledger is mutable, so it has no hash."""
+
+    __slots__ = LEDGER_CATEGORIES
+
+    def __init__(self, multiplier_shift: int = 0, partial_product_shift: int = 0,
+                 adder: int = 0, counter_internal: int = 0, counter_output: int = 0,
+                 mux_select: int = 0, mux_data: int = 0, feeder_bypass_clock: int = 0,
+                 gating: int = 0) -> None:
+        self.multiplier_shift = multiplier_shift
+        self.partial_product_shift = partial_product_shift
+        self.adder = adder
+        self.counter_internal = counter_internal
+        self.counter_output = counter_output
+        self.mux_select = mux_select
+        self.mux_data = mux_data
+        self.feeder_bypass_clock = feeder_bypass_clock
+        self.gating = gating
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{name}={count!r}" for name, count in self.as_dict().items())
+        return f"ToggleLedger({counts})"
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in LEDGER_CATEGORIES}
 
     def add(self, other: ToggleLedger) -> None:
         # one line per category: called once per simulated multiplication,
@@ -220,7 +269,6 @@ class ToggleLedger:
         self.gating += other.gating
 
 
-LEDGER_CATEGORIES: tuple[str, ...] = tuple(f.name for f in fields(ToggleLedger))
 # the categories the conventional datapath can charge: it has no ring, clock
 # gates or feeder/bypass storage
 CONVENTIONAL_CATEGORIES: tuple[str, ...] = (
@@ -239,17 +287,14 @@ class Clocking(Enum):
     NEVER = "never"
 
 
-class Register(NamedTuple):
+class Register(namedtuple("Register", "name width clocking category gate_latch",
+                          defaults=(False,))):
     """``width`` flip-flops that take the pulses ``clocking`` names, each
     pulse charged to ledger ``category`` at ``s`` transitions per flip-flop
     (``g`` for the latches of clock gates).  A ``category`` of None marks a
     register that counts towards area but whose pulses are not charged."""
 
-    name: str
-    width: int
-    clocking: Clocking
-    category: str | None
-    gate_latch: bool = False
+    __slots__ = ()
 
 
 def register_inventory(cfg: ArchConfig) -> tuple[Register, ...]:
@@ -289,7 +334,7 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     """
     n = cfg.width
     cost = cfg.cost
-    ledger = ToggleLedger()
+    charges = dict.fromkeys(LEDGER_CATEGORIES, 0)
     for reg in register_inventory(cfg):
         if reg.category is None:
             continue
@@ -301,16 +346,16 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
             charge = n * cost.g
         else:  # NEVER gets no pulse
             continue
-        setattr(ledger, reg.category, getattr(ledger, reg.category) + charge)
+        charges[reg.category] += charge
     if cfg.variant is Variant.CONVENTIONAL:
         # counting from 0 up to n - 1 flips 2(n - 1) - popcount(n - 1) bits,
         # and the wrap back to 0 flips the popcount(n - 1) bits still set
-        ledger.counter_internal += 2 * (n - 1)
+        charges["counter_internal"] += 2 * (n - 1)
     elif n > 1:
         # each step moves the hot bit: two ring outputs toggle, and so do the
         # two one-hot select lines of the mux tree they drive
-        ledger.counter_output = ledger.mux_select = 2 * n
-    return ledger
+        charges["counter_output"] = charges["mux_select"] = 2 * n
+    return ToggleLedger(**charges)
 
 
 def _add_clock(cfg: ArchConfig) -> int:
@@ -332,7 +377,18 @@ def _ring_pulses(n: int, block_size: int) -> int:
     return full * block_size * block_size + part * part + (n if n > block_size else 0)
 
 
-class Lanes(NamedTuple):
+class Lanes(namedtuple("Lanes", [
+    "L",  # lane width, 2n + 1
+    "copies",  # bit 2n*i set for each lane i < n
+    "prefixes",  # bits [0, i] of copy i
+    "selects",  # bit 0 of each lane
+    "low",  # bits [0, n) of each lane
+    "carries",  # bits [n, 2n) of each lane: low << n
+    "running",  # bits [0, n] of each lane
+    "lanes",  # all n lanes
+    "register",  # lanes >> (n - 1): where partial holds the conventional register
+    "top",  # 2n*(n - 1): where the last copy starts
+])):
     """Constants that pack all n cycles of one n-bit multiplication into one
     int, cycle i in lane i: bits [L*i, L*(i+1)), L = 2n + 1.
 
@@ -348,16 +404,7 @@ class Lanes(NamedTuple):
     ``partial`` under the mask shifted down instead (``register``).
     """
 
-    L: int  # lane width, 2n + 1
-    copies: int  # bit 2n*i set for each lane i < n
-    prefixes: int  # bits [0, i] of copy i
-    selects: int  # bit 0 of each lane
-    low: int  # bits [0, n) of each lane
-    carries: int  # bits [n, 2n) of each lane: low << n
-    running: int  # bits [0, n] of each lane
-    lanes: int  # all n lanes
-    register: int  # lanes >> (n - 1): where partial holds the conventional register
-    top: int  # 2n*(n - 1): where the last copy starts
+    __slots__ = ()
 
     @classmethod
     def build(cls, n: int) -> Lanes:
@@ -374,16 +421,21 @@ class Lanes(NamedTuple):
                    lanes, lanes >> (n - 1), 2 * n * (n - 1))
 
 
-class CycleTrace(NamedTuple):
+class CycleTrace(namedtuple("CycleTrace", [
+    "cycle",
+    "counter_state",  # a Word
+    "selected_bit",  # 1 on an add cycle
+    "running_sum",  # a Word
+    "product_so_far",  # a Word
+])):
     """One simulated cycle: counter state, selected bit, and running values."""
 
-    cycle: int
-    counter_state: Word
-    selected_bit: int  # 1 on an add cycle
-    running_sum: Word
-    product_so_far: Word
+    __slots__ = ()
 
 
+# The package's one dataclass, only because perfbench's self-test
+# (``_wrong_product``) calls ``dataclasses.replace`` on it.  Once the
+# benchmark stops doing so, this can become a plain slotted class.
 @dataclass(slots=True)
 class SimResult:
     product: Word
@@ -586,24 +638,27 @@ def run_sliced(cfg: ArchConfig, a_slices: Sequence[int], b_slices: Sequence[int]
         state = signals
         register += sum(map(int.bit_count, map(operator.xor, reg[window:], new[window:])))
         reg = new
-    ledger = ToggleLedger(*(trials * count for count in fixed_charges(cfg).as_dict().values()))
-    ledger.partial_product_shift += register
-    ledger.adder += adder
     # where each cycle's select differs from the previous cycle's (reset: 0)
     changes = [sel ^ below for sel, below in zip(b_slices, [0, *b_slices])]
     select_toggles = sum(change.bit_count() for change in changes)
     if conventional:
-        ledger.mux_select += select_toggles
-        # the mux output swings between 0 and A where the select changed
-        ledger.mux_data += sum((a & change).bit_count() for change in changes for a in a_slices)
-        # cycle i's shift of B toggles bit k >= i where B_k != B_(k+1), with B_n = 0
-        ledger.multiplier_shift += sum((k + 1) * (bk ^ above).bit_count() for k, (bk, above)
-                                       in enumerate(zip(b_slices, [*b_slices[1:], 0])))
+        counts = {
+            "mux_select": select_toggles,
+            # the mux output swings between 0 and A where the select changed
+            "mux_data": sum((a & change).bit_count() for change in changes for a in a_slices),
+            # cycle i's shift of B toggles bit k >= i where B_k != B_(k+1), with B_n = 0
+            "multiplier_shift": sum((k + 1) * (bk ^ above).bit_count() for k, (bk, above)
+                                    in enumerate(zip(b_slices, [*b_slices[1:], 0]))),
+        }
     else:
         # the low-power select lines are the ring's; its mux output is the selected bit
-        ledger.mux_data += select_toggles
-        ledger.feeder_bypass_clock += sum(sel.bit_count() for sel in b_slices) * _add_clock(cfg)
-    return reg, ledger
+        counts = {
+            "mux_data": select_toggles,
+            "feeder_bypass_clock": sum(sel.bit_count() for sel in b_slices) * _add_clock(cfg),
+        }
+    counts.update(partial_product_shift=register, adder=adder)
+    return reg, ToggleLedger(**{category: trials * fixed + counts.get(category, 0)
+                                for category, fixed in fixed_charges(cfg).as_dict().items()})
 
 
 def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:

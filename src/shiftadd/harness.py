@@ -10,8 +10,8 @@ import math
 import operator
 import os
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 
 from .bits import Word
 from .datapath import (
@@ -22,6 +22,7 @@ from .datapath import (
     SimResult,
     ToggleLedger,
     Variant,
+    _checked_make,
     check_width,
     make_config,
     run_conventional,
@@ -48,8 +49,7 @@ SWEEP_CHUNK = 4096
 REPORTED_FPGA_REDUCTION = {4: 20.51, 8: 35.25}
 
 
-@dataclass(frozen=True)
-class OperandDistribution:
+class OperandDistribution(namedtuple("OperandDistribution", "kind seed a b")):
     """A reproducible operand stream recipe.
 
     ``uniform`` draws a and b with one ``getrandbits(width)`` each;
@@ -60,20 +60,21 @@ class OperandDistribution:
     >= 0, since ``random.Random`` seeds with its absolute value.
     """
 
-    kind: str
-    seed: int = 0
-    a: int | None = None
-    b: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in DIST_KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}; choose from {DIST_KINDS}")
-        if self.kind == "fixed" and (self.a is None or self.b is None):
+    def __new__(cls, kind: str, seed: int = 0, a: int | None = None,
+                b: int | None = None) -> OperandDistribution:
+        if kind not in DIST_KINDS:
+            raise ValueError(f"unknown distribution kind {kind!r}; choose from {DIST_KINDS}")
+        if kind == "fixed" and (a is None or b is None):
             raise ValueError("fixed distribution needs both a and b")
-        if self.kind != "fixed" and (self.a is not None or self.b is not None):
-            raise ValueError(f"a and b are operands of the fixed distribution, not {self.kind!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if kind != "fixed" and (a is not None or b is not None):
+            raise ValueError(f"a and b are operands of the fixed distribution, not {kind!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        return super().__new__(cls, kind, seed, a, b)
+
+    _make = classmethod(_checked_make)
 
 
 def gen_operands(
@@ -122,18 +123,11 @@ def word_table(width: int) -> list[Word]:
 Runner = Callable[[Word, Word, object], SimResult]
 
 
-class Mismatch(NamedTuple):
-    arch: str
-    a: int
-    b: int
-    got: int
-    expected: int
+Mismatch = namedtuple("Mismatch", "arch a b got expected")
 
 
-class VerifyOutcome(NamedTuple):
-    width: int
-    total_pairs: int
-    mismatches: list[Mismatch]
+class VerifyOutcome(namedtuple("VerifyOutcome", "width total_pairs mismatches")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -244,26 +238,12 @@ def _bit_string(value: int, length: int) -> str:
     return format(value, f"0{length}b")[::-1]
 
 
-class ReportRow(NamedTuple):
+class ReportRow(namedtuple("ReportRow", [
+    "width", "arch", "trials", *LEDGER_CATEGORIES, "energy", "avg_power", "flip_flops",
+    "full_adders", "reduction_pct"])):
     """One sweep cell: a (width, architecture) aggregate over a trial set."""
 
-    width: int
-    arch: str
-    trials: int
-    multiplier_shift: int
-    partial_product_shift: int
-    adder: int
-    counter_internal: int
-    counter_output: int
-    mux_select: int
-    mux_data: int
-    feeder_bypass_clock: int
-    gating: int
-    energy: float
-    avg_power: float
-    flip_flops: int
-    full_adders: int
-    reduction_pct: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return self._asdict()
@@ -396,7 +376,8 @@ def emit_report(
     recorded first as a single ``#`` comment line (CSV, list values
     comma-separated) or a ``metadata`` object (JSON).  The report is
     written to a temporary file beside ``destination`` and renamed over
-    it, so a failed write leaves any previous report as it was.
+    it, so a failed write leaves any previous report as it was.  An
+    OSError that the temporary file cannot be made names ``destination``.
     """
     if not rows:
         raise ValueError("no rows to emit")
@@ -405,7 +386,11 @@ def emit_report(
     head, name = os.path.split(os.fspath(destination))
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", newline="" if fmt == "csv" else None) as fh:
+        fh = open(tmp, "x", newline="" if fmt == "csv" else None)
+    except OSError as exc:  # a missing directory, say: name the caller's path
+        raise OSError(exc.errno, exc.strerror, os.fspath(destination)) from None
+    try:
+        with fh:
             if fmt == "csv":
                 if metadata:
                     fh.write("# " + " ".join(
@@ -423,6 +408,6 @@ def emit_report(
                 fh.write(json.dumps(payload, indent=2) + "\n")
         os.replace(tmp, destination)
     except BaseException:
-        with contextlib.suppress(OSError):  # never made: the first error stands
+        with contextlib.suppress(OSError):  # the first error stands
             os.remove(tmp)
         raise

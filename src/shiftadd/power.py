@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .datapath import (
     LEDGER_CATEGORIES,
     ArchConfig,
     ToggleLedger,
     Variant,
+    _checked_make,
     register_inventory,
 )
 
@@ -37,24 +38,27 @@ def _complete_weights(weights: Mapping[str, float] | None) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class PowerModel:
-    """Per-category capacitance weights plus supply voltage and clock rate."""
+class PowerModel(namedtuple("PowerModel", "weights vdd f_clk")):
+    """Per-category capacitance weights plus supply voltage and clock rate.
+    The given ``weights`` (or None) may leave categories out; the model
+    weighs each of those at ``DEFAULT_WEIGHT``."""
 
-    weights: dict[str, float] = field(default_factory=lambda: _complete_weights(None))
-    vdd: float = 1.0
-    f_clk: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _complete_weights(self.weights))
-        if not (math.isfinite(self.vdd) and self.vdd > 0):
-            raise ValueError(f"vdd must be finite and > 0, got {self.vdd}")
-        if not math.isfinite(self.vdd * self.vdd):  # every energy scales by vdd**2
-            raise ValueError(f"vdd squared must be finite, got vdd = {self.vdd}")
-        if not (math.isfinite(self.f_clk) and self.f_clk > 0):
-            raise ValueError(f"f_clk must be finite and > 0, got {self.f_clk}")
-        if not any(self.weights.values()):
+    def __new__(cls, weights: Mapping[str, float] | None = None, vdd: float = 1.0,
+                f_clk: float = 1.0) -> PowerModel:
+        weights = _complete_weights(weights)
+        if not (math.isfinite(vdd) and vdd > 0):
+            raise ValueError(f"vdd must be finite and > 0, got {vdd}")
+        if not math.isfinite(vdd * vdd):  # every energy scales by vdd**2
+            raise ValueError(f"vdd squared must be finite, got vdd = {vdd}")
+        if not (math.isfinite(f_clk) and f_clk > 0):
+            raise ValueError(f"f_clk must be finite and > 0, got {f_clk}")
+        if not any(weights.values()):
             raise ValueError("power model weights are all 0, so no energy can be compared")
+        return super().__new__(cls, weights, vdd, f_clk)
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def from_file(cls, path: str | os.PathLike[str]) -> PowerModel:
@@ -116,13 +120,10 @@ def average_power(energy: float, cycles: int, model: PowerModel) -> float:
     return energy * model.f_clk / cycles
 
 
-class AreaInventory(NamedTuple):
+class AreaInventory(namedtuple("AreaInventory", "flip_flops full_adders mux_inputs gates")):
     """Structural element counts standing in for physical area."""
 
-    flip_flops: int
-    full_adders: int
-    mux_inputs: int
-    gates: int
+    __slots__ = ()
 
 
 def area_proxy(cfg: ArchConfig) -> AreaInventory:

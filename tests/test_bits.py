@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 
 import pytest
 from hypothesis import given
@@ -48,16 +49,27 @@ class TestWord:
         assert Word(6, 5).to_bin() == "00110"
 
     def test_replace_masks_and_validates(self):
+        # a Word has no replace method: a Word with one field changed is
+        # built by the constructor, which masks and validates it
         w = Word(3, 4)
-        assert dataclasses.replace(w, value=0b10110) == Word(0b0110, 4)
-        assert dataclasses.replace(w, width=2) == Word(3, 2)
+        assert not hasattr(w, "_replace")
+        assert Word(0b10110, w.width) == Word(0b0110, 4)
+        assert Word(w.value, 2) == Word(3, 2)
         with pytest.raises(ValueError):
-            dataclasses.replace(w, width=0)
+            Word(w.value, 0)
 
     def test_equal_values_hash_equal(self):
         assert Word(19, 4) == Word(3, 4)
         assert hash(Word(19, 4)) == hash(Word(3, 4))
         assert Word(3, 4) != Word(3, 5)
+        assert Word(3, 4) != (3, 4)  # not a tuple
+
+    def test_copy_and_pickle_keep_the_word(self):
+        w = Word(3, 4)
+        for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert twin == w and type(twin) is Word
+            with pytest.raises(AttributeError):
+                twin.value = 5
 
 
 class TestGetBit:

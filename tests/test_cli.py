@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftadd import cli, harness
+from shiftadd import bits, cli, datapath, harness, power
 from shiftadd.bits import Word
 from shiftadd.cli import main
 from shiftadd.datapath import (
@@ -588,6 +589,21 @@ class TestEntryPoint:
         # sweeps do not pay for importing it
         assert not self.loaded_after_import("json")
 
+    def test_import_loads_no_typing(self):
+        # the records are collections.namedtuple classes and the annotations
+        # name collections.abc types: no command pays for typing's import
+        assert not self.loaded_after_import("typing")
+
+    def test_simresult_is_the_only_dataclass(self):
+        # every other record is a named tuple or a plain slotted class, with
+        # no generated code to build at import.  SimResult stays a dataclass
+        # only because perfbench's self-test (_wrong_product) calls
+        # dataclasses.replace on it
+        classes = {obj for module in (bits, datapath, harness, power, cli)
+                   for obj in vars(module).values()
+                   if isinstance(obj, type) and obj.__module__ == module.__name__}
+        assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {datapath.SimResult}
+
     def test_import_loads_no_pathlib(self):
         # os.path and open write reports and read models: no command pays
         # for pathlib's import
@@ -616,18 +632,31 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 class TestExperimentScripts:
+    # each case's id is written out, as pytest once generated it, so that
+    # deleting one case renames no other
     @pytest.mark.parametrize("script, argv, flag", [
-        ("reduction_vs_width.py", ["--widths", "4,"], "--widths"),
-        ("reduction_vs_width.py", ["--dist", "uniform,bimodal"],
-         "--dist: unknown distribution 'bimodal'"),
-        ("reduction_vs_width.py", ["--ffs-cost", "0"], "--ffs-cost"),
-        ("reduction_vs_width.py", ["--gate-cost", "-1"], "--gate-cost"),
-        ("reduction_vs_width.py", ["--block-size", "0"], "--block-size"),
-        ("reduction_vs_width.py", ["--seed", "-1"], "seed must be >= 0"),
-        ("reduction_vs_width.py", ["--dist", "sparse,dense,sparse"],
-         "--dist: distribution sparse is given more than once"),
-        ("reduction_vs_width.py", ["--widths", "8,4,8"], "--widths: width 8 is given more than once"),
-        ("reduction_vs_width.py", ["--dist", ""], "--dist is empty"),
+        pytest.param("reduction_vs_width.py", ["--widths", "4,"], "--widths",
+                     id="reduction_vs_width.py-argv0---widths"),
+        pytest.param("reduction_vs_width.py", ["--dist", "uniform,bimodal"],
+                     "--dist: unknown distribution 'bimodal'",
+                     id="reduction_vs_width.py-argv1---dist: unknown distribution 'bimodal'"),
+        pytest.param("reduction_vs_width.py", ["--ffs-cost", "0"], "--ffs-cost",
+                     id="reduction_vs_width.py-argv2---ffs-cost"),
+        pytest.param("reduction_vs_width.py", ["--gate-cost", "-1"], "--gate-cost",
+                     id="reduction_vs_width.py-argv3---gate-cost"),
+        pytest.param("reduction_vs_width.py", ["--block-size", "0"], "--block-size",
+                     id="reduction_vs_width.py-argv4---block-size"),
+        pytest.param("reduction_vs_width.py", ["--seed", "-1"], "seed must be >= 0",
+                     id="reduction_vs_width.py-argv5-seed must be >= 0"),
+        pytest.param("reduction_vs_width.py", ["--dist", "sparse,dense,sparse"],
+                     "--dist: distribution sparse is given more than once",
+                     id="reduction_vs_width.py-argv6---dist: distribution sparse is given "
+                        "more than once"),
+        pytest.param("reduction_vs_width.py", ["--widths", "8,4,8"],
+                     "--widths: width 8 is given more than once",
+                     id="reduction_vs_width.py-argv7---widths: width 8 is given more than once"),
+        pytest.param("reduction_vs_width.py", ["--dist", ""], "--dist is empty",
+                     id="reduction_vs_width.py-argv8---dist is empty"),
     ])
     def test_bad_input_usage_error(self, script, argv, flag):
         env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from shiftadd.datapath import (
     ArchConfig,
     Lanes,
     RingCostModel,
+    SimResult,
     ToggleLedger,
     Variant,
     _conventional_plan,
@@ -77,6 +79,21 @@ class TestArchConfig:
         cfg = make_config(Variant.CONVENTIONAL, 4)
         with pytest.raises(ValueError):
             run_conventional(Word(0, 3), Word(0, 4), cfg)
+
+    def test_equal_on_variant_width_and_cost_alone(self):
+        # a config built apart from make_config's shared one is equal to it,
+        # though its built constants are other objects
+        shared = make_config(Variant.LOW_POWER, 5, s=3)
+        apart = ArchConfig(Variant.LOW_POWER, 5, RingCostModel(3, 1, 4))
+        assert apart is not shared and apart.constants is not shared.constants
+        assert apart == shared and hash(apart) == hash(shared)
+        assert apart != make_config(Variant.LOW_POWER, 5, s=2)
+        assert apart != make_config(Variant.CONVENTIONAL, 5, s=3)
+        assert apart != (Variant.LOW_POWER, 5, RingCostModel(3, 1, 4))
+        assert repr(apart) == ("ArchConfig(variant=<Variant.LOW_POWER: 'lowpower'>, width=5, "
+                               "cost=RingCostModel(s=3, g=1, block_size=4))")
+        for twin in (copy.copy(shared), pickle.loads(pickle.dumps(shared))):
+            assert twin == shared and twin.constants == shared.constants
 
 
 class TestConventional:
@@ -403,8 +420,10 @@ class TestPlanTables:
     @pytest.mark.parametrize("name", ["plan", "constants", "results"])
     def test_built_constants_frozen(self, name):
         cfg = make_config(Variant.LOW_POWER, 4)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(cfg, name, getattr(cfg, name))
+        with pytest.raises(AttributeError):
+            delattr(cfg, name)
         assert not hasattr(cfg, "__dict__")  # slotted: nothing to add either
 
     def test_constants_shared_by_config_value(self):
@@ -540,7 +559,7 @@ class TestResultTables:
         cfg = make_config(variant, 4)
         a, b = Word(11, 4), Word(13, 4)
         first = simulate(a, b, cfg)
-        before = dataclasses.replace(first, ledger=dataclasses.replace(first.ledger))
+        before = SimResult(first.product, ToggleLedger(**first.ledger.as_dict()))
         total = ToggleLedger()
         total.add(first.ledger)
         total.add(first.ledger)
@@ -555,6 +574,19 @@ class TestLedgerAdd:
         total.add(ToggleLedger(*(10 * k for k in range(1, len(LEDGER_CATEGORIES) + 1))))
         assert list(total.as_dict().values()) == [
             11 * k for k in range(1, len(LEDGER_CATEGORIES) + 1)]
+
+    def test_equal_where_every_count_is(self):
+        counts = dict(zip(LEDGER_CATEGORIES, range(1, len(LEDGER_CATEGORIES) + 1)))
+        ledger = ToggleLedger(**counts)
+        assert ledger == ToggleLedger(*counts.values())
+        for category in LEDGER_CATEGORIES:
+            assert ledger != ToggleLedger(**counts | {category: 0}), category
+        assert ledger != tuple(counts.values())
+        with pytest.raises(TypeError):  # mutable, so no hash
+            hash(ledger)
+        assert repr(ledger) == "ToggleLedger(" + ", ".join(
+            f"{category}={count}" for category, count in counts.items()) + ")"
+        assert ToggleLedger.__slots__ == LEDGER_CATEGORIES
 
 
 class TestEquivalence:
@@ -589,7 +621,7 @@ class TestEquivalence:
                 product = packed(Word(av, n), Word(bv, n), cfg).product
                 expected = Word(av * bv, 2 * n)
                 assert product == expected and hash(product) == hash(expected)
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError):
                     product.value = 0
 
     def test_determinism(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -309,7 +310,7 @@ class TestExhaustiveVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("verify built a config")
 
-        monkeypatch.setattr(datapath.ArchConfig, "__post_init__", refuse)
+        monkeypatch.setattr(datapath.ArchConfig, "__init__", refuse)
         monkeypatch.setattr(harness, "make_config", refuse)
         outcome = exhaustive_verify(5)
         assert outcome.passed and outcome.total_pairs == 1024
@@ -555,12 +556,16 @@ class TestSweep:
 
 class TestRecords:
     """The plain records are named tuples: no generated dataclass code to
-    build at import.  They stay immutable, and the report's columns keep
-    their order."""
+    build at import.  They stay immutable, those with a checking constructor
+    check a replaced field too, and the report's columns keep their order."""
 
     RECORDS = [
+        datapath.RingCostModel(),
         datapath.Register("multiplier", 4, datapath.Clocking.NEVER, None),
+        datapath.Lanes.build(4),
         datapath.CycleTrace(0, Word(0, 4), 1, Word(3, 4), Word(3, 8)),
+        OperandDistribution("uniform"),
+        PowerModel(),
         power.AreaInventory(1, 2, 3, 4),
         harness.Mismatch("conv", 1, 2, 3, 2),
         harness.VerifyOutcome(1, 4, []),
@@ -575,6 +580,38 @@ class TestRecords:
         with pytest.raises(AttributeError):
             record.extra = 0
         assert record == tuple(record)
+
+    CHECKED = [
+        (datapath.RingCostModel(), {"s": 0}, "s must be >= 1"),
+        (datapath.RingCostModel(), {"g": -1}, "g must be >= 0"),
+        (datapath.RingCostModel(), {"block_size": 0}, "block_size must be >= 1"),
+        (OperandDistribution("uniform"), {"kind": "bimodal"}, "unknown distribution kind"),
+        (OperandDistribution("uniform"), {"kind": "fixed"}, "needs both a and b"),
+        (OperandDistribution("uniform"), {"a": 3}, "operands of the fixed distribution"),
+        (OperandDistribution("uniform"), {"seed": -1}, "seed must be >= 0"),
+        (PowerModel(), {"weights": {"bogus": 1.0}}, "unknown ledger category"),
+        (PowerModel(), {"vdd": 0.0}, "vdd must be finite and > 0"),
+        (PowerModel(), {"f_clk": math.inf}, "f_clk must be finite"),
+    ]
+
+    @pytest.mark.parametrize("record, change, match", CHECKED, ids=[
+        f"{type(record).__name__}-{key}={value!r}"
+        for record, change, _ in CHECKED for key, value in change.items()])
+    def test_replace_and_make_check_like_the_constructor(self, record, change, match):
+        # namedtuple's own _make, which _replace calls, skips __new__ and its checks
+        fields = record._asdict() | change
+        for build in (lambda: type(record)(**fields), lambda: record._replace(**change),
+                      lambda: type(record)._make(fields.values())):
+            with pytest.raises(ValueError, match=match):
+                build()
+
+    def test_replace_builds_what_the_constructor_builds(self):
+        # a replaced power model's weights are completed, as the constructor's are
+        replaced = PowerModel()._replace(weights={"adder": 2.0})
+        assert replaced == PowerModel({"adder": 2.0})
+        assert set(replaced.weights) == set(LEDGER_CATEGORIES)
+        assert datapath.RingCostModel()._replace(g=0) == datapath.RingCostModel(2, 0, 4)
+        assert OperandDistribution("uniform")._replace(seed=5) == OperandDistribution("uniform", 5)
 
     def test_report_columns_in_order(self):
         columns = (
@@ -663,10 +700,12 @@ class TestEmitReport:
             emit_report(rows, "xml", tmp_path / "r.xml")
 
     def test_unwritable_destination(self, rows, tmp_path):
+        # the error names the report, not the temporary file beside it
         missing = tmp_path / "no" / "such" / "dir" / "r.csv"
-        with pytest.raises(OSError) as excinfo:
+        with pytest.raises(FileNotFoundError) as excinfo:
             emit_report(rows, "csv", missing)
-        assert "r.csv" in str(excinfo.value)
+        assert excinfo.value.filename == str(missing)
+        assert ".tmp" not in str(excinfo.value)
 
     def test_emit_is_byte_deterministic(self, tmp_path):
         dist = OperandDistribution("uniform", seed=11)
