@@ -7,13 +7,8 @@ dense ones: ``--dist sparse,uniform,dense`` shows how bit density drives it."""
 
 import argparse
 
-from shiftadd.cli import add_cost_flags, check_cost_flags, parse_widths
-from shiftadd.harness import (DENSE_P1, REPORTED_FPGA_REDUCTION, SPARSE_P1, OperandDistribution,
-                              sweep)
-from shiftadd.power import PowerModel
-
-# the probability that a multiplier bit is 1, per distribution
-BIT_DENSITY = {"uniform": 0.50, "sparse": SPARSE_P1, "dense": DENSE_P1}
+from shiftadd.cli import add_cost_flags, check_cost_flags, fpga_reported, load_model, parse_widths
+from shiftadd.harness import BIT_DENSITY, OperandDistribution, sweep
 
 
 def parse_dists(text: str, parser: argparse.ArgumentParser) -> list[str]:
@@ -46,10 +41,7 @@ def main() -> None:
 
     widths = parse_widths(args.widths, parser)
     kinds = parse_dists(args.dist, parser)
-    try:
-        model = PowerModel.from_file(args.model) if args.model else PowerModel()
-    except (OSError, ValueError) as exc:
-        parser.error(f"--model {args.model}: {exc}")
+    model = load_model(args.model, parser)
     try:  # every sweep runs before the first block is printed
         sweeps = [sweep(widths, OperandDistribution(kind, seed=args.seed), args.trials, model,
                         s=args.ffs_cost, g=args.gate_cost, block_size=args.block_size)
@@ -68,10 +60,8 @@ def main() -> None:
         for row in rows:
             if row.arch != "lowpower":
                 continue
-            reported = REPORTED_FPGA_REDUCTION.get(row.width)
-            note = f"{reported:.2f}%" if reported is not None else "-"
             print(f"{row.width:5d}  {conv_energy[row.width]:14.0f}  {row.energy:16.0f}  "
-                  f"{row.reduction_pct:8.2f}%  {note:>13}")
+                  f"{row.reduction_pct:8.2f}%  {fpga_reported(row.width)}")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ import sys
 from collections.abc import Sequence
 
 from .bits import Word
-from .datapath import (DEFAULT_BLOCK_SIZE, RingCostModel, Variant, check_width, make_config,
-                       render_trace, simulate)
+from .datapath import (COST_LEAST, DEFAULT_BLOCK_SIZE, RingCostModel, Variant, check_width,
+                       make_config, render_trace, simulate)
 from .harness import (
     DIST_KINDS,
     REPORTED_FPGA_REDUCTION,
@@ -33,12 +33,34 @@ def add_cost_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Reject a cost flag below its least value, naming the flag.  The config
-    would reject it too, but under its field name (s, g, block_size)."""
-    for flag, least in (("--ffs-cost", 1), ("--gate-cost", 0), ("--block-size", 1)):
-        value = getattr(args, flag[2:].replace("-", "_"), least)  # verify takes none
-        if value < least:
-            parser.error(f"{flag} must be >= {least}, got {value}")
+    """Reject a cost flag below its field's least value, naming the flag.  The
+    config would reject it too, but under its field name (s, g, block_size)."""
+    for flag, field in (("--ffs-cost", "s"), ("--gate-cost", "g"), ("--block-size", "block_size")):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < COST_LEAST[field]:
+            parser.error(f"{flag} must be >= {COST_LEAST[field]}, got {value}")
+
+
+def load_model(path: str | None, parser: argparse.ArgumentParser) -> PowerModel:
+    """The power model of a ``--model`` value, the default model where none is
+    given.  A file that cannot be read is a usage error naming the flag, and
+    one that ``PowerModel.from_file`` refuses a usage error naming the file."""
+    if not path:
+        return PowerModel()
+    try:
+        return PowerModel.from_file(path)
+    except OSError as exc:
+        parser.error(f"--model {path} cannot be read: {exc.strerror or exc}")
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def fpga_reported(width: int) -> str:
+    """The FPGA-reported column of a width's row, right-aligned under its
+    header: the reduction reported for the original design, or '-'."""
+    reported = REPORTED_FPGA_REDUCTION.get(width)
+    note = f"{reported:.2f}%" if reported is not None else "-"
+    return f"{note:>13}"
 
 
 def parse_widths(text: str, parser: argparse.ArgumentParser) -> list[int]:
@@ -115,6 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    check_cost_flags(args, parser)
     # the config checks the width, before it sizes the operand range
     cfg = make_config(args.arch, args.width, s=args.ffs_cost, g=args.gate_cost,
                       block_size=args.block_size)
@@ -131,9 +154,9 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(render_trace(a, b, cfg))
         print(f"adder firings: {b.value.bit_count()}")
     print(f"product: {result.product.value}")
-    print(f"cycles: {result.cycles}")
+    print(f"cycles: {cfg.width}")
     print(f"energy (uniform weights): {energy}")
-    print(f"avg power: {average_power(energy, result.cycles, model)}")
+    print(f"avg power: {average_power(energy, cfg.width, model)}")
     area = area_proxy(cfg)
     print(f"area: flip_flops={area.flip_flops} full_adders={area.full_adders} "
           f"mux_inputs={area.mux_inputs} gates={area.gates}")
@@ -143,6 +166,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    check_cost_flags(args, parser)
     widths = parse_widths(args.widths, parser)
     # the report is written after the sweep has run: check its path first
     if not args.out:
@@ -152,10 +176,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     directory = os.path.dirname(args.out) or "."
     if not os.path.isdir(directory):
         parser.error(f"--out {args.out}: {directory} is not an existing directory")
-    try:
-        model = PowerModel.from_file(args.model) if args.model else PowerModel()
-    except OSError as exc:
-        parser.error(f"--model {args.model} cannot be read: {exc.strerror or exc}")
+    model = load_model(args.model, parser)
     dist = OperandDistribution(args.dist, seed=args.seed, a=args.a, b=args.b)
     rows = sweep(widths, dist, args.trials, model,
                  s=args.ffs_cost, g=args.gate_cost, block_size=args.block_size)
@@ -184,16 +205,13 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     for row in rows:
         if row.arch != Variant.LOW_POWER.value:
             continue
-        reported = REPORTED_FPGA_REDUCTION.get(row.width)
-        note = f"{reported:.2f}%" if reported is not None else "-"
-        print(f"{row.width:5d}  {row.reduction_pct:16.2f}%  {note:>13}")
+        print(f"{row.width:5d}  {row.reduction_pct:16.2f}%  {fpga_reported(row.width)}")
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    check_cost_flags(args, parser)
     try:
         if args.command == "verify":
             code = _cmd_verify(args)

@@ -40,14 +40,15 @@ width ``PLAN_WIDTH_LIMIT`` a config is built with a table of every b's
 plan, at most 256, so a call computes only the multiplicand's part; wider
 configs call the plan function each time.  Where all 4**n operand pairs fit
 that bound (n <= 4), a config also holds ``results``, every (a, b) result
-the kernel computes, and a call returns the entry, shared and never
-mutated.  The kernel returns a run's product and ledger only; ``trace_rows``
-reads a run's cycle-by-cycle rows from the same lanes.  What the kernel
-reads on every call that depends on the config alone (lane constants, the
-toggle window, fixed charges) it unpacks from one tuple of one layout,
-``cfg.constants``.  A config holds only what its kernel reads: constants,
-plan and results, built whole with it and never changed; ``make_config``
-returns one shared config per config value, so they are built once.
+the kernel computes, and a call returns the entry, which every caller
+shares: its ledger is read-only.  The kernel returns a run's product and
+ledger only; ``trace_rows`` reads a run's cycle-by-cycle rows from the same
+lanes.  What the kernel reads on every call that depends on the config
+alone (lane constants, the toggle window, fixed charges) it unpacks from
+one tuple of one layout, ``cfg.constants``.  A config holds only what its
+kernel reads: constants, plan and results, built whole with it and never
+changed; ``make_config`` returns one shared config per config value, so
+they are built once.
 
 ``sliced_cycles`` runs many multiplications at once, bit-sliced: each
 signal bit is one int whose bit t belongs to trial t, and each cycle is a few
@@ -78,6 +79,8 @@ PLAN_WIDTH_LIMIT = 8
 CONFIG_CACHE_SIZE = 64
 # flip-flops per gated ring block, unless a width below it clamps it
 DEFAULT_BLOCK_SIZE = 4
+# the least value of each RingCostModel field
+COST_LEAST = {"s": 1, "g": 0, "block_size": 1}
 
 
 class Variant(str, Enum):
@@ -104,12 +107,9 @@ class RingCostModel(namedtuple("RingCostModel", "s g block_size")):
 
     def __new__(cls, s: int = 2, g: int = 1,
                 block_size: int = DEFAULT_BLOCK_SIZE) -> RingCostModel:
-        if s < 1:
-            raise ValueError("s must be >= 1")
-        if g < 0:
-            raise ValueError("g must be >= 0")
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        for name, value in zip(cls._fields, (s, g, block_size)):
+            if value < COST_LEAST[name]:
+                raise ValueError(f"{name} must be >= {COST_LEAST[name]}")
         return super().__new__(cls, s, g, block_size)
 
     _make = classmethod(_checked_make)
@@ -179,7 +179,10 @@ class ArchConfig:
         init(self, "results", None)  # so the kernel below computes
         if 2 * n <= PLAN_WIDTH_LIMIT:  # every (a, b) result, built now
             words = [Word(v, n) for v in range(1 << n)]
-            init(self, "results", tuple(simulate(a, b, self) for a in words for b in words))
+            results = tuple(simulate(a, b, self) for a in words for b in words)
+            for result in results:  # every caller of the config shares it
+                result.ledger.__class__ = SharedLedger
+            init(self, "results", results)
 
     __setattr__ = __delattr__ = _read_only
 
@@ -225,7 +228,7 @@ LEDGER_CATEGORIES: tuple[str, ...] = (
 class ToggleLedger:
     """Transition and clock-event counts per structural block, one slot per
     category of ``LEDGER_CATEGORIES``.  Two ledgers are equal where every
-    count is; a ledger is mutable, so it has no hash."""
+    count is, shared or not; a ledger is mutable, so it has no hash."""
 
     __slots__ = LEDGER_CATEGORIES
 
@@ -244,7 +247,7 @@ class ToggleLedger:
         self.gating = gating
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, ToggleLedger):
             return NotImplemented
         return self.as_dict() == other.as_dict()
 
@@ -267,6 +270,18 @@ class ToggleLedger:
         self.mux_data += other.mux_data
         self.feeder_bypass_clock += other.feeder_bypass_clock
         self.gating += other.gating
+
+
+class SharedLedger(ToggleLedger):
+    """The ledger of a result in ``ArchConfig.results``, which every caller
+    of the config shares: assigning a count raises, and so does ``add``.
+    A copy is a plain ``ToggleLedger`` of the same counts."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self) -> tuple:
+        return ToggleLedger, tuple(self.as_dict().values())
 
 
 # the categories the conventional datapath can charge: it has no ring, clock
@@ -434,8 +449,10 @@ class CycleTrace(namedtuple("CycleTrace", [
 
 
 # The package's one dataclass, only because perfbench's self-test
-# (``_wrong_product``) calls ``dataclasses.replace`` on it.  Once the
-# benchmark stops doing so, this can become a plain slotted class.
+# (``_wrong_product``) calls ``dataclasses.replace`` on it.  ``cycles``, the
+# config's width, has one reader left, perfbench's tracer (``_kernel``).
+# Once the benchmark stops using both, this can become a plain slotted class
+# of product and ledger.
 @dataclass(slots=True)
 class SimResult:
     product: Word

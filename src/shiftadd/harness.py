@@ -38,8 +38,8 @@ DIST_KINDS = ("uniform", "sparse", "dense", "exhaustive", "fixed")
 # recipe too; with no spaces, since the CSV metadata line splits on them
 RNG_IDS = dict.fromkeys(DIST_KINDS, RNG_ALGORITHM) | {
     "sparse": f"{RNG_ALGORITHM}/b-and-of-two-draws", "dense": f"{RNG_ALGORITHM}/b-or-of-two-draws"}
-SPARSE_P1 = 0.25
-DENSE_P1 = 0.75
+# the probability that a multiplier bit is 1, per random distribution
+BIT_DENSITY = {"uniform": 0.50, "sparse": 0.25, "dense": 0.75}
 EXHAUSTIVE_WIDTH_LIMIT = 8
 # operand pairs a sweep holds at once: its memory does not grow with trials
 SWEEP_CHUNK = 4096
@@ -377,18 +377,20 @@ def emit_report(
     comma-separated) or a ``metadata`` object (JSON).  The report is
     written to a temporary file beside ``destination`` and renamed over
     it, so a failed write leaves any previous report as it was.  An
-    OSError that the temporary file cannot be made names ``destination``.
+    OSError that the temporary file cannot be made, or cannot replace
+    ``destination``, names ``destination``.
     """
     if not rows:
         raise ValueError("no rows to emit")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    head, name = os.path.split(os.fspath(destination))
+    path = os.fspath(destination)
+    head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "x", newline="" if fmt == "csv" else None)
     except OSError as exc:  # a missing directory, say: name the caller's path
-        raise OSError(exc.errno, exc.strerror, os.fspath(destination)) from None
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             if fmt == "csv":
@@ -406,7 +408,10 @@ def emit_report(
                 if metadata:
                     payload = {"metadata": metadata, "rows": payload}
                 fh.write(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, destination)
+        try:
+            os.replace(tmp, destination)
+        except OSError as exc:  # destination is a directory, say
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(OSError):  # the first error stands
             os.remove(tmp)

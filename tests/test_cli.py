@@ -40,11 +40,15 @@ def check_recorded_block_size(tmp_path, flags, recorded):
 
 
 class TestVerifyCommand:
-    def test_passes_at_width_4(self, capsys):
-        assert run_cli("verify", "--width", "4") == 0
-        out = capsys.readouterr().out
-        assert "256/256" in out
-        assert "PASS" in out
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_every_width_passes(self, width, capsys):
+        # from a one-stage adder, 4 trials in less than a byte, to 8; widths
+        # 2 and 3 repeat the shortest byte patterns of the operand slices
+        assert run_cli("verify", "--width", str(width)) == 0
+        pairs = 4 ** width
+        assert capsys.readouterr().out.splitlines() == [
+            f"width {width}: {pairs}/{pairs} products match "
+            "(both architectures, native-multiply oracle)", "PASS"]
 
     def test_width_required(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -100,6 +104,13 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "product: 65025" in out
         assert "multiplier_shift:" in out
+
+    @pytest.mark.parametrize("arch", [variant.value for variant in Variant])
+    def test_product_of_the_widest_operands(self, arch, capsys):
+        # above width 8 the plan function runs on each call
+        top = str(2**32 - 1)
+        assert run_cli("run", "--arch", arch, "--width", "32", "--a", top, "--b", top) == 0
+        assert "product: 18446744065119617025" in capsys.readouterr().out.splitlines()
 
     def test_trace_output(self, capsys):
         code = run_cli(
@@ -253,15 +264,22 @@ class TestSweepCommand:
         assert "modeled reduction" in console
         assert "20.51%" in console and "35.25%" in console
 
-    @pytest.mark.parametrize("dist, rng", [
-        ("uniform", MT), ("exhaustive", MT), ("fixed", MT),
-        ("sparse", f"{MT}/b-and-of-two-draws"), ("dense", f"{MT}/b-or-of-two-draws")])
-    def test_rng_id_names_the_multiplier_recipe(self, tmp_path, dist, rng):
+    # each id is written out, as pytest generated it before the widths were
+    # a parameter, so that adding a case renames no other
+    @pytest.mark.parametrize("dist, rng, widths", [
+        *(pytest.param(dist, rng, "4", id=f"{dist}-{rng}") for dist, rng in (
+            ("uniform", MT), ("exhaustive", MT), ("fixed", MT),
+            ("sparse", f"{MT}/b-and-of-two-draws"), ("dense", f"{MT}/b-or-of-two-draws"))),
+        # from the narrowest width to the widest, across the word-table bound
+        pytest.param("sparse", f"{MT}/b-and-of-two-draws", "1,8,9,17,32", id="sparse-widths-1-32"),
+        pytest.param("dense", f"{MT}/b-or-of-two-draws", "1,8,9,17,32", id="dense-widths-1-32"),
+    ])
+    def test_rng_id_names_the_multiplier_recipe(self, tmp_path, dist, rng, widths):
         # a sparse or dense report of another recipe cannot pass for this one;
         # the id has no spaces, which split the CSV metadata line
         out_file = tmp_path / "report.csv"
         operands = ["--a", "3", "--b", "5"] if dist == "fixed" else []
-        assert run_cli("sweep", "--widths", "4", "--dist", dist, "--trials", "10",
+        assert run_cli("sweep", "--widths", widths, "--dist", dist, "--trials", "10",
                        *operands, "--out", str(out_file)) == 0
         metadata = out_file.read_text().splitlines()[0][2:].split(" ")
         assert f"rng={rng}" in metadata and not any(c.isspace() for c in rng)
@@ -273,7 +291,8 @@ class TestSweepCommand:
             "--out", str(out_file), "--format", "json",
         )
         assert code == 0
-        assert out_file.exists()
+        assert [row["arch"] for row in json.loads(out_file.read_text())["rows"]] == [
+            "conv", "lowpower"]
 
     def test_exhaustive_metadata_omits_trials(self, tmp_path):
         # an exhaustive sweep ignores --trials, so the report must not record it
@@ -462,6 +481,16 @@ class TestSweepCommand:
         )
         assert code == 0
 
+    def test_model_file_with_byte_order_mark(self, tmp_path):
+        # as some editors write it: the mark is skipped, not read as a key
+        model = tmp_path / "model.cfg"
+        argv = ["sweep", "--widths", "4", "--trials", "10", "--model", str(model), "--out"]
+        model.write_bytes(b"adder = 0.5\n")
+        assert run_cli(*argv, str(tmp_path / "plain.csv")) == 0
+        model.write_bytes(b"\xef\xbb\xbfadder = 0.5\n")
+        assert run_cli(*argv, str(tmp_path / "marked.csv")) == 0
+        assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     @pytest.mark.parametrize("content, named", [
         (b"adder = nan\n", ":1: "),
         (b"vdd = 1.0\nf_clk = inf\n", ":2: "),
@@ -506,7 +535,7 @@ class TestSweepCommand:
             run_cli("sweep", "--widths", "4", "--trials", "50", "--format", fmt,
                     "--out", str(out_file), "--model", str(model))
         assert excinfo.value.code == 2
-        assert "width 4" in capsys.readouterr().err
+        assert "overflows at width 4" in capsys.readouterr().err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("name, reason", [
@@ -552,6 +581,19 @@ class TestSweepCommand:
         assert excinfo.value.code == 2
         assert "conventional datapath charges" in capsys.readouterr().err
         assert ran == []
+        assert not out_file.exists()
+
+    def test_fixed_pair_with_no_conventional_energy_usage_error(self, tmp_path, capsys):
+        # an adder-only model weighs the pair at 0 where a = 0 never moves the adder
+        model = tmp_path / "model.cfg"
+        model.write_text("".join(f"{cat} = {int(cat == 'adder')}\n" for cat in LEDGER_CATEGORIES))
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "16", "--dist", "fixed", "--a", "0", "--b", "5",
+                    "--trials", "10", "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert ("fixed pair a=0, b=5 has no conventional energy under the power model at "
+                "width 16") in capsys.readouterr().err
         assert not out_file.exists()
 
 
@@ -665,6 +707,24 @@ class TestExperimentScripts:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert flag in proc.stderr.splitlines()[-1]  # the message, below the usage lines
+
+    @pytest.mark.parametrize("name, named", [
+        ("missing.cfg", "cannot be read: No such file or directory"),
+        ("nan.cfg", "nan.cfg:1: adder must be finite"),
+    ], ids=["unreadable", "malformed"])
+    def test_model_error_as_sweep_reports(self, tmp_path, capsys, name, named):
+        # the script loads --model with the CLI's own loader
+        (tmp_path / "nan.cfg").write_text("adder = nan\n")
+        model = str(tmp_path / name)
+        env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "reduction_vs_width.py"),
+                               "--model", model], capture_output=True, text=True, env=env)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--out", str(tmp_path / "r.csv"), "--model", model)
+        assert proc.returncode == excinfo.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1].partition(" error: ")[2]
+        assert named in message
+        assert proc.stderr.splitlines()[-1].partition(" error: ")[2] == message
 
     def test_one_block_per_distribution_as_sweep_reports(self):
         # each block's header names the distribution and its p(bit = 1), and

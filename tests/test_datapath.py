@@ -567,6 +567,26 @@ class TestResultTables:
         assert second is first and second == before
         assert total.as_dict() == {k: 2 * v for k, v in before.ledger.as_dict().items()}
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_shared_entry_refuses_changes(self, variant):
+        # every caller of the config shares the entry, so its ledger is
+        # read-only; a copy is the caller's own
+        cfg = make_config(variant, 4)
+        a, b = Word(3, 4), Word(5, 4)
+        ledger = simulate(a, b, cfg).ledger
+        before = ledger.as_dict()
+        with pytest.raises(AttributeError):
+            ledger.adder += 1000
+        with pytest.raises(AttributeError):
+            ledger.add(ledger)
+        with pytest.raises(AttributeError):
+            del ledger.gating
+        assert simulate(a, b, cfg).ledger.as_dict() == before
+        for own in (copy.copy(ledger), pickle.loads(pickle.dumps(ledger))):
+            own.add(ledger)
+            assert type(own) is ToggleLedger
+            assert own.as_dict() == {k: 2 * v for k, v in before.items()}
+
 
 class TestLedgerAdd:
     def test_adds_every_category(self):

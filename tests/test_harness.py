@@ -29,9 +29,8 @@ from shiftadd.datapath import (
     sliced_cycles,
 )
 from shiftadd.harness import (
-    DENSE_P1,
+    BIT_DENSITY,
     REPORT_COLUMNS,
-    SPARSE_P1,
     SWEEP_CHUNK,
     OperandDistribution,
     emit_report,
@@ -125,9 +124,6 @@ class TestGenOperands:
             gen_operands(dist, 9, trials)
 
 
-BIT_PROBABILITY = {"sparse": SPARSE_P1, "dense": DENSE_P1}
-
-
 class TestBiasedDecode:
     """A sparse (dense) multiplier is the AND (OR) of two ``getrandbits(width)``
     draws taken after the multiplicand's; the per-call, bit-by-bit loop of
@@ -201,14 +197,14 @@ class TestBiasedDecode:
         monkeypatch.setattr(harness.random, "Random", Scripted)
         pairs = list(gen_operands(OperandDistribution(kind), 4, 256))
         ones = sum(b.bit_count() for _, b in pairs)
-        assert Fraction(ones, 4 * 256) == Fraction(BIT_PROBABILITY[kind])
+        assert Fraction(ones, 4 * 256) == Fraction(BIT_DENSITY[kind])
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     def test_every_bit_biased_at_width_32(self, kind):
         # each multiplier bit is set with probability P1, also where a's bit is
         # set: 0.02 is over four standard deviations at 10,000 pairs
         trials = 20_000
-        p1 = BIT_PROBABILITY[kind]
+        p1 = BIT_DENSITY[kind]
         pairs = list(gen_operands(OperandDistribution(kind, seed=3), 32, trials))
         for i in range(32):
             bits = [(a >> i & 1, b >> i & 1) for a, b in pairs]
@@ -706,6 +702,17 @@ class TestEmitReport:
             emit_report(rows, "csv", missing)
         assert excinfo.value.filename == str(missing)
         assert ".tmp" not in str(excinfo.value)
+
+    def test_destination_naming_a_directory(self, rows, tmp_path):
+        # the error names the report, and the temporary file beside it is gone
+        destination = tmp_path / "outdir"
+        destination.mkdir()
+        with pytest.raises(IsADirectoryError) as excinfo:
+            emit_report(rows, "csv", destination)
+        assert excinfo.value.filename == str(destination)
+        assert ".tmp" not in str(excinfo.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+        assert list(destination.iterdir()) == []
 
     def test_emit_is_byte_deterministic(self, tmp_path):
         dist = OperandDistribution("uniform", seed=11)
