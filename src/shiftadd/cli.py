@@ -43,10 +43,13 @@ def check_cost_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 def load_model(path: str | None, parser: argparse.ArgumentParser) -> PowerModel:
     """The power model of a ``--model`` value, the default model where none is
-    given.  A file that cannot be read is a usage error naming the flag, and
-    one that ``PowerModel.from_file`` refuses a usage error naming the file."""
-    if not path:
+    given.  An empty value or a file that cannot be read is a usage error
+    naming the flag, and a file that ``PowerModel.from_file`` refuses a usage
+    error naming the file."""
+    if path is None:
         return PowerModel()
+    if not path:
+        parser.error("--model is empty, not a power model file path")
     try:
         return PowerModel.from_file(path)
     except OSError as exc:
@@ -85,42 +88,35 @@ def parse_widths(text: str, parser: argparse.ArgumentParser) -> list[int]:
     return widths
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="shiftadd",
-        description="Bit-exact switching-activity simulator for shift-and-add multipliers",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="exhaustively check both datapaths at a width")
-    p_verify.add_argument("--width", type=int, required=True)
-
-    p_run = sub.add_parser("run", help="simulate one multiplication")
-    p_run.add_argument("--arch", choices=[v.value for v in Variant], required=True)
-    p_run.add_argument("--width", type=int, required=True)
-    p_run.add_argument("--a", type=int, required=True)
-    p_run.add_argument("--b", type=int, required=True)
-    p_run.add_argument("--trace", action="store_true", help="print the per-cycle table")
-    add_cost_flags(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="compare architectures across widths")
-    p_sweep.add_argument("--widths", required=True, help="comma-separated, e.g. 4,8,16")
-    p_sweep.add_argument("--dist", default="uniform", choices=DIST_KINDS)
-    p_sweep.add_argument("--trials", type=int, default=100000)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--out", required=True, help="report file path")
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--model", default=None, help="power model config file")
-    p_sweep.add_argument("--a", type=int, default=None,
-                         help="multiplicand for --dist fixed, in 0..2^w-1 at every width")
-    p_sweep.add_argument("--b", type=int, default=None,
-                         help="multiplier for --dist fixed, in 0..2^w-1 at every width")
-    add_cost_flags(p_sweep)
-
-    return parser
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--width", type=int, required=True)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--arch", choices=[v.value for v in Variant], required=True)
+    parser.add_argument("--width", type=int, required=True)
+    parser.add_argument("--a", type=int, required=True)
+    parser.add_argument("--b", type=int, required=True)
+    parser.add_argument("--trace", action="store_true", help="print the per-cycle table")
+    add_cost_flags(parser)
+
+
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--widths", required=True, help="comma-separated, e.g. 4,8,16")
+    parser.add_argument("--dist", default="uniform", choices=DIST_KINDS)
+    parser.add_argument("--trials", type=int, default=100000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True, help="report file path")
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--model", default=None, help="power model config file")
+    parser.add_argument("--a", type=int, default=None,
+                        help="multiplicand for --dist fixed, in 0..2^w-1 at every width")
+    parser.add_argument("--b", type=int, default=None,
+                        help="multiplier for --dist fixed, in 0..2^w-1 at every width")
+    add_cost_flags(parser)
+
+
+def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     outcome = exhaustive_verify(args.width)
     ok = outcome.total_pairs - len({(m.a, m.b) for m in outcome.mismatches})
     print(f"width {outcome.width}: {ok}/{outcome.total_pairs} products match "
@@ -209,16 +205,41 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
+# each command's help line, argument adder and handler
+COMMANDS = {
+    "verify": ("exhaustively check both datapaths at a width", _verify_arguments, _cmd_verify),
+    "run": ("simulate one multiplication", _run_arguments, _cmd_run),
+    "sweep": ("compare architectures across widths", _sweep_arguments, _cmd_sweep),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, as subcommands of ``shiftadd``."""
+    parser = argparse.ArgumentParser(
+        prog="shiftadd",
+        description="Bit-exact switching-activity simulator for shift-and-add multipliers",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        # only the named command's parser, built as its subparser would be,
+        # at an eighth (verify) to a third (sweep) of the full parser's cost
+        parser = argparse.ArgumentParser(prog=f"shiftadd {argv[0]}")
+        _, add_arguments, handler = COMMANDS[argv[0]]
+        add_arguments(parser)
+        args = parser.parse_args(argv[1:])
+    else:  # --help, no command or an unknown one
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        handler = COMMANDS[args.command][2]
     try:
-        if args.command == "verify":
-            code = _cmd_verify(args)
-        elif args.command == "run":
-            code = _cmd_run(args, parser)
-        else:
-            code = _cmd_sweep(args, parser)
+        code = handler(args, parser)
         sys.stdout.flush()  # here, so that a closed pipe is handled below
         return code
     except BrokenPipeError:

@@ -41,11 +41,11 @@ plan, at most 256, so a call computes only the multiplicand's part; wider
 configs call the plan function each time.  Where all 4**n operand pairs fit
 that bound (n <= 4), a config also holds ``results``, every (a, b) result
 the kernel computes, and a call returns the entry, which every caller
-shares: its ledger is read-only.  The kernel returns a run's product and
-ledger only; ``trace_rows`` reads a run's cycle-by-cycle rows from the same
-lanes.  What the kernel reads on every call that depends on the config
-alone (lane constants, the toggle window, fixed charges) it unpacks from
-one tuple of one layout, ``cfg.constants``.  A config holds only what its
+shares: the entry and its ledger are read-only.  The kernel returns a run's
+product and ledger only; ``trace_rows`` reads a run's cycle-by-cycle rows
+from the same lanes.  What the kernel reads on every call that depends on
+the config alone (lane constants, the toggle window, fixed charges) it
+unpacks from one tuple of one layout, ``cfg.constants``.  A config holds only what its
 kernel reads: constants, plan and results, built whole with it and never
 changed; ``make_config`` returns one shared config per config value, so
 they are built once.
@@ -182,6 +182,7 @@ class ArchConfig:
             results = tuple(simulate(a, b, self) for a in words for b in words)
             for result in results:  # every caller of the config shares it
                 result.ledger.__class__ = SharedLedger
+                result.__class__ = SharedResult
             init(self, "results", results)
 
     __setattr__ = __delattr__ = _read_only
@@ -462,6 +463,26 @@ class SimResult:
     def cycles(self) -> int:
         """One cycle per multiplier bit: half the product's width."""
         return self.product.width // 2
+
+
+class SharedResult(SimResult):
+    """A result in ``ArchConfig.results``, which every caller of the config
+    shares: assigning a field raises.  It equals a plain ``SimResult`` of the
+    same fields; a copy is one, and so is what ``dataclasses.replace`` builds."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _read_only
+
+    def __new__(cls, product: Word, ledger: ToggleLedger) -> SimResult:
+        return SimResult(product, ledger)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimResult):
+            return NotImplemented
+        return (self.product, self.ledger) == (other.product, other.ledger)
+
+    def __reduce__(self) -> tuple:
+        return SimResult, (self.product, self.ledger)
 
 
 def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:

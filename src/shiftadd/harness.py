@@ -219,8 +219,9 @@ def _exhaustive_products(width: int) -> list[int]:
     order of ``_exhaustive_slices``.  The row of a is one multiply,
     a * sum(b << lane * b), with lanes of whole bytes at least 2 * width bits
     wide, so no product carries into the next.  Byte g of column i is one
-    product byte of trial 8g + i; its bit k % 8, shifted to bit i and OR-ed
-    over the 8 columns, is product bit k of trials 8g .. 8g + 7."""
+    product byte of trial 8g + i; its bit r = k % 8, masked first and then
+    moved to bit i by one shift, and OR-ed over the 8 columns, is product
+    bit k of trials 8g .. 8g + 7."""
     pairs, lane = 1 << width, (2 * width + 7) >> 3
     ramp = int.from_bytes(b"".join(b.to_bytes(lane, "little") for b in range(pairs)), "little")
     rows = b"".join([(a * ramp).to_bytes(lane * pairs, "little") for a in range(pairs)])
@@ -228,9 +229,13 @@ def _exhaustive_products(width: int) -> list[int]:
     places = [ones << i for i in range(8)]  # bit i of every byte
     columns = [[int.from_bytes(rows[byte + lane * i::8 * lane], "little") for i in range(8)]
                for byte in range(lane)]
-    return [functools.reduce(operator.or_, [column << i >> k % 8 & places[i]
-                                            for i, column in enumerate(columns[k >> 3])])
-            for k in range(2 * width)]
+    slices = []
+    for k in range(2 * width):
+        r = k % 8
+        bits = [column & places[r] for column in columns[k >> 3]]
+        slices.append(functools.reduce(operator.or_, [
+            bit << i - r if i >= r else bit >> r - i for i, bit in enumerate(bits)]))
+    return slices
 
 
 def _bit_string(value: int, length: int) -> str:

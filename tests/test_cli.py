@@ -450,6 +450,17 @@ class TestSweepCommand:
         assert ran == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_model_usage_error_before_any_run(self, tmp_path, ran, capsys):
+        # it names no file: refused as --out '' is, not run with the default model
+        out_file = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "4", "--trials", "10", "--model", "",
+                    "--out", str(out_file))
+        assert excinfo.value.code == 2
+        assert "--model is empty" in capsys.readouterr().err
+        assert ran == []
+        assert not out_file.exists()
+
     def test_missing_out_directory_usage_error_before_any_run(self, tmp_path, ran, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("sweep", "--widths", "4", "--trials", "10",
@@ -597,6 +608,76 @@ class TestSweepCommand:
         assert not out_file.exists()
 
 
+COMMAND_ARGV = {
+    "verify": ["verify", "--width", "2"],
+    "run": ["run", "--arch", "conv", "--width", "2", "--a", "3", "--b", "2"],
+    "sweep": ["sweep", "--widths", "2", "--trials", "5", "--out", "r.csv"],
+}
+
+
+class TestCommandParsers:
+    """A known command is parsed by its own parser alone; the full parser
+    serves --help, no command and an unknown one."""
+
+    def test_known_command_never_builds_the_full_parser(self, tmp_path, monkeypatch, capsys):
+        assert set(COMMAND_ARGV) == set(cli.COMMANDS)
+        monkeypatch.chdir(tmp_path)
+
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv in COMMAND_ARGV.values():
+            assert run_cli(*argv) == 0, argv[0]
+        assert (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    def test_help_is_the_full_parsers(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args([command, "--help"])
+        assert excinfo.value.code == 0
+        full = capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command, "--help")
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == full
+        assert full.startswith(f"usage: shiftadd {command} [-h]")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--widths", "4,4", "--trials", "5", "--out", "r.csv"],
+        ["verify", "--width", "4", "--bogus"],
+    ], ids=["own-check", "unrecognized"])
+    def test_usage_error_names_the_command(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: shiftadd {argv[0]} [-h]")
+        assert f"\nshiftadd {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ], ids=["none", "unknown"])
+    def test_no_known_command_full_parser_usage_error(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: shiftadd [-h] {verify,run,sweep}")
+        assert "\nshiftadd: error: " in err and named in err
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("--help")
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for command, (help_text, _, _) in cli.COMMANDS.items():
+            assert f"{command} " in out and help_text in out
+
+
 class TestEntryPoint:
     def test_module_invocation_usage_error_exit_code(self):
         proc = subprocess.run(
@@ -640,11 +721,15 @@ class TestEntryPoint:
         # every other record is a named tuple or a plain slotted class, with
         # no generated code to build at import.  SimResult stays a dataclass
         # only because perfbench's self-test (_wrong_product) calls
-        # dataclasses.replace on it
+        # dataclasses.replace on it.  Its read-only subclass SharedResult
+        # inherits its fields, and @dataclass builds nothing for it
         classes = {obj for module in (bits, datapath, harness, power, cli)
                    for obj in vars(module).values()
                    if isinstance(obj, type) and obj.__module__ == module.__name__}
-        assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {datapath.SimResult}
+        built = {cls for cls in classes if "__dataclass_fields__" in vars(cls)}
+        assert built == {datapath.SimResult}
+        assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {
+            datapath.SimResult, datapath.SharedResult}
 
     def test_import_loads_no_pathlib(self):
         # os.path and open write reports and read models: no command pays
@@ -711,11 +796,12 @@ class TestExperimentScripts:
     @pytest.mark.parametrize("name, named", [
         ("missing.cfg", "cannot be read: No such file or directory"),
         ("nan.cfg", "nan.cfg:1: adder must be finite"),
-    ], ids=["unreadable", "malformed"])
+        ("", "--model is empty"),
+    ], ids=["unreadable", "malformed", "empty"])
     def test_model_error_as_sweep_reports(self, tmp_path, capsys, name, named):
         # the script loads --model with the CLI's own loader
         (tmp_path / "nan.cfg").write_text("adder = nan\n")
-        model = str(tmp_path / name)
+        model = str(tmp_path / name) if name else ""
         env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
         proc = subprocess.run([sys.executable, str(SCRIPTS / "reduction_vs_width.py"),
                                "--model", model], capture_output=True, text=True, env=env)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -569,11 +570,19 @@ class TestResultTables:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_shared_entry_refuses_changes(self, variant):
-        # every caller of the config shares the entry, so its ledger is
-        # read-only; a copy is the caller's own
+        # every caller of the config shares the entry, so it and its ledger
+        # are read-only; a copy is the caller's own
         cfg = make_config(variant, 4)
         a, b = Word(3, 4), Word(5, 4)
-        ledger = simulate(a, b, cfg).ledger
+        entry = simulate(a, b, cfg)
+        product, ledger = entry.product, entry.ledger
+        with pytest.raises(AttributeError):
+            entry.product = Word(0, 8)
+        with pytest.raises(AttributeError):
+            entry.ledger = ToggleLedger()
+        with pytest.raises(AttributeError):
+            del entry.product
+        assert simulate(a, b, cfg).product is product and simulate(a, b, cfg).ledger is ledger
         before = ledger.as_dict()
         with pytest.raises(AttributeError):
             ledger.adder += 1000
@@ -586,6 +595,22 @@ class TestResultTables:
             own.add(ledger)
             assert type(own) is ToggleLedger
             assert own.as_dict() == {k: 2 * v for k, v in before.items()}
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_shared_entry_acts_as_a_plain_result(self, variant):
+        # it equals, copies, pickles and is replaced as a plain SimResult
+        cfg = make_config(variant, 4)
+        entry = simulate(Word(3, 4), Word(5, 4), cfg)
+        plain = SimResult(entry.product, ToggleLedger(**entry.ledger.as_dict()))
+        assert entry == plain and plain == entry and not entry != plain
+        assert entry != SimResult(Word(0, 8), plain.ledger)
+        for own in (copy.copy(entry), copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
+            assert type(own) is SimResult and own == entry
+            own.product = Word(0, 8)
+        replaced = dataclasses.replace(entry, product=Word(1, 8))
+        assert type(replaced) is SimResult
+        assert (replaced.product, replaced.ledger) == (Word(1, 8), entry.ledger)
+        assert simulate(Word(3, 4), Word(5, 4), cfg) == plain
 
 
 class TestLedgerAdd:
