@@ -29,7 +29,7 @@ loop: cycle i is lane i of one packed int (``Lanes``), and each category's
 per-cycle Hamming sum is one popcount.  The low-power datapath differs only
 in data that its config and plan supply (see ``simulate``).
 ``run_conventional`` and ``run_lowpower`` are the same function, under the
-names ``harness.sweep`` runs each datapath by.
+names ``harness`` runs each datapath's per-pair runs by.
 
 Part of the kernel's work depends on the multiplier alone: its masked
 copies, the adder masks, the fill schedule and closed-form charges.  That
@@ -58,6 +58,7 @@ the products do not depend on the datapath, and ``exhaustive_verify`` runs
 it once for both, reading its final register alone.  ``run_sliced`` charges
 one config's summed ledger from its cycles: the low-power adder holds its
 state on bypass cycles, and its register toggles count on the feeder alone.
+``harness.sweep`` runs it on each chunk of operand slices.
 """
 
 from __future__ import annotations
@@ -567,7 +568,7 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
       toggles the plan counts from b alone.
 
     ``run_conventional`` and ``run_lowpower`` are this function under the
-    names ``harness.sweep`` calls, so that a profiler can wrap and time the
+    names ``harness`` calls, so that a profiler can wrap and time the
     two datapaths apart; each runs ``cfg``'s own datapath.
     """
     n = cfg.width
@@ -616,7 +617,7 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     return SimResult(_exact_word(partial >> top, 2 * n), ledger)
 
 
-# the names harness.sweep runs each datapath by
+# the names harness runs each datapath's per-pair runs by
 run_conventional = run_lowpower = simulate
 
 

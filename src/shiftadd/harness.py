@@ -27,6 +27,7 @@ from .datapath import (
     make_config,
     run_conventional,
     run_lowpower,
+    run_sliced,
     sliced_cycles,
 )
 from .power import PowerModel, area_proxy, average_power, estimate_energy, reduction_percent
@@ -41,8 +42,8 @@ RNG_IDS = dict.fromkeys(DIST_KINDS, RNG_ALGORITHM) | {
 # the probability that a multiplier bit is 1, per random distribution
 BIT_DENSITY = {"uniform": 0.50, "sparse": 0.25, "dense": 0.75}
 EXHAUSTIVE_WIDTH_LIMIT = 8
-# operand pairs a sweep holds at once: its memory does not grow with trials
-SWEEP_CHUNK = 4096
+# trials a sweep decodes and runs at once: its memory does not grow with trials
+SWEEP_CHUNK = 32768
 
 # FPGA synthesis figures reported for the original 4- and 8-bit designs;
 # printed next to modeled reductions for reference, never asserted against.
@@ -82,30 +83,17 @@ def gen_operands(
 ) -> Iterator[tuple[int, int]]:
     """Deterministic stream of (a, b) pairs for ``dist``.
 
-    Its arguments are checked when it is called, before the stream is
-    returned: ``exhaustive`` ignores ``trials`` and yields all
-    ``2**(2*width)`` pairs in lexicographic order, refusing widths above
-    ``EXHAUSTIVE_WIDTH_LIMIT`` to bound the explosion; every other kind
-    needs ``trials >= 1``, and ``fixed`` refuses operands outside
-    ``0..2**width - 1``.  The width's own range is ``check_width``'s check.
-    A random pair is drawn as ``OperandDistribution`` says, from one
-    ``random.Random(seed)``, when the stream reaches it.
+    Its arguments are checked by ``_check_stream`` when it is called, before
+    the stream is returned.  ``exhaustive`` ignores ``trials`` and yields all
+    ``2**(2*width)`` pairs in lexicographic order.  A random pair is drawn as
+    ``OperandDistribution`` says, from one ``random.Random(seed)``, when the
+    stream reaches it.  ``sweep`` decodes the same draws as bit slices
+    (``_operand_slices``); this per-pair stream is their reference.
     """
+    _check_stream(dist, width, trials)
     if dist.kind == "exhaustive":
-        if width > EXHAUSTIVE_WIDTH_LIMIT:
-            raise ValueError(
-                f"exhaustive enumeration refused for width {width} > {EXHAUSTIVE_WIDTH_LIMIT}"
-            )
         return itertools.product(range(1 << width), repeat=2)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if dist.kind == "fixed":
-        limit = 1 << width
-        if not (0 <= dist.a < limit and 0 <= dist.b < limit):
-            raise ValueError(
-                f"fixed operands must be in 0..{limit - 1} for width {width}, "
-                f"got a={dist.a}, b={dist.b}"
-            )
         return itertools.repeat((dist.a, dist.b), trials)
     draw = random.Random(dist.seed).getrandbits
     if dist.kind == "uniform":
@@ -113,6 +101,85 @@ def gen_operands(
     if dist.kind == "sparse":
         return ((draw(width), draw(width) & draw(width)) for _ in range(trials))
     return ((draw(width), draw(width) | draw(width)) for _ in range(trials))
+
+
+def _check_stream(dist: OperandDistribution, width: int, trials: int) -> None:
+    """Refuse a stream that cannot be drawn: ``exhaustive`` refuses widths
+    above ``EXHAUSTIVE_WIDTH_LIMIT`` to bound the explosion; every other kind
+    needs ``trials >= 1``, and ``fixed`` refuses operands outside
+    ``0..2**width - 1``.  The width's own range is ``check_width``'s check."""
+    if dist.kind == "exhaustive":
+        if width > EXHAUSTIVE_WIDTH_LIMIT:
+            raise ValueError(
+                f"exhaustive enumeration refused for width {width} > {EXHAUSTIVE_WIDTH_LIMIT}"
+            )
+        return
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    limit = 1 << width
+    if dist.kind == "fixed" and not (0 <= dist.a < limit and 0 <= dist.b < limit):
+        raise ValueError(
+            f"fixed operands must be in 0..{limit - 1} for width {width}, "
+            f"got a={dist.a}, b={dist.b}"
+        )
+
+
+def _operand_slices(
+    dist: OperandDistribution, width: int, trials: int
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """The operands of ``gen_operands(dist, width, trials)`` as bit slices, in
+    chunks of at most ``SWEEP_CHUNK`` trials: (a slices, b slices, trials),
+    bit t of slice j being bit j of the chunk's trial t.  Not for ``fixed``.
+
+    ``exhaustive`` cuts ``_exhaustive_slices`` into chunks.  A random chunk
+    is one ``getrandbits`` call of 32 bits per word of its trials, 2 words
+    per uniform pair and 3 per sparse or dense pair: CPython fills it one
+    32-bit Mersenne word at a time, least significant first, and
+    ``getrandbits(width)`` is the top ``width`` bits of the next word, so
+    slice j of a word is its bit 32 - width + j.  a is word 0, b word 1, or
+    the AND (sparse) or OR (dense) of words 1 and 2.
+    """
+    if dist.kind == "exhaustive":
+        a_all, b_all = _exhaustive_slices(width)
+        total, size = 1 << 2 * width, SWEEP_CHUNK
+        mask = (1 << size) - 1
+        for start in range(0, total, size):
+            yield ([bits >> start & mask for bits in a_all],
+                   [bits >> start & mask for bits in b_all], min(size, total - start))
+        return
+    words = 2 if dist.kind == "uniform" else 3
+    positions = [32 * word + 32 - width + j for word in range(words) for j in range(width)]
+    draw = random.Random(dist.seed).getrandbits
+    for start in range(0, trials, SWEEP_CHUNK):
+        count = min(SWEEP_CHUNK, trials - start)
+        records = draw(32 * words * count).to_bytes(4 * words * count, "little")
+        slices = _bit_slices(records, 4 * words, positions, count)
+        a_slices, b_slices = slices[:width], slices[width:2 * width]
+        if words == 3:
+            combine = operator.and_ if dist.kind == "sparse" else operator.or_
+            b_slices = list(map(combine, b_slices, slices[2 * width:]))
+        yield a_slices, b_slices, count
+
+
+def _bit_slices(records: bytes, size: int, positions: Sequence[int], count: int) -> list[int]:
+    """Bit slices of ``count`` little-endian records of ``size`` bytes: slice
+    k's bit t is bit ``positions[k]`` of record t.  For each byte offset,
+    column i is every eighth record's byte from record i, one strided slice,
+    so byte g of column i is a byte of record 8g + i; its bit r, masked and
+    moved to bit i by one shift, and OR-ed over the 8 columns, is bit r of
+    that byte of records 8g .. 8g + 7."""
+    ones = int.from_bytes(b"\x01" * max(1, count + 7 >> 3), "little")
+    places = [ones << i for i in range(8)]  # bit i of every byte
+    columns = {byte: [int.from_bytes(records[byte + size * i::8 * size], "little")
+                      for i in range(8)]
+               for byte in {k >> 3 for k in positions}}
+    slices = []
+    for k in positions:
+        r = k % 8
+        bits = [column & places[r] for column in columns[k >> 3]]
+        slices.append(functools.reduce(operator.or_, [
+            bit << i - r if i >= r else bit >> r - i for i, bit in enumerate(bits)]))
+    return slices
 
 
 def word_table(width: int) -> list[Word]:
@@ -218,24 +285,12 @@ def _exhaustive_products(width: int) -> list[int]:
     """The 2 * width slices of the native products a*b of every pair, in the
     order of ``_exhaustive_slices``.  The row of a is one multiply,
     a * sum(b << lane * b), with lanes of whole bytes at least 2 * width bits
-    wide, so no product carries into the next.  Byte g of column i is one
-    product byte of trial 8g + i; its bit r = k % 8, masked first and then
-    moved to bit i by one shift, and OR-ed over the 8 columns, is product
-    bit k of trials 8g .. 8g + 7."""
+    wide, so no product carries into the next; ``_bit_slices`` reads product
+    bit k of every trial from the rows' lanes."""
     pairs, lane = 1 << width, (2 * width + 7) >> 3
     ramp = int.from_bytes(b"".join(b.to_bytes(lane, "little") for b in range(pairs)), "little")
     rows = b"".join([(a * ramp).to_bytes(lane * pairs, "little") for a in range(pairs)])
-    ones = int.from_bytes(b"\x01" * max(1, pairs * pairs >> 3), "little")
-    places = [ones << i for i in range(8)]  # bit i of every byte
-    columns = [[int.from_bytes(rows[byte + lane * i::8 * lane], "little") for i in range(8)]
-               for byte in range(lane)]
-    slices = []
-    for k in range(2 * width):
-        r = k % 8
-        bits = [column & places[r] for column in columns[k >> 3]]
-        slices.append(functools.reduce(operator.or_, [
-            bit << i - r if i >= r else bit >> r - i for i, bit in enumerate(bits)]))
-    return slices
+    return _bit_slices(rows, lane, range(2 * width), pairs * pairs)
 
 
 def _bit_string(value: int, length: int) -> str:
@@ -266,26 +321,17 @@ def _aggregate(
     return totals.as_dict()
 
 
-def _word_chunks(
-    stream: Iterator[tuple[int, int]], width: int
-) -> Iterator[list[tuple[Word, Word]]]:
-    """The stream's pairs as ``Word`` pairs, in lists of at most ``SWEEP_CHUNK``.
-
-    Where ``2**width <= SWEEP_CHUNK`` every pair indexes one ``word_table``,
-    no larger than a chunk, built after the first draw so that perfbench's
-    tracer, which opens a width on that draw, charges it to the width.
-    Wider operands are wrapped per pair, straight from the stream.
-    """
-    if 1 << width > SWEEP_CHUNK:
-        while chunk := [(Word(av, width), Word(bv, width))
-                        for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
-            yield chunk
-        return
-    first = next(stream)  # gen_operands never yields an empty stream
-    words = word_table(width)
-    stream = itertools.chain([first], stream)
-    while chunk := [(words[av], words[bv]) for av, bv in itertools.islice(stream, SWEEP_CHUNK)]:
-        yield chunk
+def _sliced_totals(configs, dist: OperandDistribution, width: int,
+                   trials: int) -> tuple[int, list[dict[str, int]]]:
+    """The trials run and each config's ledger counts summed over them:
+    ``run_sliced`` once per config on each chunk of ``_operand_slices``."""
+    ledgers = [ToggleLedger() for _ in configs]
+    count = 0
+    for a_slices, b_slices, chunk in _operand_slices(dist, width, trials):
+        count += chunk
+        for cfg, ledger in zip(configs, ledgers):
+            ledger.add(run_sliced(cfg, a_slices, b_slices, chunk)[1])
+    return count, [ledger.as_dict() for ledger in ledgers]
 
 
 def sweep(
@@ -298,19 +344,20 @@ def sweep(
     g: int = RingCostModel().g,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[ReportRow]:
-    """Run both architectures over the same operand stream at each width.
+    """Run both architectures over the same operands at each width.
 
     Emits two rows per width (conventional first); the low-power row carries
     the energy reduction against the conventional baseline, so a ``model``
     that weighs none of ``CONVENTIONAL_CATEGORIES`` is refused.  Before the
     first pair runs, every width's configs are built (``ArchConfig`` checks
     the width, ``make_config`` clamps the block size to it), then every
-    width's stream (``gen_operands`` checks ``dist`` and ``trials``); a
-    ``fixed`` pair then runs once per width through the conventional kernel,
-    and is refused if the model weighs its energy at 0.
-    Operands are streamed in chunks of at most ``SWEEP_CHUNK`` pairs, and both
-    architectures share each pair's ``Word``s: each value is wrapped once per
-    width where ``2**width <= SWEEP_CHUNK``, each operand once per pair above.
+    width's operands are checked (``_check_stream``).  A ``fixed`` pair then
+    runs once per width through the conventional kernel, and is refused if
+    the model weighs its energy at 0; it runs once per architecture, and
+    its counts are each trial's.  Every other kind runs bit-sliced, both
+    architectures on the same operand slices, decoded and run in chunks of
+    at most ``SWEEP_CHUNK`` trials, so a sweep's memory does not grow with
+    its trials.
     """
     model = model or PowerModel()
     if not any(model.weights[cat] for cat in CONVENTIONAL_CATEGORIES):
@@ -322,23 +369,28 @@ def sweep(
                                  (Variant.LOW_POWER, run_lowpower))]
         for width in widths
     ]
-    streams = [gen_operands(dist, width, trials) for width in widths]
+    for width in widths:
+        _check_stream(dist, width, trials)
+    fixed = []  # per width, the fixed pair and its conventional counts
     if dist.kind == "fixed":  # its baseline is the one pair's energy
         for width, ((conv_cfg, conv_runner), _) in zip(widths, width_runs):
-            ledger = conv_runner(Word(dist.a, width), Word(dist.b, width), conv_cfg).ledger
-            if not estimate_energy(ledger, model):
+            pair = [(Word(dist.a, width), Word(dist.b, width))]
+            counts = _aggregate(conv_cfg, pair, conv_runner)
+            if not estimate_energy(ToggleLedger(**counts), model):
                 raise ValueError(f"fixed pair a={dist.a}, b={dist.b} has no conventional energy "
                                  f"under the power model at width {width}, so no reduction "
                                  "can be computed")
+            fixed.append((pair, counts))
     rows: list[ReportRow] = []
-    for width, runs, stream in zip(widths, width_runs, streams):
-        totals = [dict.fromkeys(LEDGER_CATEGORIES, 0) for _ in runs]
-        count = 0
-        for chunk in _word_chunks(stream, width):
-            count += len(chunk)
-            for (cfg, runner), arch_totals in zip(runs, totals):
-                for category, value in _aggregate(cfg, chunk, runner).items():
-                    arch_totals[category] += value
+    for index, (width, runs) in enumerate(zip(widths, width_runs)):
+        if fixed:
+            pair, conv_counts = fixed[index]
+            low_cfg, low_runner = runs[1]
+            count = trials
+            totals = [{category: trials * value for category, value in counts.items()}
+                      for counts in (conv_counts, _aggregate(low_cfg, pair, low_runner))]
+        else:
+            count, totals = _sliced_totals([cfg for cfg, _ in runs], dist, width, trials)
         conv_energy = 0.0
         for (cfg, _), counts in zip(runs, totals):
             energy = estimate_energy(ToggleLedger(**counts), model)

@@ -138,15 +138,18 @@ class TestRunCommand:
 
 class TestWidthErrors:
     @pytest.mark.parametrize("argv, named", [
-        (["run", "--arch", "conv", "--width", "0", "--a", "0", "--b", "0"],
-         "width must be in 1..32, got 0"),
-        (["run", "--arch", "lowpower", "--width", "-1", "--a", "0", "--b", "0"],
-         "width must be in 1..32, got -1"),
-        (["run", "--arch", "conv", "--width", "33", "--a", "0", "--b", "0"],
-         "width must be in 1..32, got 33"),
-        (["verify", "--width", "0"], "width must be in 1..32, got 0"),
-        (["verify", "--width", "-1"], "width must be in 1..32, got -1"),
-        (["verify", "--width", "9"], "refused for width 9 > 8"),
+        pytest.param(["run", "--arch", "conv", "--width", "0", "--a", "0", "--b", "0"],
+                     "width must be in 1..32, got 0", id="argv0-width must be in 1..32, got 0"),
+        pytest.param(["run", "--arch", "lowpower", "--width", "-1", "--a", "0", "--b", "0"],
+                     "width must be in 1..32, got -1", id="argv1-width must be in 1..32, got -1"),
+        pytest.param(["run", "--arch", "conv", "--width", "33", "--a", "0", "--b", "0"],
+                     "width must be in 1..32, got 33", id="argv2-width must be in 1..32, got 33"),
+        pytest.param(["verify", "--width", "0"], "width must be in 1..32, got 0",
+                     id="argv3-width must be in 1..32, got 0"),
+        pytest.param(["verify", "--width", "-1"], "width must be in 1..32, got -1",
+                     id="argv4-width must be in 1..32, got -1"),
+        pytest.param(["verify", "--width", "9"], "refused for width 9 > 8",
+                     id="argv5-refused for width 9 > 8"),
     ])
     def test_usage_error_names_the_width(self, argv, named, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -161,14 +164,21 @@ SWEEP_4 = ["sweep", "--widths", "4", "--trials", "5", "--out", "r.csv"]
 
 class TestCostFlagErrors:
     @pytest.mark.parametrize("argv, named", [
-        (RUN_4 + ["--ffs-cost", "0"], "--ffs-cost must be >= 1, got 0"),
-        (RUN_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1"),
-        (RUN_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0"),
-        (SWEEP_4 + ["--ffs-cost", "-2"], "--ffs-cost must be >= 1, got -2"),
-        (SWEEP_4 + ["--dist", "exhaustive", "--block-size", "0"],
-         "--block-size must be >= 1, got 0"),
-        (SWEEP_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1"),
-        (SWEEP_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0"),
+        pytest.param(RUN_4 + ["--ffs-cost", "0"], "--ffs-cost must be >= 1, got 0",
+                     id="argv0---ffs-cost must be >= 1, got 0"),
+        pytest.param(RUN_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1",
+                     id="argv1---gate-cost must be >= 0, got -1"),
+        pytest.param(RUN_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0",
+                     id="argv2---block-size must be >= 1, got 0"),
+        pytest.param(SWEEP_4 + ["--ffs-cost", "-2"], "--ffs-cost must be >= 1, got -2",
+                     id="argv3---ffs-cost must be >= 1, got -2"),
+        pytest.param(SWEEP_4 + ["--dist", "exhaustive", "--block-size", "0"],
+                     "--block-size must be >= 1, got 0",
+                     id="argv4---block-size must be >= 1, got 0"),
+        pytest.param(SWEEP_4 + ["--gate-cost", "-1"], "--gate-cost must be >= 0, got -1",
+                     id="argv5---gate-cost must be >= 0, got -1"),
+        pytest.param(SWEEP_4 + ["--block-size", "0"], "--block-size must be >= 1, got 0",
+                     id="argv6---block-size must be >= 1, got 0"),
     ])
     def test_usage_error_names_the_flag(self, argv, named, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

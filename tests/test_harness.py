@@ -31,7 +31,6 @@ from shiftadd.datapath import (
 from shiftadd.harness import (
     BIT_DENSITY,
     REPORT_COLUMNS,
-    SWEEP_CHUNK,
     OperandDistribution,
     emit_report,
     exhaustive_verify,
@@ -149,8 +148,7 @@ class TestBiasedDecode:
         assert got == biased_operands(seed, width, trials, kind)
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    @pytest.mark.parametrize("width, trials", [
-        (1, 10 * SWEEP_CHUNK), (4, 3 * SWEEP_CHUNK + 1), (32, SWEEP_CHUNK + 5), (32, 1)])
+    @pytest.mark.parametrize("width, trials", [(1, 40960), (4, 12289), (32, 4101), (32, 1)])
     def test_draws_bounded_by_block(self, monkeypatch, width, trials, kind):
         # each pair is its own block of draws: exactly three getrandbits(width)
         # calls, made when the stream reaches the pair, whatever the trial count
@@ -170,10 +168,11 @@ class TestBiasedDecode:
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     @pytest.mark.parametrize("width", [1, 4, 8, 32])
-    def test_sweep_across_blocks(self, width, kind):
-        # one SWEEP_CHUNK boundary: each row's ledger is the sum over the
-        # per-call stream
-        trials = SWEEP_CHUNK + 3
+    def test_sweep_across_blocks(self, width, kind, monkeypatch):
+        # one chunk boundary: each row's ledger is the sum over the per-call
+        # stream
+        monkeypatch.setattr(harness, "SWEEP_CHUNK", 97)
+        trials = 97 + 3
         rows = sweep([width], OperandDistribution(kind, seed=11), trials)
         operands = biased_operands(11, width, trials, kind)
         for row in rows:
@@ -213,6 +212,34 @@ class TestBiasedDecode:
             assert abs(sum(with_a) / len(with_a) - p1) < 0.02, i
 
 
+class TestOperandSlices:
+    """The operand slices a sweep decodes from one ``getrandbits`` call per
+    chunk, read back per trial against ``gen_operands``' per-call draws."""
+
+    @staticmethod
+    def decoded(dist, width, trials) -> list[tuple[int, int]]:
+        pairs = []
+        for a_slices, b_slices, count in harness._operand_slices(dist, width, trials):
+            assert len(a_slices) == len(b_slices) == width
+            pairs += zip(decode_slices(a_slices, count), decode_slices(b_slices, count))
+        return pairs
+
+    @pytest.mark.parametrize("kind", ["uniform", "sparse", "dense"])
+    @pytest.mark.parametrize("width", range(1, 33))
+    def test_matches_per_call_draws(self, width, kind, monkeypatch):
+        # two full chunks and a short one, of a size that is no multiple of 8
+        monkeypatch.setattr(harness, "SWEEP_CHUNK", 21)
+        for seed in (0, 2**40 + 3):
+            dist = OperandDistribution(kind, seed=seed)
+            assert self.decoded(dist, width, 2 * 21 + 5) == list(gen_operands(dist, width, 47))
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_exhaustive_chunks_in_operand_order(self, width, monkeypatch):
+        monkeypatch.setattr(harness, "SWEEP_CHUNK", 7)
+        dist = OperandDistribution("exhaustive")
+        assert self.decoded(dist, width, 0) == list(gen_operands(dist, width, 0))
+
+
 def carryless_conventional(a: Word, b: Word, cfg) -> SimResult:
     """Test double with the adder's carry chain stuck at zero."""
     acc = 0
@@ -232,6 +259,27 @@ def count_words(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(harness, "Word", counting)
     return built
+
+
+def ledger_columns(rows) -> list[tuple]:
+    """Each sweep row's (width, arch, trials, ledger counts)."""
+    return [(row.width, row.arch, row.trials, {k: getattr(row, k) for k in LEDGER_CATEGORIES})
+            for row in rows]
+
+
+def per_pair_rows(widths, dist, trials, **costs) -> list[tuple]:
+    """``ledger_columns`` of the rows a sweep must emit: the packed kernel's
+    ledgers summed over the per-pair stream of ``gen_operands``."""
+    rows = []
+    for width in widths:
+        pairs = list(gen_operands(dist, width, trials))
+        for variant in Variant:
+            cfg = make_config(variant, width, **costs)
+            totals = ToggleLedger()
+            for av, bv in pairs:
+                totals.add(simulate(Word(av, width), Word(bv, width), cfg).ledger)
+            rows.append((width, variant.value, len(pairs), totals.as_dict()))
+    return rows
 
 
 class TestExhaustiveBuilders:
@@ -406,6 +454,7 @@ class TestSweep:
             raise AssertionError("operands generated before the widths were checked")
 
         monkeypatch.setattr(harness, "gen_operands", no_operands)
+        monkeypatch.setattr(harness, "_operand_slices", no_operands)
         with pytest.raises(ValueError, match="1..32"):
             sweep(widths, OperandDistribution("uniform"), 10)
 
@@ -419,14 +468,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="block_size must be >= 1"):
             sweep([4], OperandDistribution("uniform"), 10, block_size=0)
 
-    def test_exhaustive_widths_checked_before_any_run(self, monkeypatch):
-        def no_run(*args):
-            raise AssertionError("a pair ran before every width was checked")
-
-        monkeypatch.setattr(harness, "run_conventional", no_run)
-        monkeypatch.setattr(harness, "run_lowpower", no_run)
+    def test_exhaustive_widths_checked_before_any_run(self, ran):
         with pytest.raises(ValueError, match="width 9"):
             sweep([4, 9], OperandDistribution("exhaustive"), 0)
+        assert ran == []
 
     @pytest.mark.parametrize("charged", ["counter_output", "feeder_bypass_clock", "gating"])
     def test_zero_conventional_weights_refused_before_any_run(self, ran, charged):
@@ -477,73 +522,106 @@ class TestSweep:
                 totals.add(loop(Word(av, row.width), Word(bv, row.width), cfg)[0].ledger)
             assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
 
-    # 2**12 == SWEEP_CHUNK: widths 5 and 12 index one operand table, 13 wraps per pair
     @pytest.mark.parametrize("width", [5, 12, 13])
-    def test_chunk_boundaries(self, width):
+    def test_chunk_boundaries(self, width, monkeypatch):
         # two full chunks and a short one: the sums equal one pass over the
         # whole, unchunked operand list
+        monkeypatch.setattr(harness, "SWEEP_CHUNK", 64)
         dist = OperandDistribution("sparse", seed=4)
-        trials = 2 * SWEEP_CHUNK + 3
+        trials = 2 * 64 + 3
         rows = sweep([width], dist, trials)
-        operands = list(gen_operands(dist, width, trials))
-        for row in rows:
-            cfg = make_config(row.arch, width)
-            totals = ToggleLedger()
-            for av, bv in operands:
-                totals.add(simulate(Word(av, width), Word(bv, width), cfg).ledger)
-            assert row.trials == trials
-            assert {k: getattr(row, k) for k in LEDGER_CATEGORIES} == totals.as_dict()
+        assert ledger_columns(rows) == per_pair_rows([width], dist, trials)
 
     def test_pairs_held_bounded_by_chunk(self, monkeypatch):
-        pulled = simulated = held = 0
+        # no run_sliced call and no draw covers more than SWEEP_CHUNK trials,
+        # read when the sweep runs, so memory is bounded by the chunk
+        chunks, draws = [], []
+        run_sliced = harness.run_sliced
 
-        def counting_operands(*args):
-            nonlocal pulled, held
-            for pair in gen_operands(*args):
-                pulled += 1
-                held = max(held, pulled - simulated)
-                yield pair
+        def counting_engine(cfg, a_slices, b_slices, trials):
+            chunks.append((cfg.variant, trials))
+            assert all(bits < 1 << trials for bits in a_slices + b_slices)
+            return run_sliced(cfg, a_slices, b_slices, trials)
 
-        run_conventional = harness.run_conventional
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
 
-        def counting_conventional(a, b, cfg):
-            nonlocal simulated
-            simulated += 1
-            return run_conventional(a, b, cfg)
+        monkeypatch.setattr(harness, "run_sliced", counting_engine)
+        monkeypatch.setattr(harness.random, "Random", Recording)
+        monkeypatch.setattr(harness, "SWEEP_CHUNK", 100)
+        for kind, words, trials in (("uniform", 2, 203), ("sparse", 3, 203),
+                                    ("exhaustive", 0, 64)):
+            chunks.clear()
+            draws.clear()
+            assert sweep([3], OperandDistribution(kind, seed=2), 203)[0].trials == trials
+            sizes = [100] * (trials // 100) + [trials % 100]
+            assert chunks == [(variant, size) for size in sizes for variant in Variant], kind
+            assert draws == [32 * words * size for size in sizes if words], kind
 
-        monkeypatch.setattr(harness, "gen_operands", counting_operands)
-        monkeypatch.setattr(harness, "run_conventional", counting_conventional)
-        sweep([3], OperandDistribution("uniform", seed=2), 2 * SWEEP_CHUNK + 3)
-        assert simulated == pulled == 2 * SWEEP_CHUNK + 3
-        assert held == SWEEP_CHUNK
-
-    def test_wraps_each_operand_once(self, monkeypatch):
-        # each value once at widths 3 and 12 (2**w <= SWEEP_CHUNK), each
-        # operand of each pair at width 13 (2**13 > SWEEP_CHUNK)
+    def test_builds_no_word(self, monkeypatch):
+        # a random or exhaustive sweep runs on slices alone; a fixed pair is
+        # wrapped once per width
         built = count_words(monkeypatch)
-        sweep([3, 12, 13], OperandDistribution("uniform", seed=8), 50)
-        assert built == [2**3 + 2**12 + 2 * 50]
+        for kind in ("uniform", "sparse", "dense"):
+            sweep([3, 12, 13], OperandDistribution(kind, seed=8), 50)
+        sweep([3], OperandDistribution("exhaustive"), 0)
+        assert built == [0]
+        sweep([3, 12, 13], OperandDistribution("fixed", a=5, b=6), 50)
+        assert built == [2 * 3]
 
-    def test_builds_each_table_after_its_first_draw(self, monkeypatch):
-        # a profiler that opens a width on its stream's first draw charges
-        # the width's operand table to that width
-        events = []
+    def test_fixed_pair_runs_once_per_architecture(self, monkeypatch):
+        # its counts are each trial's: the rows equal the pair run trials times
+        calls = {"conv": 0, "lowpower": 0}
 
-        def logging_operands(dist, width, trials):
-            for pair in gen_operands(dist, width, trials):
-                events.append(("draw", width))
-                yield pair
+        def counting(arch, kernel):
+            def run(*args):
+                calls[arch] += 1
+                return kernel(*args)
+            return run
 
-        def logging_word(value, width):
-            events.append(("word", width))
-            return Word(value, width)
+        monkeypatch.setattr(harness, "run_conventional",
+                            counting("conv", harness.run_conventional))
+        monkeypatch.setattr(harness, "run_lowpower", counting("lowpower", harness.run_lowpower))
+        dist = OperandDistribution("fixed", a=13, b=11)
+        rows = sweep([4, 16], dist, 1000)
+        assert calls == {"conv": 2, "lowpower": 2}
+        assert ledger_columns(rows) == per_pair_rows([4, 16], dist, 1000)
 
-        monkeypatch.setattr(harness, "gen_operands", logging_operands)
-        monkeypatch.setattr(harness, "Word", logging_word)
-        sweep([3, 4], OperandDistribution("uniform", seed=8), 5)
-        for width in (3, 4):
-            mine = [kind for kind, w in events if w == width]
-            assert mine[0] == "draw" and mine.count("word") == 2**width
+    @given(st.lists(st.integers(1, 32), min_size=1, max_size=3, unique=True),
+           st.sampled_from(["uniform", "sparse", "dense"]), st.integers(0, 2**40),
+           st.integers(1, 60), st.integers(1, 5), st.integers(0, 4), st.integers(1, 33),
+           st.integers(1, 70))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_per_pair_sums(self, widths, kind, seed, trials, s, g, block_size,
+                                      chunk):
+        dist = OperandDistribution(kind, seed=seed)
+        costs = {"s": s, "g": g, "block_size": block_size}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "SWEEP_CHUNK", chunk)
+            rows = sweep(widths, dist, trials, **costs)
+        assert ledger_columns(rows) == per_pair_rows(widths, dist, trials, **costs)
+
+    @pytest.mark.parametrize("kind", ["uniform", "exhaustive"])
+    def test_planted_fault_in_sliced_cycles_changes_rows(self, kind, monkeypatch):
+        # the top bit of trial 0's product flipped: both datapaths' register
+        # windows hold it, so each row charges one register toggle more or less
+        def flipped_cycles(a_slices, b_slices):
+            *cycles, (sel, products, carries) = sliced_cycles(a_slices, b_slices)
+            yield from cycles
+            yield sel, [*products[:-1], products[-1] ^ 1], carries
+
+        dist = OperandDistribution(kind, seed=6)
+        rows = sweep([4], dist, 200)
+        assert ledger_columns(rows) == per_pair_rows([4], dist, 200)
+        monkeypatch.setattr(datapath, "sliced_cycles", flipped_cycles)
+        faulty = sweep([4], dist, 200)
+        assert [abs(bad.partial_product_shift - row.partial_product_shift)
+                for bad, row in zip(faulty, rows)] == [1, 1]
+        assert [bad._replace(partial_product_shift=row.partial_product_shift, energy=row.energy,
+                             avg_power=row.avg_power, reduction_pct=row.reduction_pct)
+                for bad, row in zip(faulty, rows)] == rows
 
     def test_deterministic(self):
         dist = OperandDistribution("uniform", seed=31)
