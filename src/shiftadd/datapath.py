@@ -35,20 +35,15 @@ Part of the kernel's work depends on the multiplier alone: its masked
 copies, the adder masks, the fill schedule and closed-form charges.  That
 part is the plan for the multiplier value b, read through ``cfg.plan(b)``.
 Each datapath has its own plan function, since their closed forms differ,
-with one return shape; the config binds it to the numbers it reads.  Up to
-width ``PLAN_WIDTH_LIMIT`` a config is built with a table of every b's
-plan, at most 256, so a call computes only the multiplicand's part; wider
-configs call the plan function each time.  Where all 4**n operand pairs fit
-that bound (n <= 4), a config also holds ``results``, every (a, b) result
-the kernel computes, and a call returns the entry, which every caller
-shares: the entry and its ledger are read-only.  The kernel returns a run's
-product and ledger only; ``trace_rows`` reads a run's cycle-by-cycle rows
-from the same lanes.  What the kernel reads on every call that depends on
-the config alone (lane constants, the toggle window, fixed charges) it
-unpacks from one tuple of one layout, ``cfg.constants``.  A config holds only what its
-kernel reads: constants, plan and results, built whole with it and never
-changed; ``make_config`` returns one shared config per config value, so
-they are built once.
+with one return shape; the config binds it to the numbers it reads, and
+each call computes its plan afresh.  The kernel returns a run's product and
+a ledger of the caller's own; ``trace_rows`` reads a run's cycle-by-cycle
+rows from the same lanes.  What the kernel reads on every call that depends
+on the config alone (lane constants, the toggle window, fixed charges) it
+unpacks from one tuple of one layout, ``cfg.constants``.  A config holds
+only what its kernel reads, constants and bound plan function, built with
+it and never changed; ``make_config`` returns one shared config per config
+value, so they are built once.
 
 ``sliced_cycles`` runs many multiplications at once, bit-sliced: each
 signal bit is one int whose bit t belongs to trial t, and each cycle is a few
@@ -73,9 +68,6 @@ from enum import Enum
 from .bits import Word, _exact_word, _read_only
 
 MAX_OPERAND_WIDTH = 32
-# widest config with a plan table, of 2**8 plans; at width 16 a table could
-# hold 65,536 plans per config, most of them used once in a sweep
-PLAN_WIDTH_LIMIT = 8
 # config values make_config keeps built; a sweep uses two per width
 CONFIG_CACHE_SIZE = 64
 # flip-flops per gated ring block, unless a width below it clamps it
@@ -132,23 +124,21 @@ class ArchConfig:
     A run processes every multiplier bit, one per cycle, so it takes
     ``width`` cycles.  The constructor also builds what the kernel reads, and
     nothing else: ``constants``, the tuple it unpacks on each call (lane
-    constants, toggle window and fixed charges); ``plan``, which maps a
+    constants, toggle window and fixed charges), and ``plan``, which maps a
     multiplier value to its plan, the plan function bound to the numbers it
-    reads or a table of its plans; and ``results``, the result of each pair at
-    ``a << width | b``, or None where 4**width exceeds 2**PLAN_WIDTH_LIMIT.
-    Build configs with ``make_config``, which returns one shared instance per
+    reads.  Building one runs no multiplication and computes no plan.  Build
+    configs with ``make_config``, which returns one shared instance per
     config value, so that a caller who asks for a config per run does not
     rebuild them.  A config is immutable; two are equal, and hash alike, where
     their variant, width and cost are.
     """
 
-    __slots__ = ("variant", "width", "cost", "constants", "plan", "results")
+    __slots__ = ("variant", "width", "cost", "constants", "plan")
     variant: Variant
     width: int
     cost: RingCostModel
     constants: tuple[int, ...]
     plan: Callable[[int], tuple[int, ...]]
-    results: tuple[SimResult, ...] | None
 
     def __init__(self, variant: Variant, width: int,
                  cost: RingCostModel = RingCostModel()) -> None:
@@ -174,17 +164,7 @@ class ArchConfig:
             lanes.L, lanes.L - 1, n - 1, lanes.running, window, lanes.lanes, lanes.top,
             fixed.partial_product_shift, fixed.counter_internal, fixed.counter_output,
             fixed.gating))
-        if n <= PLAN_WIDTH_LIMIT:  # every b's plan, built now
-            plan = tuple(map(plan, range(1 << n))).__getitem__
         init(self, "plan", plan)
-        init(self, "results", None)  # so the kernel below computes
-        if 2 * n <= PLAN_WIDTH_LIMIT:  # every (a, b) result, built now
-            words = [Word(v, n) for v in range(1 << n)]
-            results = tuple(simulate(a, b, self) for a in words for b in words)
-            for result in results:  # every caller of the config shares it
-                result.ledger.__class__ = SharedLedger
-                result.__class__ = SharedResult
-            init(self, "results", results)
 
     __setattr__ = __delattr__ = _read_only
 
@@ -230,7 +210,7 @@ LEDGER_CATEGORIES: tuple[str, ...] = (
 class ToggleLedger:
     """Transition and clock-event counts per structural block, one slot per
     category of ``LEDGER_CATEGORIES``.  Two ledgers are equal where every
-    count is, shared or not; a ledger is mutable, so it has no hash."""
+    count is; a ledger is mutable, so it has no hash."""
 
     __slots__ = LEDGER_CATEGORIES
 
@@ -272,18 +252,6 @@ class ToggleLedger:
         self.mux_data += other.mux_data
         self.feeder_bypass_clock += other.feeder_bypass_clock
         self.gating += other.gating
-
-
-class SharedLedger(ToggleLedger):
-    """The ledger of a result in ``ArchConfig.results``, which every caller
-    of the config shares: assigning a count raises, and so does ``add``.
-    A copy is a plain ``ToggleLedger`` of the same counts."""
-
-    __slots__ = ()
-    __setattr__ = __delattr__ = _read_only
-
-    def __reduce__(self) -> tuple:
-        return ToggleLedger, tuple(self.as_dict().values())
 
 
 # the categories the conventional datapath can charge: it has no ring, clock
@@ -450,6 +418,7 @@ class CycleTrace(namedtuple("CycleTrace", [
     __slots__ = ()
 
 
+# Each kernel call builds a new result, whose ledger the caller may change.
 # The package's one dataclass, only because perfbench's self-test
 # (``_wrong_product``) calls ``dataclasses.replace`` on it.  ``cycles``, the
 # config's width, has one reader left, perfbench's tracer (``_kernel``).
@@ -464,26 +433,6 @@ class SimResult:
     def cycles(self) -> int:
         """One cycle per multiplier bit: half the product's width."""
         return self.product.width // 2
-
-
-class SharedResult(SimResult):
-    """A result in ``ArchConfig.results``, which every caller of the config
-    shares: assigning a field raises.  It equals a plain ``SimResult`` of the
-    same fields; a copy is one, and so is what ``dataclasses.replace`` builds."""
-
-    __slots__ = ()
-    __setattr__ = __delattr__ = _read_only
-
-    def __new__(cls, product: Word, ledger: ToggleLedger) -> SimResult:
-        return SimResult(product, ledger)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimResult):
-            return NotImplemented
-        return (self.product, self.ledger) == (other.product, other.ledger)
-
-    def __reduce__(self) -> tuple:
-        return SimResult, (self.product, self.ledger)
 
 
 def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
@@ -574,8 +523,6 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
-    if cfg.results is not None:
-        return cfg.results[a.value << n | b.value]
     (L, L_1, n_1, running, window, lanes, top,
      register_fixed, counter_internal, counter_output, gating) = cfg.constants
     (masked, low, carries, fill, multiplier_shift, mux_select, swings, mux_data,

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -23,7 +22,6 @@ from shiftadd.datapath import (
     CONVENTIONAL_CATEGORIES,
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
-    PLAN_WIDTH_LIMIT,
     ArchConfig,
     Lanes,
     RingCostModel,
@@ -95,6 +93,31 @@ class TestArchConfig:
                                "cost=RingCostModel(s=3, g=1, block_size=4))")
         for twin in (copy.copy(shared), pickle.loads(pickle.dumps(shared))):
             assert twin == shared and twin.constants == shared.constants
+
+    def test_built_without_per_pair_work(self):
+        # building a config runs no multiplication and computes no plan:
+        # each raises while the configs are built.  Their code is swapped,
+        # not their names, so a config keeps the plan function it bound and
+        # runs once the code is back
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-pair work while building a config")
+
+        functions = (datapath.simulate, datapath._conventional_plan, datapath._lowpower_plan)
+        saved = [function.__code__ for function in functions]
+        for function in functions:
+            function.__code__ = refuse.__code__
+        try:
+            cfgs = [ArchConfig(variant, n, RingCostModel(block_size=min(DEFAULT_BLOCK_SIZE, n)))
+                    for n in range(1, 33) for variant in Variant]
+        finally:
+            for function, code in zip(functions, saved):
+                function.__code__ = code
+        for cfg in cfgs:
+            n = cfg.width
+            _, loop = KERNELS[cfg.variant]
+            for av, bv in oracle_operands(n, seed=n):
+                a, b = Word(av, n), Word(bv, n)
+                assert simulate(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
 
 
 class TestConventional:
@@ -379,14 +402,14 @@ def unbound_plan(cfg, bv):
 
 
 class TestPlanTables:
-    """Per-config tables of multiplier plans, built with the config: a plan
-    read from a table must be the one its plan function computes."""
+    """Per-config multiplier plans, read through ``cfg.plan``, the plan
+    function bound to the config's numbers: a plan must be the one its plan
+    function computes for that config."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_configs_differing_in_costs_keep_their_own_plans(self, n):
-        # every config at one width, called in turn on each pair: from the
-        # second pass on each reads its own table warm, and a plan read from
-        # another config's table shows
+        # every config at one width, called in turn on each pair, twice: a
+        # plan computed with another config's numbers shows
         cfgs = [make_config(variant, n, s=s, g=g, block_size=bsz)
                 for variant in Variant for s, g in COSTS for bsz in sorted({1, n})]
         operands = oracle_operands(n, seed=n) + [(av, 1) for av in range(1 << min(n, 3))]
@@ -398,8 +421,8 @@ class TestPlanTables:
                     assert packed(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
 
     def test_plan_equals_plan_function(self):
-        # the table built with the config holds what the plan function gives
-        for n in range(1, PLAN_WIDTH_LIMIT + 1):
+        # the bound plan function gives what the plan function does, for every b
+        for n in range(1, 8 + 1):
             for variant in Variant:
                 for s, g in COSTS:
                     cfg = make_config(variant, n, s=s, g=g)
@@ -408,17 +431,13 @@ class TestPlanTables:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_plan_tabled_up_to_limit(self, variant):
-        # a plan read from the table is the one object built with the config;
-        # a wider config's plan is computed afresh on each call
+        # at every width, the plan of b = all ones is the plan function's
         for n in range(1, 33):
             cfg = make_config(variant, n)
             bv = (1 << n) - 1
-            assert (cfg.plan(bv) is cfg.plan(bv)) == (n <= PLAN_WIDTH_LIMIT), n
-            assert cfg.plan(bv) == unbound_plan(cfg, bv)
-            # the result table holds 4**n entries, under the same bound
-            assert (cfg.results is None) == (2 * n > PLAN_WIDTH_LIMIT), n
+            assert cfg.plan(bv) == unbound_plan(cfg, bv), n
 
-    @pytest.mark.parametrize("name", ["plan", "constants", "results"])
+    @pytest.mark.parametrize("name", ["plan", "constants"])
     def test_built_constants_frozen(self, name):
         cfg = make_config(Variant.LOW_POWER, 4)
         with pytest.raises(AttributeError):
@@ -463,7 +482,7 @@ class TestPlanTables:
                 fixed.partial_product_shift, fixed.counter_internal, fixed.counter_output,
                 fixed.gating), variant
 
-    @pytest.mark.parametrize("n", range(1, PLAN_WIDTH_LIMIT + 1))
+    @pytest.mark.parametrize("n", range(1, 8 + 1))
     def test_adder_masks_are_the_add_lanes(self, n):
         # every conventional lane adds: its plan's adder masks are the
         # config's own and it fills nothing.  The low-power masks keep the
@@ -506,7 +525,7 @@ class TestFillSchedule:
     def test_schedule(self, n):
         cfg = make_config(Variant.LOW_POWER, n)
         rng = random.Random(n)
-        values = range(1 << n) if n <= PLAN_WIDTH_LIMIT else (
+        values = range(1 << n) if n <= 8 else (
             [0, 1, 1 << (n - 1), (1 << n) - 1, (1 << n) - 2]
             + [rng.getrandbits(n) for _ in range(200)])
         for bv in values:
@@ -525,8 +544,8 @@ class TestFillSchedule:
 
 
 class TestResultTables:
-    """Per-config tables of every (a, b) result, built with the config up to
-    4**n <= 2**PLAN_WIDTH_LIMIT: a kernel call returns the entry."""
+    """Every (a, b) result at widths where all 4**n pairs are few, each
+    computed by the kernel on its call: no config holds a result."""
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_entries_equal_oracle_and_traced_kernel(self, n):
@@ -534,22 +553,18 @@ class TestResultTables:
             for s, g in COSTS:
                 for bsz in sorted({1, n}):
                     cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
-                    assert len(cfg.results) == 4 ** n
                     for av in range(1 << n):
                         for bv in range(1 << n):
                             a, b = Word(av, n), Word(bv, n)
-                            entry = cfg.results[av << n | bv]
                             expected, _ = loop(a, b, cfg)
-                            assert entry == expected, (variant, n, s, g, av, bv)
-                            assert packed(a, b, cfg) is entry
+                            assert packed(a, b, cfg) == expected, (variant, n, s, g, av, bv)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_operand_width_checked_before_lookup(self, variant, n):
-        # trace_rows reads the tabled plan, and checks the widths first too
+        # the kernel and trace_rows check the widths before they read a plan
         packed, _ = KERNELS[variant]
         cfg = make_config(variant, n)
-        assert cfg.results is not None
         for run in (packed, trace_rows):
             for a, b in ((Word(0, n + 1), Word(0, n)), (Word(0, n), Word(1, n + 1))):
                 with pytest.raises(ValueError, match="do not match config width"):
@@ -557,6 +572,8 @@ class TestResultTables:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_shared_entry_unchanged_by_caller_totals(self, variant):
+        # summing a result's ledger into a caller's total changes nothing
+        # the next call of the pair returns
         cfg = make_config(variant, 4)
         a, b = Word(11, 4), Word(13, 4)
         first = simulate(a, b, cfg)
@@ -565,52 +582,25 @@ class TestResultTables:
         total.add(first.ledger)
         total.add(first.ledger)
         second = simulate(a, b, cfg)
-        assert second is first and second == before
+        assert second == before
         assert total.as_dict() == {k: 2 * v for k, v in before.ledger.as_dict().items()}
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_shared_entry_refuses_changes(self, variant):
-        # every caller of the config shares the entry, so it and its ledger
-        # are read-only; a copy is the caller's own
+        # no result is shared between calls: each is the caller's own, so
+        # changing it, or adding into its ledger, changes nothing the next
+        # call of the pair returns
         cfg = make_config(variant, 4)
         a, b = Word(3, 4), Word(5, 4)
-        entry = simulate(a, b, cfg)
-        product, ledger = entry.product, entry.ledger
-        with pytest.raises(AttributeError):
-            entry.product = Word(0, 8)
-        with pytest.raises(AttributeError):
-            entry.ledger = ToggleLedger()
-        with pytest.raises(AttributeError):
-            del entry.product
-        assert simulate(a, b, cfg).product is product and simulate(a, b, cfg).ledger is ledger
-        before = ledger.as_dict()
-        with pytest.raises(AttributeError):
-            ledger.adder += 1000
-        with pytest.raises(AttributeError):
-            ledger.add(ledger)
-        with pytest.raises(AttributeError):
-            del ledger.gating
-        assert simulate(a, b, cfg).ledger.as_dict() == before
-        for own in (copy.copy(ledger), pickle.loads(pickle.dumps(ledger))):
-            own.add(ledger)
-            assert type(own) is ToggleLedger
-            assert own.as_dict() == {k: 2 * v for k, v in before.items()}
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_shared_entry_acts_as_a_plain_result(self, variant):
-        # it equals, copies, pickles and is replaced as a plain SimResult
-        cfg = make_config(variant, 4)
-        entry = simulate(Word(3, 4), Word(5, 4), cfg)
-        plain = SimResult(entry.product, ToggleLedger(**entry.ledger.as_dict()))
-        assert entry == plain and plain == entry and not entry != plain
-        assert entry != SimResult(Word(0, 8), plain.ledger)
-        for own in (copy.copy(entry), copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
-            assert type(own) is SimResult and own == entry
-            own.product = Word(0, 8)
-        replaced = dataclasses.replace(entry, product=Word(1, 8))
-        assert type(replaced) is SimResult
-        assert (replaced.product, replaced.ledger) == (Word(1, 8), entry.ledger)
-        assert simulate(Word(3, 4), Word(5, 4), cfg) == plain
+        first = simulate(a, b, cfg)
+        before = SimResult(first.product, ToggleLedger(**first.ledger.as_dict()))
+        first.product = Word(0, 8)
+        first.ledger.adder += 1000
+        first.ledger.add(before.ledger)
+        assert first.ledger.adder == 2 * before.ledger.adder + 1000
+        second = simulate(a, b, cfg)
+        assert second is not first and second.ledger is not first.ledger
+        assert second == before
 
 
 class TestLedgerAdd:
@@ -661,7 +651,6 @@ class TestEquivalence:
         full = (1 << n) - 1
         for variant, (packed, _) in KERNELS.items():
             cfg = make_config(variant, n)
-            assert cfg.results is None  # computed, not read from a table
             for av, bv in [(full, full), (0, full), (full, 1), (5, 3), (1 << (n - 1), full)]:
                 product = packed(Word(av, n), Word(bv, n), cfg).product
                 expected = Word(av * bv, 2 * n)
