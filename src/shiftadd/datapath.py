@@ -26,24 +26,15 @@ only the data-dependent work and adds those charges once per run.
 
 One packed kernel, ``simulate``, runs both datapaths with no per-cycle
 loop: cycle i is lane i of one packed int (``Lanes``), and each category's
-per-cycle Hamming sum is one popcount.  The low-power datapath differs only
-in data that its config and plan supply (see ``simulate``).
-``run_conventional`` and ``run_lowpower`` are the same function, under the
-names ``harness`` runs each datapath's per-pair runs by.
-
-Part of the kernel's work depends on the multiplier alone: its masked
-copies, the adder masks, the fill schedule and closed-form charges.  That
-part is the plan for the multiplier value b, read through ``cfg.plan(b)``.
-Each datapath has its own plan function, since their closed forms differ,
-with one return shape; the config binds it to the numbers it reads, and
-each call computes its plan afresh.  The kernel returns a run's product and
-a ledger of the caller's own; ``trace_rows`` reads a run's cycle-by-cycle
-rows from the same lanes.  What the kernel reads on every call that depends
-on the config alone (lane constants, the toggle window, fixed charges) it
-unpacks from one tuple of one layout, ``cfg.constants``.  A config holds
-only what its kernel reads, constants and bound plan function, built with
-it and never changed; ``make_config`` returns one shared config per config
-value, so they are built once.
+per-cycle Hamming sum is one popcount.  The datapaths differ only in what
+the multiplier bits drive, B's part of a run, which one branch on the
+variant computes (see ``simulate``).  ``run_conventional`` and
+``run_lowpower`` are the same function, under the names ``harness`` runs
+each datapath's per-pair runs by.  The kernel returns a run's product and a
+ledger of the caller's own; ``trace_rows`` reads a run's cycle-by-cycle rows
+from the same lanes.  A config is only its variant, width and cost: what
+the kernel reads that depends on the config alone (lane constants, fixed
+charges) it computes on the config's first call and keeps (``_packed``).
 
 ``sliced_cycles`` runs many multiplications at once, bit-sliced: each
 signal bit is one int whose bit t belongs to trial t, and each cycle is a few
@@ -61,14 +52,14 @@ from __future__ import annotations
 import functools
 import operator
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .bits import Word, _exact_word, _read_only
+from .bits import Word, _exact_word
 
 MAX_OPERAND_WIDTH = 32
-# config values make_config keeps built; a sweep uses two per width
+# configs whose kernel constants simulate keeps (_packed); a run uses two per width
 CONFIG_CACHE_SIZE = 64
 # flip-flops per gated ring block, unless a width below it clamps it
 DEFAULT_BLOCK_SIZE = 4
@@ -118,69 +109,26 @@ def num_blocks(width: int, block_size: int) -> int:
     return -(-width // block_size)
 
 
-class ArchConfig:
+class ArchConfig(namedtuple("ArchConfig", "variant width cost")):
     """Architecture variant, operand width and cost parameters.
 
     A run processes every multiplier bit, one per cycle, so it takes
-    ``width`` cycles.  The constructor also builds what the kernel reads, and
-    nothing else: ``constants``, the tuple it unpacks on each call (lane
-    constants, toggle window and fixed charges), and ``plan``, which maps a
-    multiplier value to its plan, the plan function bound to the numbers it
-    reads.  Building one runs no multiplication and computes no plan.  Build
-    configs with ``make_config``, which returns one shared instance per
-    config value, so that a caller who asks for a config per run does not
-    rebuild them.  A config is immutable; two are equal, and hash alike, where
-    their variant, width and cost are.
+    ``width`` cycles.  The variant may be given by name; the width must be
+    in range and no less than the block size.  Building one builds nothing
+    for the kernel.
     """
 
-    __slots__ = ("variant", "width", "cost", "constants", "plan")
-    variant: Variant
-    width: int
-    cost: RingCostModel
-    constants: tuple[int, ...]
-    plan: Callable[[int], tuple[int, ...]]
+    __slots__ = ()
 
-    def __init__(self, variant: Variant, width: int,
-                 cost: RingCostModel = RingCostModel()) -> None:
-        init = object.__setattr__  # past the refusing __setattr__
-        init(self, "variant", variant)
-        init(self, "width", width)
-        init(self, "cost", cost)
+    def __new__(cls, variant: Variant | str, width: int,
+                cost: RingCostModel = RingCostModel()) -> ArchConfig:
+        variant = Variant(variant)
         check_width(width)
         if cost.block_size > width:
             raise ValueError(f"block_size {cost.block_size} exceeds width {width}")
-        n = width
-        fixed = fixed_charges(self)
-        lanes = Lanes.build(n)
-        shared = (n, lanes.copies, lanes.prefixes, lanes.low, lanes.carries)
-        if self.variant is Variant.CONVENTIONAL:
-            window = lanes.register  # the whole partial-product register
-            plan = functools.partial(_conventional_plan, *shared, fixed.multiplier_shift)
-        else:
-            window = lanes.running  # the feeder/bypass storage
-            plan = functools.partial(_lowpower_plan, *shared, lanes.selects, lanes.lanes,
-                                     fixed.mux_select, fixed.feeder_bypass_clock, _add_clock(self))
-        init(self, "constants", (
-            lanes.L, lanes.L - 1, n - 1, lanes.running, window, lanes.lanes, lanes.top,
-            fixed.partial_product_shift, fixed.counter_internal, fixed.counter_output,
-            fixed.gating))
-        init(self, "plan", plan)
+        return super().__new__(cls, variant, width, cost)
 
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.variant, self.width, self.cost) == (other.variant, other.width, other.cost)
-
-    def __hash__(self) -> int:
-        return hash((self.variant, self.width, self.cost))
-
-    def __repr__(self) -> str:
-        return f"ArchConfig(variant={self.variant!r}, width={self.width!r}, cost={self.cost!r})"
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
-        return ArchConfig, (self.variant, self.width, self.cost)
+    _make = classmethod(_checked_make)
 
 
 def make_config(
@@ -191,15 +139,12 @@ def make_config(
     g: int = RingCostModel().g,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> ArchConfig:
-    """The one shared ArchConfig for this config value, however it is spelled:
-    the variant may be given by name.  The one place a block size is clamped:
-    it is lowered to the width (or 1, so that a width out of range meets
-    ``ArchConfig``'s width check); ``RingCostModel`` refuses one below 1."""
+    """The ArchConfig of ``variant`` and ``width`` with these cost fields.
+    The one place a block size is clamped: it is lowered to the width (or 1,
+    so that a width out of range meets ``ArchConfig``'s width check);
+    ``RingCostModel`` refuses one below 1."""
     block_size = min(block_size, max(1, width))
-    return _shared_config(Variant(variant), width, RingCostModel(s, g, block_size))
-
-
-_shared_config = functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)(ArchConfig)
+    return ArchConfig(variant, width, RingCostModel(s, g, block_size))
 
 
 LEDGER_CATEGORIES: tuple[str, ...] = (
@@ -313,9 +258,8 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     gate of a register clocked on add cycles, as b = 0 bypasses on every
     cycle.  With ``_add_clock`` it is all that reads ``s`` and ``g``.
 
-    It is computed once per config, when the config is built: the kernel
-    reads its entries through ``cfg.constants`` and the plans, which are bound
-    to ``multiplier_shift`` (conventional) or ``mux_select`` (low-power).
+    ``simulate`` computes it once per config, on the config's first call
+    (``_packed``), and ``run_sliced`` once per call.
     """
     n = cfg.width
     cost = cfg.cost
@@ -444,54 +388,12 @@ def _check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
         )
 
 
-def _conventional_plan(n: int, copies: int, prefixes: int, low: int, carries: int,
-                       shift_fixed: int, bv: int) -> tuple:
-    """B's part of a conventional run, for the numbers the config binds, in
-    the plan shape ``simulate`` reads.  Every lane adds, so the adder masks are
-    the config's own ``low`` and ``carries`` and nothing is filled.  B's shift
-    toggles come on top of its clock; the select toggles are also the cycles
-    on which the mux output swings between 0 and A."""
-    masked = bv * copies & prefixes
-    multiplier_shift = shift_fixed + (((bv ^ (bv >> 1)) * copies) & low).bit_count()
-    mux_select = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
-    return masked, low, carries, (), multiplier_shift, mux_select, mux_select, 0, 0
-
-
-def _lowpower_plan(
-    n: int, copies: int, prefixes: int, low: int, carries: int, selects: int, lanes: int,
-    mux_select: int, feeder: int, add_clock: int, bv: int,
-) -> tuple:
-    """B's part of a low-power run, for the numbers the config binds, in the
-    plan shape ``simulate`` reads: the adder masks cut to the add lanes, the
-    forward fill's schedule, the ring's fixed select toggles, and the closed
-    forms of mux data and the feeder's clock (``feeder``, its charge in the
-    run 0 x 0, plus ``add_clock`` per add).  B is never clocked or shifted,
-    and the mux output is the selected bit, so no mux data swing depends on A.
-
-    A bypass cycle holds the adder's state, so the kernel fills each other
-    lane from the nearest add lane below it, doubling the reach per step:
-    step k shifts by L << k and fills the lanes of the schedule's mask k.
-    The lanes below the first add lane hold the reset state 0 and count as
-    filled from the start (all lanes, when no cycle adds), and the schedule
-    ends once every lane is filled."""
-    L = 2 * n + 1
-    copied = bv * copies
-    masked = copied & prefixes
-    fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
-    gaps = (lanes ^ fired) & -(fired & -fired)  # lanes to fill, 0 if none adds
-    fill = []
-    step = L
-    while gaps:
-        fill.append(gaps)
-        # a gap lane stays a gap if the lane it is filled from was a gap too
-        gaps &= gaps << step
-        step <<= 1
-    # the mux output switches whenever the selected bit differs from the
-    # previous cycle's (reset: 0)
-    mux_data = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
-    adds = bv.bit_count()
-    return (masked, low & fired, carries & fired, tuple(fill), 0, mux_select, 0, mux_data,
-            feeder + adds * add_clock)
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _packed(cfg: ArchConfig) -> tuple[Lanes, ToggleLedger, int]:
+    """What ``simulate`` reads that depends on ``cfg`` alone, computed on
+    the config's first call: its lanes, fixed charges and add-cycle clock.
+    Every call shares the fixed charges' ledger, so it is only read."""
+    return Lanes.build(cfg.width), fixed_charges(cfg), _add_clock(cfg)
 
 
 def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
@@ -503,18 +405,18 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     and one-hot mux, and on a '0' holds its adder and feeder.  Both compute
     the same running sums, so one body runs both, all cycles at once: lane i
     of ``partial`` holds cycle i's adder output, and its last copy is the
-    product.  B's part is one call of ``cfg.plan`` (``_conventional_plan`` or
-    ``_lowpower_plan``); operand-free charges come from ``cfg.constants`` or
-    the plan.  The low-power datapath differs only in that data:
+    product.  The datapaths differ only in B's part, which one branch on the
+    variant sets:
 
-    * held adder: its plan's adder masks keep the add lanes alone, and its
-      fill schedule copies the held state up into the bypass lanes, where the
+    * held adder: the low-power adder masks keep the add lanes alone, and a
+      forward fill copies the held state up into the bypass lanes, where the
       conventional masks cover every lane and nothing is filled;
-    * toggle window: register toggles count under the constants' window, the
-      whole conventional register or the low-power feeder;
-    * mux data: the conventional output swings between 0 and A on the plan's
-      ``swings`` cycles; the low-power output is the selected bit, whose
-      toggles the plan counts from b alone.
+    * toggle window: register toggles count under the whole conventional
+      register, or the low-power feeder;
+    * charges in b alone: B's shift (conventional), the feeder's clock
+      (low-power), and the select toggles, which the conventional mux data
+      swing between 0 and A on and the low-power mux output, the selected
+      bit, follows.
 
     ``run_conventional`` and ``run_lowpower`` are this function under the
     names ``harness`` calls, so that a profiler can wrap and time the
@@ -523,40 +425,59 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
     n = cfg.width
     if a.width != n or b.width != n:
         _check_operands(a, b, cfg)
-    (L, L_1, n_1, running, window, lanes, top,
-     register_fixed, counter_internal, counter_output, gating) = cfg.constants
-    (masked, low, carries, fill, multiplier_shift, mux_select, swings, mux_data,
-     feeder_clock) = cfg.plan(b.value)
-    av = a.value
-    partial = av * masked
+    (L, copies, prefixes, selects, low, carries, running, lanes, register, top), fixed, \
+        add_clock = _packed(cfg)
+    av, bv = a.value, b.value
+    copied = bv * copies
+    # where the selected bit differs from the previous cycle's (reset: 0)
+    select_toggles = ((bv ^ (bv << 1)) & ((1 << n) - 1)).bit_count()
+    if cfg.variant is Variant.CONVENTIONAL:
+        gaps = 0  # every lane adds
+        window = register  # lane i of partial << (n - 1)
+        multiplier_shift = fixed.multiplier_shift + (((bv ^ (bv >> 1)) * copies) & low).bit_count()
+        mux_select = select_toggles
+        mux_data = select_toggles * av.bit_count()
+        feeder_clock = 0
+    else:
+        fired = (copied & selects) * ((1 << L) - 1)  # every bit of each add lane
+        low &= fired
+        carries &= fired
+        # a bypass lane holds the adder's state; those below the first add
+        # lane hold the reset state 0, so only those above it are filled
+        gaps = (lanes ^ fired) & -(fired & -fired)
+        window = running  # the feeder holds lane i of out
+        multiplier_shift = 0
+        mux_select = fixed.mux_select
+        mux_data = select_toggles
+        feeder_clock = fixed.feeder_bypass_clock + bv.bit_count() * add_clock
+    partial = av * (copied & prefixes)
     out = partial & running  # lane i: the adder's output (carry : sum)
     # the adder's internal signals, (carry chain : sum) in bits [n, 2n) and
     # [0, n) of each lane.  Its inputs are the previous lane's output shifted
     # down one and the addend, their difference; the carry out of stage j
     # is bit j + 1 of input ^ addend ^ output
-    high = out << L_1 & low
-    adder = (out & low) | ((high ^ (out - high) ^ out) << n_1 & carries)
-    # a held lane takes the state of the nearest adding lane below it
+    high = out << L - 1 & low
+    adder = (out & low) | ((high ^ (out - high) ^ out) << n - 1 & carries)
+    # a gap lane takes the state of the nearest adding lane below it,
+    # doubling the reach per step; it stays a gap if its source was one
     step = L
-    for mask in fill:
-        adder |= (adder << step) & mask
+    while gaps:
+        adder |= (adder << step) & gaps
+        gaps &= gaps << step
         step <<= 1
 
     ledger = ToggleLedger(  # positional, in LEDGER_CATEGORIES order
         multiplier_shift,
-        # the window: lane i of the conventional register after cycle i is
-        # a*(b mod 2^(i+1)) shifted up by the n - 1 - i cycles still to run,
-        # lane i of partial << (n - 1); the low-power feeder holds lane i of out
-        register_fixed + ((partial ^ (partial << L)) & window).bit_count(),
+        # lane i of the conventional register after cycle i is a*(b mod
+        # 2^(i+1)) shifted up by the n - 1 - i cycles still to run
+        fixed.partial_product_shift + ((partial ^ (partial << L)) & window).bit_count(),
         ((adder ^ (adder << L)) & lanes).bit_count(),
-        counter_internal,
-        counter_output,
+        fixed.counter_internal,
+        fixed.counter_output,
         mux_select,
-        # a plan gives one part and 0 for the other: the conventional swings
-        # between 0 and A, or the low-power select-bit toggles
-        mux_data or swings * av.bit_count(),
+        mux_data,
         feeder_clock,
-        gating,
+        fixed.gating,
     )
     # the product is the last copy, a*b < 2**(2n), and 2n <= 64: low-power
     # cycle i latches bit i of a*(b mod 2^(i+1)), and later adds touch only
@@ -656,9 +577,10 @@ def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:
     counter holds i, the ring its hot bit 1 << i."""
     _check_operands(a, b, cfg)
     n = cfg.width
-    L = 2 * n + 1
+    lanes = _packed(cfg)[0]
+    L = lanes.L
     bv = b.value
-    partial = a.value * cfg.plan(bv)[0]  # both plans start with the masked copies
+    partial = a.value * (bv * lanes.copies & lanes.prefixes)
     conventional = cfg.variant is Variant.CONVENTIONAL
     # the cycle counter or the ring; at width 1 a counter of no flip-flops
     counter_width = max(1, next(reg.width for reg in register_inventory(cfg)

@@ -39,8 +39,16 @@ from shiftadd.datapath import (
     RingCostModel,
     SimResult,
     ToggleLedger,
-    _check_operands,
 )
+
+
+def check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:
+    """Raise the kernel's ``ValueError`` for operands whose width is not the
+    config's."""
+    if a.width != cfg.width or b.width != cfg.width:
+        raise ValueError(
+            f"operand widths ({a.width}, {b.width}) do not match config width {cfg.width}"
+        )
 
 
 def get_bit(w: Word, i: int) -> int:
@@ -231,7 +239,7 @@ def loop_conventional(
     from its steps too.  Returns the result and the ``CycleTrace`` row each
     cycle appends.
     """
-    _check_operands(a, b, cfg)
+    check_operands(a, b, cfg)
     n = cfg.width
     s = cfg.cost.s
     mask_n = (1 << n) - 1
@@ -318,7 +326,7 @@ def loop_lowpower(
     checks the kernel's closed forms and the config's fixed charges.
     Returns the result and the ``CycleTrace`` row each cycle appends.
     """
-    _check_operands(a, b, cfg)
+    check_operands(a, b, cfg)
     n = cfg.width
     mask_n = (1 << n) - 1
     bits = b.value  # the multiplier bits the ring selects, in order

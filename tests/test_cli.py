@@ -107,7 +107,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("arch", [variant.value for variant in Variant])
     def test_product_of_the_widest_operands(self, arch, capsys):
-        # above width 8 the plan function runs on each call
+        # the widest product, 64 bits, out of one run at the top width
         top = str(2**32 - 1)
         assert run_cli("run", "--arch", arch, "--width", "32", "--a", top, "--b", top) == 0
         assert "product: 18446744065119617025" in capsys.readouterr().out.splitlines()

@@ -28,8 +28,6 @@ from shiftadd.datapath import (
     SimResult,
     ToggleLedger,
     Variant,
-    _conventional_plan,
-    _lowpower_plan,
     fixed_charges,
     make_config,
     render_trace,
@@ -40,6 +38,7 @@ from shiftadd.datapath import (
     sliced_cycles,
     trace_rows,
 )
+from shiftadd.power import area_proxy
 
 
 def operand_pairs(max_width=16):
@@ -80,38 +79,41 @@ class TestArchConfig:
             run_conventional(Word(0, 3), Word(0, 4), cfg)
 
     def test_equal_on_variant_width_and_cost_alone(self):
-        # a config built apart from make_config's shared one is equal to it,
-        # though its built constants are other objects
-        shared = make_config(Variant.LOW_POWER, 5, s=3)
+        # a config is its three fields: equal, and hashed alike, to any
+        # config of the same fields, however it is built, copied or pickled
+        built = make_config(Variant.LOW_POWER, 5, s=3)
         apart = ArchConfig(Variant.LOW_POWER, 5, RingCostModel(3, 1, 4))
-        assert apart is not shared and apart.constants is not shared.constants
-        assert apart == shared and hash(apart) == hash(shared)
+        assert apart == built and hash(apart) == hash(built)
         assert apart != make_config(Variant.LOW_POWER, 5, s=2)
         assert apart != make_config(Variant.CONVENTIONAL, 5, s=3)
-        assert apart != (Variant.LOW_POWER, 5, RingCostModel(3, 1, 4))
         assert repr(apart) == ("ArchConfig(variant=<Variant.LOW_POWER: 'lowpower'>, width=5, "
                                "cost=RingCostModel(s=3, g=1, block_size=4))")
-        for twin in (copy.copy(shared), pickle.loads(pickle.dumps(shared))):
-            assert twin == shared and twin.constants == shared.constants
+        for twin in (copy.copy(built), pickle.loads(pickle.dumps(built))):
+            assert twin == built and type(twin) is ArchConfig
 
-    def test_built_without_per_pair_work(self):
-        # building a config runs no multiplication and computes no plan:
-        # each raises while the configs are built.  Their code is swapped,
-        # not their names, so a config keeps the plan function it bound and
-        # runs once the code is back
+    def test_variant_given_by_name(self):
+        # a name is stored as its Variant, so the config runs that datapath
+        a, b = Word(3, 4), Word(5, 4)
+        for variant in Variant:
+            cfg = ArchConfig(variant.value, 4)
+            assert cfg.variant is variant and cfg == ArchConfig(variant, 4)
+            assert area_proxy(cfg) == area_proxy(make_config(variant, 4))
+            assert simulate(a, b, cfg) == KERNELS[variant][1](a, b, cfg)[0]
+        with pytest.raises(ValueError, match="not a valid Variant"):
+            ArchConfig("bogus", 4)
+
+    def test_built_without_per_pair_work(self, monkeypatch):
+        # building a config computes nothing the kernel reads: each part
+        # raises while the configs are built, and is back for their runs
         def refuse(*args, **kwargs):
-            raise AssertionError("per-pair work while building a config")
+            raise AssertionError("kernel work while building a config")
 
-        functions = (datapath.simulate, datapath._conventional_plan, datapath._lowpower_plan)
-        saved = [function.__code__ for function in functions]
-        for function in functions:
-            function.__code__ = refuse.__code__
-        try:
-            cfgs = [ArchConfig(variant, n, RingCostModel(block_size=min(DEFAULT_BLOCK_SIZE, n)))
-                    for n in range(1, 33) for variant in Variant]
-        finally:
-            for function, code in zip(functions, saved):
-                function.__code__ = code
+        monkeypatch.setattr(datapath.Lanes, "build", refuse)
+        for name in ("fixed_charges", "_add_clock", "simulate"):
+            monkeypatch.setattr(datapath, name, refuse)
+        cfgs = [ArchConfig(variant, n, RingCostModel(block_size=min(DEFAULT_BLOCK_SIZE, n)))
+                for n in range(1, 33) for variant in Variant]
+        monkeypatch.undo()
         for cfg in cfgs:
             n = cfg.width
             _, loop = KERNELS[cfg.variant]
@@ -292,15 +294,19 @@ class TestFixedCharges:
                     variant, n, s, g)
 
     def test_cached_per_config(self, monkeypatch):
-        # computed when the config is built, not on a kernel call
+        # computed on a config's first kernel call, not when it is built, and
+        # once for every config of the same value
         calls = []
         monkeypatch.setattr(datapath, "fixed_charges",
                             lambda cfg: calls.append(cfg) or fixed_charges(cfg))
-        for variant in Variant:
+        datapath._packed.cache_clear()
+        for variant, (packed, loop) in KERNELS.items():
             cfg = ArchConfig(variant, 9, RingCostModel(13, 11, 4))
-            assert calls == [cfg]
-            simulate(Word(511, 9), Word(511, 9), cfg)
-            assert calls == [cfg]
+            assert calls == []
+            for av, bv in oracle_operands(9, seed=9):
+                a, b = Word(av, 9), Word(bv, 9)
+                assert packed(a, b, ArchConfig(*cfg)) == loop(a, b, cfg)[0], (variant, av, bv)
+                assert calls == [cfg]
             calls.clear()
 
 
@@ -344,8 +350,7 @@ class TestAgainstLoopOracle:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", [3, 4, 5, 9, 32])
     def test_every_kernel_name_runs_the_configs_datapath(self, n, variant):
-        # one kernel under three names: each runs cfg's own datapath, from
-        # the result table (n <= 4) or computed
+        # one kernel under three names: each runs cfg's own datapath
         cfg = make_config(variant, n)
         loop = KERNELS[variant][1]
         for av, bv in oracle_operands(n, seed=n):
@@ -387,29 +392,27 @@ class TestAgainstLoopOracle:
             ), n
 
 
-def unbound_plan(cfg, bv):
-    """``cfg``'s plan for ``bv``, from its plan function called with the
-    numbers ``Lanes.build``, ``fixed_charges`` and the cost model give."""
-    n, cost, lanes, fixed = cfg.width, cfg.cost, Lanes.build(cfg.width), fixed_charges(cfg)
-    shared = (n, lanes.copies, lanes.prefixes, lanes.low, lanes.carries)
-    if cfg.variant is Variant.CONVENTIONAL:
-        return _conventional_plan(*shared, fixed.multiplier_shift, bv)
-    # the feeder/bypass storage, n + 1 flip-flops, is clocked on add cycles;
-    # its clock gate, switching on bypass cycles instead, charges g on every
-    # cycle of the run 0 x 0, and an add cycle s * (n + 1) - g more
-    return _lowpower_plan(*shared, lanes.selects, lanes.lanes, fixed.mux_select,
-                          fixed.feeder_bypass_clock, (n + 1) * cost.s - cost.g, bv)
+def kernel_equals_loop(cfg, b_values, a_values):
+    """Assert the kernel's result equals the loop oracle's for each
+    multiplier of ``b_values`` and multiplicand of ``a_values``."""
+    n = cfg.width
+    packed, loop = KERNELS[cfg.variant]
+    for bv in b_values:
+        for av in a_values:
+            a, b = Word(av, n), Word(bv, n)
+            assert packed(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
 
 
 class TestPlanTables:
-    """Per-config multiplier plans, read through ``cfg.plan``, the plan
-    function bound to the config's numbers: a plan must be the one its plan
-    function computes for that config."""
+    """B's part of a run, which ``simulate`` computes on each call from the
+    multiplier alone (adder masks, fill, toggle window and the charges in b
+    alone), checked through the kernel against the loop oracles: for every
+    b at small widths, on configs that differ in one field."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_configs_differing_in_costs_keep_their_own_plans(self, n):
         # every config at one width, called in turn on each pair, twice: a
-        # plan computed with another config's numbers shows
+        # part computed with another config's numbers shows
         cfgs = [make_config(variant, n, s=s, g=g, block_size=bsz)
                 for variant in Variant for s, g in COSTS for bsz in sorted({1, n})]
         operands = oracle_operands(n, seed=n) + [(av, 1) for av in range(1 << min(n, 3))]
@@ -421,40 +424,38 @@ class TestPlanTables:
                     assert packed(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
 
     def test_plan_equals_plan_function(self):
-        # the bound plan function gives what the plan function does, for every b
+        # every b at widths 1-8, under every COSTS entry
         for n in range(1, 8 + 1):
             for variant in Variant:
                 for s, g in COSTS:
-                    cfg = make_config(variant, n, s=s, g=g)
-                    for bv in range(1 << n):
-                        assert cfg.plan(bv) == unbound_plan(cfg, bv), (variant, n, s, g, bv)
+                    kernel_equals_loop(make_config(variant, n, s=s, g=g), range(1 << n),
+                                 [(1 << n) - 1])
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_plan_tabled_up_to_limit(self, variant):
-        # at every width, the plan of b = all ones is the plan function's
+        # at every width, b = all ones
         for n in range(1, 33):
-            cfg = make_config(variant, n)
-            bv = (1 << n) - 1
-            assert cfg.plan(bv) == unbound_plan(cfg, bv), n
+            kernel_equals_loop(make_config(variant, n), [(1 << n) - 1], [1, (1 << n) - 1])
 
     @pytest.mark.parametrize("name", ["plan", "constants"])
     def test_built_constants_frozen(self, name):
+        # a config carries nothing built for the kernel, and nothing can be
+        # attached to it: the kernel keeps what it builds per config itself
         cfg = make_config(Variant.LOW_POWER, 4)
+        assert not hasattr(cfg, name)
         with pytest.raises(AttributeError):
-            setattr(cfg, name, getattr(cfg, name))
-        with pytest.raises(AttributeError):
-            delattr(cfg, name)
+            setattr(cfg, name, None)
         assert not hasattr(cfg, "__dict__")  # slotted: nothing to add either
+        kernel_equals_loop(cfg, range(16), range(16))
 
     def test_constants_shared_by_config_value(self):
-        # make_config returns one config per value however it is spelled, so
-        # a caller that asks for a config per run reuses its constants
+        # make_config gives equal configs however the value is spelled; a
+        # config that differs in any field is unequal and runs on its own
+        # constants
         first = make_config(Variant.LOW_POWER, 8, s=3)
-        assert make_config("lowpower", 8, s=3) is first
-        assert make_config(Variant.LOW_POWER, 8, s=3, g=1,
-                           block_size=DEFAULT_BLOCK_SIZE) is first
-        assert make_config("conv", 3) is make_config(Variant.CONVENTIONAL, 3, block_size=3)
-        # a config that differs in any field is its own, with its own constants
+        assert make_config("lowpower", 8, s=3) == first
+        assert make_config(Variant.LOW_POWER, 8, s=3, g=1, block_size=DEFAULT_BLOCK_SIZE) == first
+        assert make_config("conv", 3) == make_config(Variant.CONVENTIONAL, 3, block_size=3)
         configs = [first,
                    make_config(Variant.CONVENTIONAL, 8, s=3),
                    make_config(Variant.LOW_POWER, 7, s=3),
@@ -463,84 +464,47 @@ class TestPlanTables:
                    make_config(Variant.LOW_POWER, 8, s=3, block_size=2)]
         for i, cfg in enumerate(configs):
             for other in configs[i + 1:]:
-                assert other is not cfg and other != cfg
-                assert other.plan is not cfg.plan
-                assert other.constants is not cfg.constants
+                assert other != cfg
+            n = cfg.width
+            for av, bv in oracle_operands(n, seed=n):
+                kernel_equals_loop(cfg, [bv], [av])
 
     @pytest.mark.parametrize("n", [1, 2, 9, 32])
     def test_kernel_constants_from_lanes_and_charges(self, n):
-        # one layout for both datapaths, in the order the kernel unpacks it;
-        # they differ in the toggle window: the whole conventional register,
-        # or the low-power feeder
-        lanes = Lanes.build(n)
-        for variant, window in ((Variant.CONVENTIONAL, lanes.register),
-                                (Variant.LOW_POWER, lanes.running)):
+        # the lane constants, toggle window and fixed charges the kernel
+        # reads per config, at a cost no other grid uses
+        for variant in Variant:
             cfg = make_config(variant, n, s=3, g=2)
-            fixed = fixed_charges(cfg)
-            assert cfg.constants == (
-                lanes.L, lanes.L - 1, n - 1, lanes.running, window, lanes.lanes, lanes.top,
-                fixed.partial_product_shift, fixed.counter_internal, fixed.counter_output,
-                fixed.gating), variant
+            for av, bv in oracle_operands(n, seed=n):
+                kernel_equals_loop(cfg, [bv], [av])
 
     @pytest.mark.parametrize("n", range(1, 8 + 1))
     def test_adder_masks_are_the_add_lanes(self, n):
-        # every conventional lane adds: its plan's adder masks are the
-        # config's own and it fills nothing.  The low-power masks keep the
-        # lanes of b's 1 bits alone
-        lanes = Lanes.build(n)
-        conv, low = (make_config(variant, n) for variant in Variant)
-        for bv in range(1 << n):
-            _, low_mask, carries, fill, *_ = conv.plan(bv)
-            assert (low_mask, carries, fill) == (lanes.low, lanes.carries, ()), (n, bv)
-            fired = lane_mask(n, [i for i in range(n) if bv >> i & 1])
-            assert low.plan(bv)[1:3] == (lanes.low & fired, lanes.carries & fired), (n, bv)
-
-
-def lane_mask(n, indices):
-    L = 2 * n + 1
-    return sum(((1 << L) - 1) << L * i for i in indices)
+        # every conventional lane adds; the low-power adder moves on the
+        # lanes of b's 1 bits alone.  Every b, against a multiplicand of 1,
+        # whose adds set off no carry
+        for variant in Variant:
+            kernel_equals_loop(make_config(variant, n), range(1 << n), [1])
 
 
 class TestFillSchedule:
-    """The low-power plan's forward-fill schedule: mask k holds the lanes
-    that the step by L << k fills, those 2**k or more lanes above the
-    nearest add lane at or below them."""
-
-    @staticmethod
-    def expected(n, bv):
-        # each lane's distance to the nearest add lane at or below it; None
-        # below the first add lane, whose lanes hold the reset state
-        distance, last = [], None
-        for i in range(n):
-            if bv >> i & 1:
-                last = i
-            distance.append(None if last is None else i - last)
-        schedule = []
-        while mask := lane_mask(n, [i for i, d in enumerate(distance)
-                                    if d is not None and d >= 1 << len(schedule)]):
-            schedule.append(mask)
-        return tuple(schedule)
+    """The low-power kernel's forward fill: each bypass lane takes the
+    adder state of the nearest add lane below it, those below the first
+    add lane the reset state.  Checked through the kernel against the loop
+    oracle on gap patterns: every b up to width 8; above it a run of gaps
+    below and above one add lane, of each length about a power of two, where
+    the fill's doubling reach ends."""
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_schedule(self, n):
         cfg = make_config(Variant.LOW_POWER, n)
+        full = (1 << n) - 1
         rng = random.Random(n)
-        values = range(1 << n) if n <= 8 else (
-            [0, 1, 1 << (n - 1), (1 << n) - 1, (1 << n) - 2]
-            + [rng.getrandbits(n) for _ in range(200)])
-        for bv in values:
-            fill = cfg.plan(bv)[3]
-            assert fill == self.expected(n, bv), (n, bv)
-            # its first mask: every lane but the add lanes and those below the first
-            first = [i for i in range(n) if not bv >> i & 1 and bv & ((1 << i) - 1)]
-            assert fill[:1] == ((lane_mask(n, first),) if first else ()), (n, bv)
-            # each later mask a proper subset of the one before
-            for before, after in zip(fill, fill[1:]):
-                assert after & before == after != before, (n, bv)
-            assert len(fill) <= (n - 1).bit_length(), (n, bv)  # ceil(log2 n)
-            # no step at all when every gap lies below the first add lane
-            # (no bit of b is 0 above its lowest 1, or b is 0)
-            assert (fill == ()) == (bv == 0 or bv | (bv - 1) == (1 << n) - 1), (n, bv)
+        runs = {r + d for r in (1 << j for j in range(6)) for d in (-1, 0, 1)} & set(range(n))
+        values = range(1 << n) if n <= 8 else sorted(
+            {0, full, full - 1, full // 3, full // 5, rng.getrandbits(n)}
+            | {1 | 1 << r for r in runs} | {1 << r for r in runs})
+        kernel_equals_loop(cfg, values, [full])
 
 
 class TestResultTables:
@@ -562,7 +526,7 @@ class TestResultTables:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_operand_width_checked_before_lookup(self, variant, n):
-        # the kernel and trace_rows check the widths before they read a plan
+        # the kernel and trace_rows check the widths before they read a lane
         packed, _ = KERNELS[variant]
         cfg = make_config(variant, n)
         for run in (packed, trace_rows):

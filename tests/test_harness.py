@@ -354,7 +354,7 @@ class TestExhaustiveVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("verify built a config")
 
-        monkeypatch.setattr(datapath.ArchConfig, "__init__", refuse)
+        monkeypatch.setattr(datapath.ArchConfig, "__new__", refuse)
         monkeypatch.setattr(harness, "make_config", refuse)
         outcome = exhaustive_verify(5)
         assert outcome.passed and outcome.total_pairs == 1024
@@ -635,6 +635,7 @@ class TestRecords:
 
     RECORDS = [
         datapath.RingCostModel(),
+        datapath.ArchConfig(datapath.Variant.LOW_POWER, 4),
         datapath.Register("multiplier", 4, datapath.Clocking.NEVER, None),
         datapath.Lanes.build(4),
         datapath.CycleTrace(0, Word(0, 4), 1, Word(3, 4), Word(3, 8)),
@@ -659,6 +660,11 @@ class TestRecords:
         (datapath.RingCostModel(), {"s": 0}, "s must be >= 1"),
         (datapath.RingCostModel(), {"g": -1}, "g must be >= 0"),
         (datapath.RingCostModel(), {"block_size": 0}, "block_size must be >= 1"),
+        (datapath.ArchConfig("conv", 4), {"width": 0}, "width must be in 1..32, got 0"),
+        (datapath.ArchConfig("conv", 4), {"width": 33}, "width must be in 1..32, got 33"),
+        (datapath.ArchConfig("conv", 4), {"variant": "bogus"}, "not a valid Variant"),
+        (datapath.ArchConfig("conv", 4), {"cost": datapath.RingCostModel(block_size=5)},
+         "block_size 5 exceeds width 4"),
         (OperandDistribution("uniform"), {"kind": "bimodal"}, "unknown distribution kind"),
         (OperandDistribution("uniform"), {"kind": "fixed"}, "needs both a and b"),
         (OperandDistribution("uniform"), {"a": 3}, "operands of the fixed distribution"),
