@@ -42,9 +42,8 @@ big-int operations per signal bit for all trials.  It takes no config: the
 low-power feeder holds what the conventional register's top part does, so
 the products do not depend on the datapath, and ``exhaustive_verify`` runs
 it once for both, reading its final register alone.  ``run_sliced`` charges
-one config's summed ledger from its cycles: the low-power adder holds its
-state on bypass cycles, and its register toggles count on the feeder alone.
-``harness.sweep`` runs it on each chunk of operand slices.
+both datapaths' summed ledgers from one such run, each toggle slice counted
+once, and ``harness.sweep`` runs it once on each chunk of operand slices.
 """
 
 from __future__ import annotations
@@ -259,7 +258,7 @@ def fixed_charges(cfg: ArchConfig) -> ToggleLedger:
     cycle.  With ``_add_clock`` it is all that reads ``s`` and ``g``.
 
     ``simulate`` computes it once per config, on the config's first call
-    (``_packed``), and ``run_sliced`` once per call.
+    (``_packed``), and ``run_sliced`` once per call for each datapath.
     """
     n = cfg.width
     cost = cfg.cost
@@ -520,52 +519,56 @@ def sliced_cycles(a_slices: Sequence[int],
         yield sel, reg, carries
 
 
-def run_sliced(cfg: ArchConfig, a_slices: Sequence[int], b_slices: Sequence[int],
-               trials: int) -> tuple[list[int], ToggleLedger]:
-    """Run ``trials`` multiplications under ``cfg`` at once through
-    ``sliced_cycles``.  Returns the 2n product slices and the ledger summed
-    over all trials, equal to the sum of the per-pair kernels' ledgers.
+def run_sliced(cost: RingCostModel, a_slices: Sequence[int], b_slices: Sequence[int],
+               trials: int) -> tuple[list[int], list[ToggleLedger]]:
+    """Run ``trials`` multiplications of width n = ``len(a_slices)`` on both
+    datapaths at once, through one ``sliced_cycles`` run.  Returns the 2n
+    product slices and one ledger per ``Variant``, in ``Variant`` order, each
+    the sum of the per-pair kernels' ledgers.
 
-    Each cycle's adder signals are its sums, ``reg[n - 1:2n - 1]``, and the
-    carries.  The low-power datapath differs in two charges: its adder holds
-    its state where B_i is clear, and only the feeder's toggles count.
-    Charges that do not depend on the operands are ``fixed_charges(cfg)`` for
-    each trial; the rest are closed forms in the multiplier slices."""
-    n = cfg.width
-    conventional = cfg.variant is Variant.CONVENTIONAL
-    window = 0 if conventional else n - 1  # the register slices whose toggles count
-    reg = [0] * (2 * n)
-    state = [0] * (2 * n)  # the adder's sums and carries, from reset
-    adder = register = 0
-    for sel, new, carries in sliced_cycles(a_slices, b_slices):
-        signals = new[n - 1:2 * n - 1] + carries
-        if not conventional:  # the low-power adder moves only where B_i is set
-            signals = [old ^ ((v ^ old) & sel) for v, old in zip(signals, state)]
-        adder += sum(map(int.bit_count, map(operator.xor, signals, state)))
+    A cycle's conventional adder signals are its sums, ``reg[n - 1:2n - 1]``,
+    and carries; its sums and carry-out are the register's top n + 1 slices,
+    all of the low-power feeder.  The low-power adder holds its state where
+    B_i is clear.  The register's low half only shifts settled product bits
+    down: slot j holds 0, then product bits 0 .. j in turn.  That and the
+    charges in b alone are closed forms; ``fixed_charges`` is per trial."""
+    n = len(a_slices)
+    configs = [ArchConfig(variant, n, cost) for variant in Variant]
+    state = held = [0] * (2 * n)  # each adder's sums and carries, from reset
+    adder = top = held_adder = 0
+    for sel, reg, carries in sliced_cycles(a_slices, b_slices):
+        signals = reg[n - 1:2 * n - 1] + carries
+        toggles = list(map(int.bit_count, map(operator.xor, signals, state)))
+        adder += sum(toggles)
+        top += sum(toggles[:n]) + toggles[-1]  # the register's top: sums and carry-out
         state = signals
-        register += sum(map(int.bit_count, map(operator.xor, reg[window:], new[window:])))
-        reg = new
+        moved = [(v ^ old) & sel for v, old in zip(signals, held)]  # only where B_i is set
+        held_adder += sum(map(int.bit_count, moved))
+        held = list(map(operator.xor, held, moved))
+    low_half = (n - 1) * reg[0].bit_count() + sum(
+        (n - 2 - m) * (reg[m] ^ reg[m + 1]).bit_count() for m in range(n - 2))
     # where each cycle's select differs from the previous cycle's (reset: 0)
     changes = [sel ^ below for sel, below in zip(b_slices, [0, *b_slices])]
     select_toggles = sum(change.bit_count() for change in changes)
-    if conventional:
-        counts = {
-            "mux_select": select_toggles,
-            # the mux output swings between 0 and A where the select changed
-            "mux_data": sum((a & change).bit_count() for change in changes for a in a_slices),
-            # cycle i's shift of B toggles bit k >= i where B_k != B_(k+1), with B_n = 0
-            "multiplier_shift": sum((k + 1) * (bk ^ above).bit_count() for k, (bk, above)
-                                    in enumerate(zip(b_slices, [*b_slices[1:], 0]))),
-        }
-    else:
+    counts = ({
+        "partial_product_shift": top + low_half,
+        "adder": adder,
+        "mux_select": select_toggles,
+        # the mux output swings between 0 and A where the select changed
+        "mux_data": sum((a & change).bit_count() for change in changes for a in a_slices),
+        # cycle i's shift of B toggles bit k >= i where B_k != B_(k+1), with B_n = 0
+        "multiplier_shift": sum((k + 1) * (bk ^ above).bit_count() for k, (bk, above)
+                                in enumerate(zip(b_slices, [*b_slices[1:], 0]))),
+    }, {
+        "partial_product_shift": top,
+        "adder": held_adder,
         # the low-power select lines are the ring's; its mux output is the selected bit
-        counts = {
-            "mux_data": select_toggles,
-            "feeder_bypass_clock": sum(sel.bit_count() for sel in b_slices) * _add_clock(cfg),
-        }
-    counts.update(partial_product_shift=register, adder=adder)
-    return reg, ToggleLedger(**{category: trials * fixed + counts.get(category, 0)
-                                for category, fixed in fixed_charges(cfg).as_dict().items()})
+        "mux_data": select_toggles,
+        "feeder_bypass_clock": sum(sel.bit_count() for sel in b_slices) * _add_clock(configs[1]),
+    })
+    return reg, [ToggleLedger(**{category: trials * fixed + extra.get(category, 0)
+                                 for category, fixed in fixed_charges(cfg).as_dict().items()})
+                 for cfg, extra in zip(configs, counts)]
 
 
 def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:

@@ -321,16 +321,17 @@ def _aggregate(
     return totals.as_dict()
 
 
-def _sliced_totals(configs, dist: OperandDistribution, width: int,
+def _sliced_totals(cost: RingCostModel, dist: OperandDistribution, width: int,
                    trials: int) -> tuple[int, list[dict[str, int]]]:
-    """The trials run and each config's ledger counts summed over them:
-    ``run_sliced`` once per config on each chunk of ``_operand_slices``."""
-    ledgers = [ToggleLedger() for _ in configs]
+    """The trials run and each datapath's ledger counts summed over them, in
+    ``Variant`` order: ``run_sliced`` once on each chunk of
+    ``_operand_slices``, for both datapaths."""
+    ledgers = [ToggleLedger() for _ in Variant]
     count = 0
     for a_slices, b_slices, chunk in _operand_slices(dist, width, trials):
         count += chunk
-        for cfg, ledger in zip(configs, ledgers):
-            ledger.add(run_sliced(cfg, a_slices, b_slices, chunk)[1])
+        for ledger, charged in zip(ledgers, run_sliced(cost, a_slices, b_slices, chunk)[1]):
+            ledger.add(charged)
     return count, [ledger.as_dict() for ledger in ledgers]
 
 
@@ -354,54 +355,50 @@ def sweep(
     width's operands are checked (``_check_stream``).  A ``fixed`` pair then
     runs once per width through the conventional kernel, and is refused if
     the model weighs its energy at 0; it runs once per architecture, and
-    its counts are each trial's.  Every other kind runs bit-sliced, both
-    architectures on the same operand slices, decoded and run in chunks of
-    at most ``SWEEP_CHUNK`` trials, so a sweep's memory does not grow with
-    its trials.
+    its counts are each trial's.  Every other kind runs bit-sliced: one
+    ``run_sliced`` pass per chunk of at most ``SWEEP_CHUNK`` trials charges
+    both architectures, so a sweep's memory does not grow with its trials.
+    A width whose conventional energy the model weighs at 0 is refused.
     """
     model = model or PowerModel()
     if not any(model.weights[cat] for cat in CONVENTIONAL_CATEGORIES):
         raise ValueError("power model weights are 0 on every category the conventional "
                          "datapath charges, so no reduction can be computed")
-    width_runs = [
-        [(make_config(variant, width, s=s, g=g, block_size=block_size), runner)
-         for variant, runner in ((Variant.CONVENTIONAL, run_conventional),
-                                 (Variant.LOW_POWER, run_lowpower))]
-        for width in widths
-    ]
+    width_configs = [[make_config(variant, width, s=s, g=g, block_size=block_size)
+                      for variant in Variant] for width in widths]
     for width in widths:
         _check_stream(dist, width, trials)
     fixed = []  # per width, the fixed pair and its conventional counts
     if dist.kind == "fixed":  # its baseline is the one pair's energy
-        for width, ((conv_cfg, conv_runner), _) in zip(widths, width_runs):
+        for width, (conv_cfg, _) in zip(widths, width_configs):
             pair = [(Word(dist.a, width), Word(dist.b, width))]
-            counts = _aggregate(conv_cfg, pair, conv_runner)
+            counts = _aggregate(conv_cfg, pair, run_conventional)
             if not estimate_energy(ToggleLedger(**counts), model):
                 raise ValueError(f"fixed pair a={dist.a}, b={dist.b} has no conventional energy "
                                  f"under the power model at width {width}, so no reduction "
                                  "can be computed")
             fixed.append((pair, counts))
     rows: list[ReportRow] = []
-    for index, (width, runs) in enumerate(zip(widths, width_runs)):
+    for index, (width, configs) in enumerate(zip(widths, width_configs)):
         if fixed:
             pair, conv_counts = fixed[index]
-            low_cfg, low_runner = runs[1]
             count = trials
             totals = [{category: trials * value for category, value in counts.items()}
-                      for counts in (conv_counts, _aggregate(low_cfg, pair, low_runner))]
+                      for counts in (conv_counts, _aggregate(configs[1], pair, run_lowpower))]
         else:
-            count, totals = _sliced_totals([cfg for cfg, _ in runs], dist, width, trials)
-        conv_energy = 0.0
-        for (cfg, _), counts in zip(runs, totals):
-            energy = estimate_energy(ToggleLedger(**counts), model)
+            count, totals = _sliced_totals(configs[0].cost, dist, width, trials)
+        energies = [estimate_energy(ToggleLedger(**counts), model) for counts in totals]
+        if not energies[0]:  # the operands moved nothing the model weighs
+            weighed = ", ".join(cat for cat, weight in model.weights.items() if weight)
+            raise ValueError(f"the conventional datapath has no energy at width {width} over "
+                             f"{count} trial{'s' * (count != 1)} under the power model, which "
+                             f"weighs only {weighed}, so no reduction can be computed")
+        # the low-power row carries the reduction against the conventional baseline
+        reductions = (0.0, reduction_percent(*energies))
+        for cfg, counts, energy, reduction in zip(configs, totals, energies, reductions):
             # every run takes one cycle per multiplier bit
             power = average_power(energy, count * width, model)
             area = area_proxy(cfg)
-            reduction = 0.0
-            if cfg.variant is Variant.CONVENTIONAL:
-                conv_energy = energy
-            else:
-                reduction = reduction_percent(conv_energy, energy)
             if not all(map(math.isfinite, (energy, power, reduction))):
                 raise ValueError(f"energy or average power overflows at width {width}: "
                                  f"{cfg.variant.value} energy {energy}, average power {power}")

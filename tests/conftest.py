@@ -14,8 +14,8 @@ def ran(monkeypatch):
         pairs.append((a.value, b.value))
         raise AssertionError("a pair ran")
 
-    def engine(cfg, a_slices, b_slices, trials):
-        pairs.append((cfg, trials))
+    def engine(cost, a_slices, b_slices, trials):
+        pairs.append((cost, trials))
         raise AssertionError("a chunk ran")
 
     monkeypatch.setattr(harness, "run_conventional", kernel)

@@ -617,6 +617,22 @@ class TestSweepCommand:
                 "width 16") in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("seed", ["0", "1", "3"])
+    def test_width_with_no_conventional_energy_usage_error(self, tmp_path, capsys, seed):
+        # these seeds draw a = 0 or b = 0 for the one width-1 trial: an
+        # adder-only model weighs its conventional energy at 0
+        model = tmp_path / "model.cfg"
+        model.write_text("".join(f"{cat} = {int(cat == 'adder')}\n" for cat in LEDGER_CATEGORIES))
+        out_file = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("sweep", "--widths", "1", "--trials", "1", "--seed", seed,
+                    "--out", str(out_file), "--model", str(model))
+        assert excinfo.value.code == 2
+        assert ("the conventional datapath has no energy at width 1 over 1 trial under the "
+                "power model, which weighs only adder, so no reduction can be computed"
+                ) in capsys.readouterr().err
+        assert not out_file.exists()
+
 
 COMMAND_ARGV = {
     "verify": ["verify", "--width", "2"],

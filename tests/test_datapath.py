@@ -285,10 +285,12 @@ class TestFixedCharges:
         # T runs of 0 x 0 charge T times the operand-free charges, no more
         trials = 7
         for s, g in COSTS:
-            for variant in Variant:
-                cfg = make_config(variant, n, s=s, g=g)
-                products, ledger = run_sliced(cfg, [0] * n, [0] * n, trials)
-                assert products == [0] * (2 * n)
+            cost = make_config(Variant.CONVENTIONAL, n, s=s, g=g).cost
+            products, ledgers = run_sliced(cost, [0] * n, [0] * n, trials)
+            assert products == [0] * (2 * n)
+            assert len(ledgers) == len(Variant)
+            for variant, ledger in zip(Variant, ledgers):
+                cfg = ArchConfig(variant, n, cost)
                 assert ledger.as_dict() == {
                     k: trials * v for k, v in fixed_charges(cfg).as_dict().items()}, (
                     variant, n, s, g)
@@ -649,17 +651,22 @@ def per_pair_sums(cfg, pairs, loop=False):
     return to_slices(products, 2 * n), total
 
 
-def sliced(cfg, pairs):
-    n = cfg.width
-    return run_sliced(cfg, to_slices([a for a, _ in pairs], n),
-                      to_slices([b for _, b in pairs], n), len(pairs))
+def sliced(n, pairs, s=2, g=1, block_size=DEFAULT_BLOCK_SIZE):
+    """The configs of both datapaths at width ``n`` under one cost, in
+    ``Variant`` order, and one ``run_sliced`` call's product slices and
+    ledgers for ``pairs``."""
+    configs = [make_config(variant, n, s=s, g=g, block_size=block_size) for variant in Variant]
+    products, ledgers = run_sliced(configs[0].cost, to_slices([a for a, _ in pairs], n),
+                                   to_slices([b for _, b in pairs], n), len(pairs))
+    assert len(ledgers) == len(Variant)
+    return configs, products, ledgers
 
 
 class TestSlicedEngine:
-    """``run_sliced`` over many pairs at once against the per-pair packed
-    kernels, and over every pair up to width 5 against the loop oracles,
-    which share no code with either: equal product slices and summed
-    ledgers."""
+    """``run_sliced`` over many pairs at once, both datapaths from one call,
+    against the per-pair packed kernels, and over every pair up to width 5
+    against the loop oracles, which share no code with either: equal product
+    slices and summed ledgers."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_pair(self, n):
@@ -670,25 +677,47 @@ class TestSlicedEngine:
         # the loop oracles run the whole grid up to width 4, the default cost at 5
         loop_costs = costs if n <= 4 else costs[:1] if n == 5 else []
         for s, g, bsz in costs:
-            for variant in Variant:
-                cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
-                got = list(sliced(cfg, pairs))
-                assert got == list(per_pair_sums(cfg, pairs)), (variant, n, s, g, bsz)
+            configs, products, ledgers = sliced(n, pairs, s, g, bsz)
+            for cfg, ledger in zip(configs, ledgers):
+                got = [products, ledger]
+                assert got == list(per_pair_sums(cfg, pairs)), (cfg.variant, n, s, g, bsz)
                 if (s, g, bsz) in loop_costs:
                     assert got == list(per_pair_sums(cfg, pairs, loop=True)), (
-                        "loop", variant, n, s, g, bsz)
+                        "loop", cfg.variant, n, s, g, bsz)
 
     @given(st.integers(1, 32).flatmap(lambda n: st.tuples(
                st.just(n),
                st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
                         min_size=1, max_size=40),
-               st.integers(1, 5), st.integers(0, 5), st.integers(1, n))),
-           st.sampled_from(list(Variant)))
+               st.integers(1, 5), st.integers(0, 5), st.integers(1, n))))
     @settings(max_examples=100, deadline=None)
-    def test_random_pair_lists(self, args, variant):
+    def test_random_pair_lists(self, args):
         n, pairs, s, g, bsz = args
-        cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
-        assert list(sliced(cfg, pairs)) == list(per_pair_sums(cfg, pairs))
+        configs, products, ledgers = sliced(n, pairs, s, g, bsz)
+        for cfg, ledger in zip(configs, ledgers):
+            assert [products, ledger] == list(per_pair_sums(cfg, pairs)), cfg.variant
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_shared_slices_equal_register_popcounts(self, n):
+        # the identities the one pass charges the registers by, against the
+        # per-cycle popcounts of the register slices on random trials: the
+        # low half only shifts settled product bits down, and the top n + 1
+        # slices are the adder's sums and carry-out
+        trials = 300
+        rng = random.Random(n)
+        cycles = sliced_cycles([rng.getrandbits(trials) for _ in range(n)],
+                               [rng.getrandbits(trials) for _ in range(n)])
+        before = state = [0] * (2 * n)  # the register, and the adder's sums and carries
+        low_half = 0
+        for _, reg, carries in cycles:
+            signals = reg[n - 1:2 * n - 1] + carries
+            toggles = [(x ^ y).bit_count() for x, y in zip(state, signals)]
+            register = [(x ^ y).bit_count() for x, y in zip(before, reg)]
+            assert register[n - 1:] == toggles[:n] + toggles[-1:]
+            low_half += sum(register[:n - 1])
+            before, state = reg, signals
+        assert low_half == (n - 1) * reg[0].bit_count() + sum(
+            (n - 2 - m) * (reg[m] ^ reg[m + 1]).bit_count() for m in range(n - 2))
 
 
 class TestSlicedCycles:

@@ -508,6 +508,18 @@ class TestSweep:
         for row in rows:
             assert row.energy == row.adder > 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_zero_baseline_width_refused_by_name(self, seed):
+        # width 4 runs; the one width-1 pair has a or b = 0, so the adder, the
+        # one weighted category, never moves: the refusal names the width,
+        # its trials and the model's weighed categories
+        dist = OperandDistribution("uniform", seed=seed)
+        assert 0 in next(gen_operands(dist, 1, 1))
+        weights = {cat: float(cat == "adder") for cat in LEDGER_CATEGORIES}
+        with pytest.raises(ValueError, match="no energy at width 1 over 1 trial under the power "
+                                             "model, which weighs only adder,"):
+            sweep([4, 1], dist, 1, PowerModel(weights))
+
     def test_wide_sweep_matches_loop_oracle(self):
         # widths above the old random-sweep cap of 16: the report's ledger
         # columns equal the per-cycle loop models' totals on the same operands
@@ -533,15 +545,16 @@ class TestSweep:
         assert ledger_columns(rows) == per_pair_rows([width], dist, trials)
 
     def test_pairs_held_bounded_by_chunk(self, monkeypatch):
-        # no run_sliced call and no draw covers more than SWEEP_CHUNK trials,
-        # read when the sweep runs, so memory is bounded by the chunk
+        # one run_sliced call per chunk, for both datapaths, and no call and
+        # no draw covers more than SWEEP_CHUNK trials, read when the sweep
+        # runs, so memory is bounded by the chunk
         chunks, draws = [], []
         run_sliced = harness.run_sliced
 
-        def counting_engine(cfg, a_slices, b_slices, trials):
-            chunks.append((cfg.variant, trials))
+        def counting_engine(cost, a_slices, b_slices, trials):
+            chunks.append((cost, trials))
             assert all(bits < 1 << trials for bits in a_slices + b_slices)
-            return run_sliced(cfg, a_slices, b_slices, trials)
+            return run_sliced(cost, a_slices, b_slices, trials)
 
         class Recording(random.Random):
             def getrandbits(self, k):
@@ -551,13 +564,14 @@ class TestSweep:
         monkeypatch.setattr(harness, "run_sliced", counting_engine)
         monkeypatch.setattr(harness.random, "Random", Recording)
         monkeypatch.setattr(harness, "SWEEP_CHUNK", 100)
+        cost = make_config(Variant.LOW_POWER, 3, s=3, g=2).cost
         for kind, words, trials in (("uniform", 2, 203), ("sparse", 3, 203),
                                     ("exhaustive", 0, 64)):
             chunks.clear()
             draws.clear()
-            assert sweep([3], OperandDistribution(kind, seed=2), 203)[0].trials == trials
+            assert sweep([3], OperandDistribution(kind, seed=2), 203, s=3, g=2)[0].trials == trials
             sizes = [100] * (trials // 100) + [trials % 100]
-            assert chunks == [(variant, size) for size in sizes for variant in Variant], kind
+            assert chunks == [(cost, size) for size in sizes], kind
             assert draws == [32 * words * size for size in sizes if words], kind
 
     def test_builds_no_word(self, monkeypatch):
@@ -605,23 +619,35 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["uniform", "exhaustive"])
     def test_planted_fault_in_sliced_cycles_changes_rows(self, kind, monkeypatch):
-        # the top bit of trial 0's product flipped: both datapaths' register
-        # windows hold it, so each row charges one register toggle more or less
+        # on the last cycle, trial 0's carry-out (the register's top slice) is
+        # set where it was 0: trial 0 is 12 x 9 (uniform) or 0 x 0
+        # (exhaustive).  The conventional adder and both registers' top slices
+        # toggle once more; the low-power adder only on an add cycle, which
+        # the last cycle is for b = 9 and not for b = 0
         def flipped_cycles(a_slices, b_slices):
             *cycles, (sel, products, carries) = sliced_cycles(a_slices, b_slices)
             yield from cycles
-            yield sel, [*products[:-1], products[-1] ^ 1], carries
+            yield sel, [*products[:-1], products[-1] | 1], [*carries[:-1], carries[-1] | 1]
 
         dist = OperandDistribution(kind, seed=6)
+        moved = int(kind == "uniform")  # the low-power adder's extra toggle
+        assert next(gen_operands(dist, 4, 200)) == ((12, 9) if moved else (0, 0))
         rows = sweep([4], dist, 200)
         assert ledger_columns(rows) == per_pair_rows([4], dist, 200)
+        model = PowerModel()  # every weight 1: energy is the ledger's total
+
+        def moved_row(row, adder, energy, reduction):
+            return row._replace(partial_product_shift=row.partial_product_shift + 1,
+                                adder=row.adder + adder, energy=energy,
+                                avg_power=power.average_power(energy, row.trials * 4, model),
+                                reduction_pct=reduction)
+
+        conv_energy, low_energy = rows[0].energy + 2, rows[1].energy + 1 + moved
         monkeypatch.setattr(datapath, "sliced_cycles", flipped_cycles)
-        faulty = sweep([4], dist, 200)
-        assert [abs(bad.partial_product_shift - row.partial_product_shift)
-                for bad, row in zip(faulty, rows)] == [1, 1]
-        assert [bad._replace(partial_product_shift=row.partial_product_shift, energy=row.energy,
-                             avg_power=row.avg_power, reduction_pct=row.reduction_pct)
-                for bad, row in zip(faulty, rows)] == rows
+        assert sweep([4], dist, 200) == [
+            moved_row(rows[0], 1, conv_energy, 0.0),
+            moved_row(rows[1], moved, low_energy,
+                      power.reduction_percent(conv_energy, low_energy))]
 
     def test_deterministic(self):
         dist = OperandDistribution("uniform", seed=31)
