@@ -30,11 +30,15 @@ SWEEPS = {
     "costs": ["--widths", ALL_WIDTHS, "--dist", "uniform", "--trials", "200",
               "--ffs-cost", "3", "--gate-cost", "2", "--block-size", "3"],
 }
+# width 1 has a one-flip-flop counter and one cycle; at width 32 the first
+# cycle's sum sits 31 bits above the product's bottom.  The width-8 pair
+# pins a ring of two gated blocks.
+TRACE_PAIRS = {"": ("5", "19", "22"), "_w1": ("1", "1", "1"), "_w8": ("8", "181", "157"),
+               "_w32": ("32", "4294967295", "2654435769")}
 TRACES = {
-    "trace_conv.txt": ["run", "--arch", "conv", "--width", "5", "--a", "19", "--b", "22",
-                       "--trace"],
-    "trace_lowpower.txt": ["run", "--arch", "lowpower", "--width", "5", "--a", "19",
-                           "--b", "22", "--trace"],
+    f"trace_{arch}{suffix}.txt": ["run", "--arch", arch, "--width", width, "--a", a, "--b", b,
+                                  "--trace"]
+    for suffix, (width, a, b) in TRACE_PAIRS.items() for arch in ("conv", "lowpower")
 }
 
 
