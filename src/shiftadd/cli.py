@@ -9,8 +9,8 @@ import sys
 from collections.abc import Sequence
 
 from .bits import Word
-from .datapath import (COST_LEAST, DEFAULT_BLOCK_SIZE, RingCostModel, Variant, check_width,
-                       make_config, render_trace, simulate)
+from .datapath import (COST_LEAST, DEFAULT_BLOCK_SIZE, RingCostModel, Variant, _slices, _value,
+                       check_width, make_config, render_trace, run_sliced)
 from .harness import (
     DIST_KINDS,
     REPORTED_FPGA_REDUCTION,
@@ -140,23 +140,24 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     limit = 1 << args.width
     if not 0 <= args.a < limit or not 0 <= args.b < limit:
         parser.error(f"operands must be in 0..{limit - 1} for width {args.width}")
-    a, b = Word(args.a, args.width), Word(args.b, args.width)
-    result = simulate(a, b, cfg)
+    product, ledgers = run_sliced(cfg.cost, _slices(args.a, args.width),
+                                  _slices(args.b, args.width), 1)
+    ledger = dict(zip(Variant, ledgers))[cfg.variant]  # the pass charged both datapaths
     model = PowerModel()
-    energy = estimate_energy(result.ledger, model)
+    energy = estimate_energy(ledger, model)
     if not math.isfinite(energy):  # the default model's power is at most its energy
         parser.error(f"energy {energy} is beyond the float range: lower --ffs-cost or --gate-cost")
     if args.trace:
-        print(render_trace(a, b, cfg))
-        print(f"adder firings: {b.value.bit_count()}")
-    print(f"product: {result.product.value}")
+        print(render_trace(Word(args.a, args.width), Word(args.b, args.width), cfg))
+        print(f"adder firings: {args.b.bit_count()}")
+    print(f"product: {_value(product)}")
     print(f"cycles: {cfg.width}")
     print(f"energy (uniform weights): {energy}")
     print(f"avg power: {average_power(energy, cfg.width, model)}")
     area = area_proxy(cfg)
     print(f"area: flip_flops={area.flip_flops} full_adders={area.full_adders} "
           f"mux_inputs={area.mux_inputs} gates={area.gates}")
-    for category, count in result.ledger.as_dict().items():
+    for category, count in ledger.as_dict().items():
         print(f"  {category}: {count}")
     return 0
 

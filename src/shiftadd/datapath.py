@@ -30,11 +30,11 @@ per-cycle Hamming sum is one popcount.  The datapaths differ only in what
 the multiplier bits drive, B's part of a run, which one branch on the
 variant computes (see ``simulate``).  ``run_conventional`` and
 ``run_lowpower`` are the same function, under the names ``harness`` runs
-each datapath's per-pair runs by.  The kernel returns a run's product and a
-ledger of the caller's own; ``trace_rows`` reads a run's cycle-by-cycle rows
-from the same lanes.  A config is only its variant, width and cost: what
-the kernel reads that depends on the config alone (lane constants, fixed
-charges) it computes on the config's first call and keeps (``_packed``).
+each datapath's per-pair runs by.  It returns a run's product and a ledger
+of the caller's own, and keeps what it reads of a config alone (lane
+constants, fixed charges) from the config's first call (``_packed``).  No
+command runs it: it is the per-pair API that ``exhaustive_verify``'s
+runners default to, and the tests check the sliced engine against it.
 
 ``sliced_cycles`` runs many multiplications at once, bit-sliced: each
 signal bit is one int whose bit t belongs to trial t, and each cycle is a few
@@ -43,7 +43,9 @@ low-power feeder holds what the conventional register's top part does, so
 the products do not depend on the datapath, and ``exhaustive_verify`` runs
 it once for both, reading its final register alone.  ``run_sliced`` charges
 both datapaths' summed ledgers from one such run, each toggle slice counted
-once, and ``harness.sweep`` runs it once on each chunk of operand slices.
+once.  ``harness.sweep`` runs it on each chunk of operand slices, and on a
+``fixed`` pair as one trial (``_slices``), as ``run`` does; ``trace_rows``
+reads a one-trial ``sliced_cycles`` run.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from enum import Enum
 from .bits import Word, _exact_word
 
 MAX_OPERAND_WIDTH = 32
-# configs whose kernel constants simulate keeps (_packed); a run uses two per width
+# configs whose kernel constants simulate keeps (_packed)
 CONFIG_CACHE_SIZE = 64
 # flip-flops per gated ring block, unless a width below it clamps it
 DEFAULT_BLOCK_SIZE = 4
@@ -488,6 +490,16 @@ def simulate(a: Word, b: Word, cfg: ArchConfig) -> SimResult:
 run_conventional = run_lowpower = simulate
 
 
+def _slices(value: int, width: int) -> list[int]:
+    """The one-trial slices of a ``width``-bit value: slice j is its bit j."""
+    return [value >> j & 1 for j in range(width)]
+
+
+def _value(slices: Sequence[int]) -> int:
+    """The value of one-trial slices, the inverse of ``_slices``."""
+    return int("".join(map(str, reversed(slices))), 2)
+
+
 def sliced_cycles(a_slices: Sequence[int],
                   b_slices: Sequence[int]) -> Iterator[tuple[int, list[int], list[int]]]:
     """The shift-add recurrence of both datapaths, bit-sliced: bit t of slice
@@ -573,28 +585,25 @@ def run_sliced(cost: RingCostModel, a_slices: Sequence[int], b_slices: Sequence[
 
 def trace_rows(a: Word, b: Word, cfg: ArchConfig) -> tuple[CycleTrace, ...]:
     """One ``CycleTrace`` per cycle of the run of ``a * b`` under ``cfg``,
-    read from the kernels' lanes (see ``Lanes``).  Cycle i selects bit i of
-    b; the bottom n + 1 bits of lane i of ``partial`` are its adder output
-    (carry : sum), which the low-power feeder holds too; copy i of
-    ``partial`` is its settled product a*(b mod 2^(i+1)).  The conventional
-    counter holds i, the ring its hot bit 1 << i."""
+    read from a one-trial ``sliced_cycles`` run.  Cycle i selects bit i of
+    b; the register's top n + 1 bits are its adder output (carry : sum),
+    which the low-power feeder holds too, and the register holds the settled
+    product a*(b mod 2^(i+1)) shifted up by the n - 1 - i cycles still to
+    run.  The conventional counter holds i, the ring its hot bit 1 << i."""
     _check_operands(a, b, cfg)
     n = cfg.width
-    lanes = _packed(cfg)[0]
-    L = lanes.L
-    bv = b.value
-    partial = a.value * (bv * lanes.copies & lanes.prefixes)
     conventional = cfg.variant is Variant.CONVENTIONAL
     # the cycle counter or the ring; at width 1 a counter of no flip-flops
     counter_width = max(1, next(reg.width for reg in register_inventory(cfg)
                                 if reg.category == "counter_internal"))
+    cycles = sliced_cycles(_slices(a.value, n), _slices(b.value, n))
     return tuple(CycleTrace(
         cycle=i,
         counter_state=Word(i if conventional else 1 << i, counter_width),
-        selected_bit=bv >> i & 1,
-        running_sum=Word(partial >> L * i, n + 1),
-        product_so_far=Word(partial >> 2 * n * i, 2 * n),
-    ) for i in range(n))
+        selected_bit=sel,
+        running_sum=Word(value >> n - 1, n + 1),
+        product_so_far=Word(value >> n - 1 - i, 2 * n),
+    ) for i, (sel, value) in enumerate((sel, _value(reg)) for sel, reg, _ in cycles))
 
 
 def render_trace(a: Word, b: Word, cfg: ArchConfig) -> str:

@@ -23,6 +23,7 @@ from .datapath import (
     ToggleLedger,
     Variant,
     _checked_make,
+    _slices,
     check_width,
     make_config,
     run_conventional,
@@ -312,6 +313,8 @@ class ReportRow(namedtuple("ReportRow", [
 REPORT_COLUMNS: tuple[str, ...] = ReportRow._fields
 
 
+# No caller in the package is left: it stays only because perfbench's tracer
+# wraps it (``_arch_span``), and a traced run fails where the name is missing.
 def _aggregate(
     cfg, operands: Sequence[tuple[Word, Word]], runner: Runner
 ) -> dict[str, int]:
@@ -324,8 +327,12 @@ def _aggregate(
 def _sliced_totals(cost: RingCostModel, dist: OperandDistribution, width: int,
                    trials: int) -> tuple[int, list[dict[str, int]]]:
     """The trials run and each datapath's ledger counts summed over them, in
-    ``Variant`` order: ``run_sliced`` once on each chunk of
-    ``_operand_slices``, for both datapaths."""
+    ``Variant`` order: ``run_sliced`` once on each chunk of at most
+    ``SWEEP_CHUNK`` trials of ``_operand_slices``, for both datapaths, so a
+    sweep's memory does not grow with its trials."""
+    if dist.kind == "fixed":  # one one-trial call, whose counts are each trial's
+        _, charged = run_sliced(cost, _slices(dist.a, width), _slices(dist.b, width), 1)
+        return trials, [{k: trials * v for k, v in ledger.as_dict().items()} for ledger in charged]
     ledgers = [ToggleLedger() for _ in Variant]
     count = 0
     for a_slices, b_slices, chunk in _operand_slices(dist, width, trials):
@@ -352,13 +359,9 @@ def sweep(
     that weighs none of ``CONVENTIONAL_CATEGORIES`` is refused.  Before the
     first pair runs, every width's configs are built (``ArchConfig`` checks
     the width, ``make_config`` clamps the block size to it), then every
-    width's operands are checked (``_check_stream``).  A ``fixed`` pair then
-    runs once per width through the conventional kernel, and is refused if
-    the model weighs its energy at 0; it runs once per architecture, and
-    its counts are each trial's.  Every other kind runs bit-sliced: one
-    ``run_sliced`` pass per chunk of at most ``SWEEP_CHUNK`` trials charges
-    both architectures, so a sweep's memory does not grow with its trials.
-    A width whose conventional energy the model weighs at 0 is refused.
+    width's operands are checked (``_check_stream``).  Each width then runs
+    bit-sliced, in chunks (``_sliced_totals``), and is refused if the model
+    weighs its conventional energy at 0.
     """
     model = model or PowerModel()
     if not any(model.weights[cat] for cat in CONVENTIONAL_CATEGORIES):
@@ -368,31 +371,17 @@ def sweep(
                       for variant in Variant] for width in widths]
     for width in widths:
         _check_stream(dist, width, trials)
-    fixed = []  # per width, the fixed pair and its conventional counts
-    if dist.kind == "fixed":  # its baseline is the one pair's energy
-        for width, (conv_cfg, _) in zip(widths, width_configs):
-            pair = [(Word(dist.a, width), Word(dist.b, width))]
-            counts = _aggregate(conv_cfg, pair, run_conventional)
-            if not estimate_energy(ToggleLedger(**counts), model):
-                raise ValueError(f"fixed pair a={dist.a}, b={dist.b} has no conventional energy "
-                                 f"under the power model at width {width}, so no reduction "
-                                 "can be computed")
-            fixed.append((pair, counts))
     rows: list[ReportRow] = []
-    for index, (width, configs) in enumerate(zip(widths, width_configs)):
-        if fixed:
-            pair, conv_counts = fixed[index]
-            count = trials
-            totals = [{category: trials * value for category, value in counts.items()}
-                      for counts in (conv_counts, _aggregate(configs[1], pair, run_lowpower))]
-        else:
-            count, totals = _sliced_totals(configs[0].cost, dist, width, trials)
+    for width, configs in zip(widths, width_configs):
+        count, totals = _sliced_totals(configs[0].cost, dist, width, trials)
         energies = [estimate_energy(ToggleLedger(**counts), model) for counts in totals]
         if not energies[0]:  # the operands moved nothing the model weighs
             weighed = ", ".join(cat for cat, weight in model.weights.items() if weight)
+            runs = f"{count} trial{'s' * (count != 1)}" + (
+                f" of fixed pair a={dist.a}, b={dist.b}" if dist.kind == "fixed" else "")
             raise ValueError(f"the conventional datapath has no energy at width {width} over "
-                             f"{count} trial{'s' * (count != 1)} under the power model, which "
-                             f"weighs only {weighed}, so no reduction can be computed")
+                             f"{runs} under the power model, which weighs only {weighed}, so "
+                             "no reduction can be computed")
         # the low-power row carries the reduction against the conventional baseline
         reductions = (0.0, reduction_percent(*energies))
         for cfg, counts, energy, reduction in zip(configs, totals, energies, reductions):

@@ -3,7 +3,8 @@
 The simulator's kernels inline the adder, never step a counter and have no
 per-cycle loop: every charge that does not depend on the operands (clock
 pulses, counter toggles) is a closed form computed once per config, and the
-data-dependent work is done for all cycles at once on packed lanes.  The
+data-dependent work is done for all cycles at once, on packed lanes (the
+per-pair kernel) or on bit slices for many trials (the sliced engine).  The
 models here compute the same quantities the slow, explicit way (gate-level
 adder state, stepped counter and ring states, and ``loop_conventional`` /
 ``loop_lowpower``, which walk the datapaths one cycle at a time) so a test

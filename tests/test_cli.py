@@ -280,7 +280,7 @@ class TestSweepCommand:
         *(pytest.param(dist, rng, "4", id=f"{dist}-{rng}") for dist, rng in (
             ("uniform", MT), ("exhaustive", MT), ("fixed", MT),
             ("sparse", f"{MT}/b-and-of-two-draws"), ("dense", f"{MT}/b-or-of-two-draws"))),
-        # from the narrowest width to the widest, across the word-table bound
+        # from the narrowest width to the widest, across byte boundaries of a draw
         pytest.param("sparse", f"{MT}/b-and-of-two-draws", "1,8,9,17,32", id="sparse-widths-1-32"),
         pytest.param("dense", f"{MT}/b-or-of-two-draws", "1,8,9,17,32", id="dense-widths-1-32"),
     ])
@@ -613,8 +613,9 @@ class TestSweepCommand:
             run_cli("sweep", "--widths", "16", "--dist", "fixed", "--a", "0", "--b", "5",
                     "--trials", "10", "--out", str(out_file), "--model", str(model))
         assert excinfo.value.code == 2
-        assert ("fixed pair a=0, b=5 has no conventional energy under the power model at "
-                "width 16") in capsys.readouterr().err
+        assert ("the conventional datapath has no energy at width 16 over 10 trials of fixed "
+                "pair a=0, b=5 under the power model, which weighs only adder, so no reduction "
+                "can be computed") in capsys.readouterr().err
         assert not out_file.exists()
 
     @pytest.mark.parametrize("seed", ["0", "1", "3"])

@@ -528,7 +528,7 @@ class TestResultTables:
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_operand_width_checked_before_lookup(self, variant, n):
-        # the kernel and trace_rows check the widths before they read a lane
+        # the kernel and trace_rows check the widths before they run a cycle
         packed, _ = KERNELS[variant]
         cfg = make_config(variant, n)
         for run in (packed, trace_rows):

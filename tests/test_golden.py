@@ -4,7 +4,9 @@ Each case runs ``shiftadd.cli.main`` and compares what it writes, byte for
 byte, with the file of the same name under ``tests/golden/``.  After a change
 that is meant to move the reports, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and record in CHANGES.md why
-the bytes moved.
+the bytes moved.  The ``*_without_packed_kernel`` cases run the commands
+with the packed per-pair kernel made to raise, since every command runs the
+bit-sliced engine.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from shiftadd import datapath, harness
 from shiftadd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,6 +67,43 @@ def test_sweep_report_bytes(name, fmt, tmp_path):
 @pytest.mark.parametrize("name", list(TRACES))
 def test_trace_bytes(name):
     assert run_quietly(TRACES[name]).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture
+def no_packed_kernel(monkeypatch):
+    """The packed per-pair kernel made to raise: its lanes, its per-config
+    cache (emptied, so that every call builds lanes) and the names it is
+    called by."""
+    def refuse(*args):
+        raise AssertionError("the packed kernel ran")
+
+    monkeypatch.setattr(datapath.Lanes, "build", refuse)
+    for owner, name in ((datapath, "simulate"), (harness, "run_conventional"),
+                        (harness, "run_lowpower")):
+        monkeypatch.setattr(owner, name, refuse)
+    datapath._packed.cache_clear()
+    yield
+    datapath._packed.cache_clear()
+
+
+@pytest.mark.parametrize("name", list(TRACES))
+def test_run_without_packed_kernel(name, no_packed_kernel):
+    # without --trace, run prints the golden trace's lines from the product on
+    golden = (GOLDEN / name).read_text()
+    assert run_quietly(TRACES[name]) == golden
+    assert run_quietly(TRACES[name][:-1]) == golden[golden.index("product: "):]
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_without_packed_kernel(name, tmp_path, no_packed_kernel):
+    out = tmp_path / f"{name}.csv"
+    run_quietly(sweep_argv(name, "csv", out))
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_verify_without_packed_kernel(no_packed_kernel):
+    assert run_quietly(["verify", "--width", "4"]) == (
+        "width 4: 256/256 products match (both architectures, native-multiply oracle)\nPASS\n")
 
 
 def regenerate() -> None:

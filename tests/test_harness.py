@@ -261,6 +261,21 @@ def count_words(monkeypatch) -> list[int]:
     return built
 
 
+def counting_engine(monkeypatch) -> list[tuple]:
+    """Record the (cost, trials) of each ``run_sliced`` call the harness
+    makes, each slice checked to hold no bit beyond its trials."""
+    chunks = []
+    run_sliced = harness.run_sliced
+
+    def engine(cost, a_slices, b_slices, trials):
+        chunks.append((cost, trials))
+        assert all(bits < 1 << trials for bits in a_slices + b_slices)
+        return run_sliced(cost, a_slices, b_slices, trials)
+
+    monkeypatch.setattr(harness, "run_sliced", engine)
+    return chunks
+
+
 def ledger_columns(rows) -> list[tuple]:
     """Each sweep row's (width, arch, trials, ledger counts)."""
     return [(row.width, row.arch, row.trials, {k: getattr(row, k) for k in LEDGER_CATEGORIES})
@@ -427,8 +442,8 @@ class TestSweep:
     @pytest.mark.parametrize("dist", [OperandDistribution("uniform", seed=3),
                                       OperandDistribution("fixed", a=1, b=1)])
     def test_repeated_sweep_rows_equal(self, dist):
-        # widths 1-4 read every result from the configs' shared tables, so
-        # aggregation that wrote into an entry would change the second rows
+        # a sweep keeps no state between calls: a total that wrote into a
+        # ledger shared between runs would change the second rows
         first = sweep([1, 2, 3, 4], dist, 300)
         assert sweep([1, 2, 3, 4], dist, 300) == first
 
@@ -484,23 +499,14 @@ class TestSweep:
     @pytest.mark.parametrize("a, b", [(0, 5), (3, 0)])
     def test_zero_baseline_fixed_pair_refused_before_the_sweep(self, a, b, monkeypatch):
         # the pair never moves the adder, the one weighted category, so its
-        # conventional energy, the baseline of the reduction, is 0
-        calls = {"conv": 0, "lowpower": 0}
-
-        def counting(arch, kernel):
-            def run(*args):
-                calls[arch] += 1
-                return kernel(*args)
-            return run
-
-        monkeypatch.setattr(harness, "run_conventional",
-                            counting("conv", harness.run_conventional))
-        monkeypatch.setattr(harness, "run_lowpower", counting("lowpower", harness.run_lowpower))
+        # conventional energy, the baseline of the reduction, is 0: refused at
+        # the first width, after its one one-trial run and before the next
+        chunks = counting_engine(monkeypatch)
         weights = {cat: float(cat == "adder") for cat in LEDGER_CATEGORIES}
-        with pytest.raises(ValueError, match=f"fixed pair a={a}, b={b} .*width 4"):
+        with pytest.raises(ValueError, match=f"no energy at width 4 over 1000 trials of fixed "
+                                             f"pair a={a}, b={b} under the power model"):
             sweep([4, 16], OperandDistribution("fixed", a=a, b=b), 1000, PowerModel(weights))
-        assert calls["lowpower"] == 0
-        assert calls["conv"] <= 2  # one per width at most
+        assert chunks == [(datapath.RingCostModel(), 1)]
 
     def test_adder_only_model_runs(self):
         weights = {cat: float(cat == "adder") for cat in LEDGER_CATEGORIES}
@@ -548,20 +554,13 @@ class TestSweep:
         # one run_sliced call per chunk, for both datapaths, and no call and
         # no draw covers more than SWEEP_CHUNK trials, read when the sweep
         # runs, so memory is bounded by the chunk
-        chunks, draws = [], []
-        run_sliced = harness.run_sliced
-
-        def counting_engine(cost, a_slices, b_slices, trials):
-            chunks.append((cost, trials))
-            assert all(bits < 1 << trials for bits in a_slices + b_slices)
-            return run_sliced(cost, a_slices, b_slices, trials)
+        chunks, draws = counting_engine(monkeypatch), []
 
         class Recording(random.Random):
             def getrandbits(self, k):
                 draws.append(k)
                 return super().getrandbits(k)
 
-        monkeypatch.setattr(harness, "run_sliced", counting_engine)
         monkeypatch.setattr(harness.random, "Random", Recording)
         monkeypatch.setattr(harness, "SWEEP_CHUNK", 100)
         cost = make_config(Variant.LOW_POWER, 3, s=3, g=2).cost
@@ -575,33 +574,24 @@ class TestSweep:
             assert draws == [32 * words * size for size in sizes if words], kind
 
     def test_builds_no_word(self, monkeypatch):
-        # a random or exhaustive sweep runs on slices alone; a fixed pair is
-        # wrapped once per width
+        # every kind runs on slices alone, a fixed pair too
         built = count_words(monkeypatch)
         for kind in ("uniform", "sparse", "dense"):
             sweep([3, 12, 13], OperandDistribution(kind, seed=8), 50)
         sweep([3], OperandDistribution("exhaustive"), 0)
-        assert built == [0]
         sweep([3, 12, 13], OperandDistribution("fixed", a=5, b=6), 50)
-        assert built == [2 * 3]
+        assert built == [0]
 
     def test_fixed_pair_runs_once_per_architecture(self, monkeypatch):
-        # its counts are each trial's: the rows equal the pair run trials times
-        calls = {"conv": 0, "lowpower": 0}
-
-        def counting(arch, kernel):
-            def run(*args):
-                calls[arch] += 1
-                return kernel(*args)
-            return run
-
-        monkeypatch.setattr(harness, "run_conventional",
-                            counting("conv", harness.run_conventional))
-        monkeypatch.setattr(harness, "run_lowpower", counting("lowpower", harness.run_lowpower))
+        # one one-trial pass per width charges both architectures, with the
+        # sweep's cost; its counts are each trial's: the rows equal the pair
+        # run trials times
+        chunks = counting_engine(monkeypatch)
         dist = OperandDistribution("fixed", a=13, b=11)
-        rows = sweep([4, 16], dist, 1000)
-        assert calls == {"conv": 2, "lowpower": 2}
-        assert ledger_columns(rows) == per_pair_rows([4, 16], dist, 1000)
+        rows = sweep([4, 16], dist, 1000, s=3, g=2, block_size=3)
+        assert chunks == [(datapath.RingCostModel(3, 2, 3), 1)] * 2
+        assert ledger_columns(rows) == per_pair_rows([4, 16], dist, 1000, s=3, g=2,
+                                                     block_size=3)
 
     @given(st.lists(st.integers(1, 32), min_size=1, max_size=3, unique=True),
            st.sampled_from(["uniform", "sparse", "dense"]), st.integers(0, 2**40),
