@@ -6,14 +6,11 @@ from .datapath import (
     ArchConfig,
     CycleTrace,
     RingCostModel,
-    SimResult,
     ToggleLedger,
     Variant,
+    _forward_packed,
     make_config,
     render_trace,
-    run_conventional,
-    run_lowpower,
-    simulate,
     trace_rows,
 )
 from .harness import (
@@ -33,6 +30,10 @@ from .power import (
     estimate_energy,
 )
 
+# the packed per-pair kernel's public names, loaded from ``packed`` on first use
+_PACKED = ("SimResult", "run_conventional", "run_lowpower", "simulate")
+__getattr__ = _forward_packed(__name__, _PACKED)
+
 __all__ = [
     "ArchConfig",
     "AreaInventory",
@@ -41,7 +42,6 @@ __all__ = [
     "PowerModel",
     "ReportRow",
     "RingCostModel",
-    "SimResult",
     "ToggleLedger",
     "Variant",
     "VerifyOutcome",
@@ -54,11 +54,9 @@ __all__ = [
     "gen_operands",
     "make_config",
     "render_trace",
-    "run_conventional",
-    "run_lowpower",
-    "simulate",
     "sweep",
     "trace_rows",
+    *_PACKED,
 ]
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from shiftadd import bits, cli, datapath, harness, power
+import shiftadd
+from shiftadd import bits, cli, datapath, harness, packed, power
 from shiftadd.bits import Word
 from shiftadd.cli import main
 from shiftadd.datapath import (
@@ -724,15 +725,16 @@ class TestEntryPoint:
         assert "PASS" in proc.stdout
 
     @staticmethod
-    def loaded_after_import(module):
-        """Whether ``module`` is loaded after ``import shiftadd.cli`` in a
-        fresh ``python -I -S``, which imports nothing else."""
+    def loaded_after_import(*modules, then=""):
+        """Those of ``modules`` loaded after ``import shiftadd.cli`` in a
+        fresh ``python -I -S``, which imports nothing else, and then the
+        statements ``then``."""
         src = Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import shiftadd.cli; "
-                f"print({module!r} in sys.modules)")
+        code = "\n".join([f"import sys; sys.path.insert(0, {str(src)!r}); import shiftadd.cli",
+                          then, f"print(*[m for m in {modules!r} if m in sys.modules])"])
         proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                               capture_output=True, text=True, check=True)
-        return {"True\n": True, "False\n": False}[proc.stdout]
+        return proc.stdout.split()
 
     def test_import_loads_no_json(self):
         # only a JSON report needs the json module; verify, run and CSV
@@ -749,10 +751,47 @@ class TestEntryPoint:
         # no generated code to build at import.  SimResult stays a dataclass
         # only because perfbench's self-test (_wrong_product) calls
         # dataclasses.replace on it
-        classes = {obj for module in (bits, datapath, harness, power, cli)
+        classes = {obj for module in (bits, datapath, harness, packed, power, cli)
                    for obj in vars(module).values()
                    if isinstance(obj, type) and obj.__module__ == module.__name__}
-        assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {datapath.SimResult}
+        assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {packed.SimResult}
+
+    def test_import_loads_no_packed_kernel(self):
+        # the packed per-pair kernel, and the dataclasses (and inspect) its
+        # SimResult needs, load on first use of one of its names
+        assert self.loaded_after_import("dataclasses", "inspect", "shiftadd.packed") == []
+
+    def test_no_command_loads_packed_kernel(self, tmp_path):
+        # every command runs the bit-sliced engine, so none of them makes
+        # that first use: verify, run with and without its trace on both
+        # datapaths, and a sweep of every kind in both report formats
+        runs = [["verify", "--width", "4"]]
+        runs += [["run", "--arch", arch, "--width", "5", "--a", "19", "--b", "22", *trace]
+                 for arch in ("conv", "lowpower") for trace in ([], ["--trace"])]
+        runs += [["sweep", "--widths", "3,4", "--dist", kind, "--trials", "20",
+                  *(["--a", "6", "--b", "5"] if kind == "fixed" else []),
+                  "--format", fmt, "--out", str(tmp_path / f"{kind}.{fmt}")]
+                 for kind in harness.DIST_KINDS for fmt in ("csv", "json")]
+        then = "\n".join(["import contextlib, io", f"for argv in {runs!r}:",
+                          "    with contextlib.redirect_stdout(io.StringIO()):",
+                          "        assert shiftadd.cli.main(argv) == 0, argv"])
+        assert self.loaded_after_import("dataclasses", "shiftadd.packed", then=then) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{kind}.{fmt}" for kind in harness.DIST_KINDS for fmt in ("csv", "json"))
+
+    def test_packed_names_forwarded(self):
+        # the packed kernel's old names still resolve in the modules that
+        # held or imported them, to the objects in packed; others do not
+        for module, names in ((datapath, datapath.PACKED_NAMES),
+                              (harness, ("run_conventional", "run_lowpower")),
+                              (shiftadd, ("SimResult", "run_conventional", "run_lowpower",
+                                          "simulate"))):
+            for name in names:
+                assert getattr(module, name) is getattr(packed, name), (module, name)
+            with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no "
+                               "attribute 'nonexistent'"):
+                module.nonexistent
+        assert not hasattr(harness, "Lanes") and not hasattr(shiftadd, "_packed")
 
     def test_import_loads_no_pathlib(self):
         # os.path and open write reports and read models: no command pays

@@ -16,7 +16,7 @@ from oracles import (
     ripple_carry_add,
 )
 
-from shiftadd import datapath
+from shiftadd import datapath, packed
 from shiftadd.bits import Word
 from shiftadd.datapath import (
     CONVENTIONAL_CATEGORIES,
@@ -108,9 +108,10 @@ class TestArchConfig:
         def refuse(*args, **kwargs):
             raise AssertionError("kernel work while building a config")
 
-        monkeypatch.setattr(datapath.Lanes, "build", refuse)
+        monkeypatch.setattr(packed.Lanes, "build", refuse)
         for name in ("fixed_charges", "_add_clock", "simulate"):
-            monkeypatch.setattr(datapath, name, refuse)
+            for module in (datapath, packed):
+                monkeypatch.setattr(module, name, refuse)
         cfgs = [ArchConfig(variant, n, RingCostModel(block_size=min(DEFAULT_BLOCK_SIZE, n)))
                 for n in range(1, 33) for variant in Variant]
         monkeypatch.undo()
@@ -274,11 +275,11 @@ class TestFixedCharges:
         zero = Word(0, n)
         for s, g in COSTS:
             for bsz in range(1, n + 1):
-                for variant, (packed, loop) in KERNELS.items():
+                for variant, (kernel, loop) in KERNELS.items():
                     cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
                     case = (variant, n, bsz, s, g)
                     assert fixed_charges(cfg) == loop(zero, zero, cfg)[0].ledger, case
-                    assert fixed_charges(cfg) == packed(zero, zero, cfg).ledger, case
+                    assert fixed_charges(cfg) == kernel(zero, zero, cfg).ledger, case
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 32])
     def test_sliced_all_zero_trials(self, n):
@@ -299,15 +300,15 @@ class TestFixedCharges:
         # computed on a config's first kernel call, not when it is built, and
         # once for every config of the same value
         calls = []
-        monkeypatch.setattr(datapath, "fixed_charges",
+        monkeypatch.setattr(packed, "fixed_charges",
                             lambda cfg: calls.append(cfg) or fixed_charges(cfg))
-        datapath._packed.cache_clear()
-        for variant, (packed, loop) in KERNELS.items():
+        packed._packed.cache_clear()
+        for variant, (kernel, loop) in KERNELS.items():
             cfg = ArchConfig(variant, 9, RingCostModel(13, 11, 4))
             assert calls == []
             for av, bv in oracle_operands(9, seed=9):
                 a, b = Word(av, 9), Word(bv, 9)
-                assert packed(a, b, ArchConfig(*cfg)) == loop(a, b, cfg)[0], (variant, av, bv)
+                assert kernel(a, b, ArchConfig(*cfg)) == loop(a, b, cfg)[0], (variant, av, bv)
                 assert calls == [cfg]
             calls.clear()
 
@@ -329,24 +330,24 @@ class TestAgainstLoopOracle:
     def test_grid(self, n):
         for bsz in sorted({1, min(4, n), n}):
             for s, g in COSTS:
-                for variant, (packed, loop) in KERNELS.items():
+                for variant, (kernel, loop) in KERNELS.items():
                     cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
                     for av, bv in oracle_operands(n, seed=n):
                         a, b = Word(av, n), Word(bv, n)
                         expected, rows = loop(a, b, cfg)
                         case = (variant, n, bsz, s, g, av, bv)
-                        assert packed(a, b, cfg) == expected, case
+                        assert kernel(a, b, cfg) == expected, case
                         assert trace_rows(a, b, cfg) == rows, case
 
     @given(operand_pairs(max_width=32), st.sampled_from(list(Variant)))
     @settings(max_examples=200)
     def test_random(self, args, variant):
         n, av, bv = args
-        packed, loop = KERNELS[variant]
+        kernel, loop = KERNELS[variant]
         cfg = make_config(variant, n)
         a, b = Word(av, n), Word(bv, n)
         expected, rows = loop(a, b, cfg)
-        assert packed(a, b, cfg) == expected
+        assert kernel(a, b, cfg) == expected
         assert trace_rows(a, b, cfg) == rows
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -398,11 +399,11 @@ def kernel_equals_loop(cfg, b_values, a_values):
     """Assert the kernel's result equals the loop oracle's for each
     multiplier of ``b_values`` and multiplicand of ``a_values``."""
     n = cfg.width
-    packed, loop = KERNELS[cfg.variant]
+    kernel, loop = KERNELS[cfg.variant]
     for bv in b_values:
         for av in a_values:
             a, b = Word(av, n), Word(bv, n)
-            assert packed(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
+            assert kernel(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
 
 
 class TestPlanTables:
@@ -422,8 +423,8 @@ class TestPlanTables:
             for av, bv in operands:
                 a, b = Word(av, n), Word(bv, n)
                 for cfg in cfgs:
-                    packed, loop = KERNELS[cfg.variant]
-                    assert packed(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
+                    kernel, loop = KERNELS[cfg.variant]
+                    assert kernel(a, b, cfg) == loop(a, b, cfg)[0], (cfg, av, bv)
 
     def test_plan_equals_plan_function(self):
         # every b at widths 1-8, under every COSTS entry
@@ -515,7 +516,7 @@ class TestResultTables:
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_entries_equal_oracle_and_traced_kernel(self, n):
-        for variant, (packed, loop) in KERNELS.items():
+        for variant, (kernel, loop) in KERNELS.items():
             for s, g in COSTS:
                 for bsz in sorted({1, n}):
                     cfg = make_config(variant, n, s=s, g=g, block_size=bsz)
@@ -523,15 +524,15 @@ class TestResultTables:
                         for bv in range(1 << n):
                             a, b = Word(av, n), Word(bv, n)
                             expected, _ = loop(a, b, cfg)
-                            assert packed(a, b, cfg) == expected, (variant, n, s, g, av, bv)
+                            assert kernel(a, b, cfg) == expected, (variant, n, s, g, av, bv)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_operand_width_checked_before_lookup(self, variant, n):
         # the kernel and trace_rows check the widths before they run a cycle
-        packed, _ = KERNELS[variant]
+        kernel, _ = KERNELS[variant]
         cfg = make_config(variant, n)
-        for run in (packed, trace_rows):
+        for run in (kernel, trace_rows):
             for a, b in ((Word(0, n + 1), Word(0, n)), (Word(0, n), Word(1, n + 1))):
                 with pytest.raises(ValueError, match="do not match config width"):
                     run(a, b, cfg)
@@ -615,10 +616,10 @@ class TestEquivalence:
         # the kernel builds its product Word without its checks; it must
         # still be the Word the constructor gives, equal, hashed alike and frozen
         full = (1 << n) - 1
-        for variant, (packed, _) in KERNELS.items():
+        for variant, (kernel, _) in KERNELS.items():
             cfg = make_config(variant, n)
             for av, bv in [(full, full), (0, full), (full, 1), (5, 3), (1 << (n - 1), full)]:
-                product = packed(Word(av, n), Word(bv, n), cfg).product
+                product = kernel(Word(av, n), Word(bv, n), cfg).product
                 expected = Word(av * bv, 2 * n)
                 assert product == expected and hash(product) == hash(expected)
                 with pytest.raises(AttributeError):

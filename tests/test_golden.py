@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftadd import datapath, harness
+from shiftadd import packed
 from shiftadd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,13 +77,12 @@ def no_packed_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the packed kernel ran")
 
-    monkeypatch.setattr(datapath.Lanes, "build", refuse)
-    for owner, name in ((datapath, "simulate"), (harness, "run_conventional"),
-                        (harness, "run_lowpower")):
-        monkeypatch.setattr(owner, name, refuse)
-    datapath._packed.cache_clear()
+    monkeypatch.setattr(packed.Lanes, "build", refuse)
+    for name in ("simulate", "run_conventional", "run_lowpower"):
+        monkeypatch.setattr(packed, name, refuse)
+    packed._packed.cache_clear()
     yield
-    datapath._packed.cache_clear()
+    packed._packed.cache_clear()
 
 
 @pytest.mark.parametrize("name", list(TRACES))

@@ -16,7 +16,7 @@ from oracles import (
     string_exhaustive_slices,
 )
 
-from shiftadd import datapath, harness, power
+from shiftadd import datapath, harness, packed, power
 from shiftadd.bits import Word
 from shiftadd.datapath import (
     LEDGER_CATEGORIES,
@@ -356,7 +356,7 @@ class TestExhaustiveVerify:
             calls.append((a, b))
             raise AssertionError("a per-pair kernel ran")
 
-        for module in (harness, datapath):
+        for module in (harness, datapath, packed):
             monkeypatch.setattr(module, "run_conventional", kernel)
             monkeypatch.setattr(module, "run_lowpower", kernel)
         outcome = exhaustive_verify(5)
