@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -210,6 +210,33 @@ class TestBiasedDecode:
             assert abs(sum(b for _, b in bits) / trials - p1) < 0.02, i
             with_a = [b for a, b in bits if a]
             assert abs(sum(with_a) / len(with_a) - p1) < 0.02, i
+
+
+@st.composite
+def byte_records(draw) -> tuple[bytes, int, list[int], int]:
+    """(records, size, positions, count) for ``_bit_slices``: ``count``
+    records of 1-12 bytes, and positions in any order, with repeats, gaps
+    between byte offsets and bytes of which only some bits are read."""
+    size, count = draw(st.integers(1, 12)), draw(st.integers(1, 100))
+    records = draw(st.binary(min_size=size * count, max_size=size * count))
+    positions = draw(st.lists(st.integers(0, 8 * size - 1), max_size=16 * size))
+    return records, size, positions, count
+
+
+class TestBitSlices:
+    """``_bit_slices`` against its definition: bit t of slice k is bit
+    ``positions[k]`` of record t, read byte by byte."""
+
+    @given(byte_records())
+    @example((bytes(range(100, 112)), 12, [95, 4, 4, 0, 88, 3, 47], 1))
+    @example((bytes(range(7, 46)), 3, [23, 0, 17, 17, 5], 13))
+    @example((b"\xff" * 64 + bytes(range(64)), 2, list(range(16)), 64))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_bit_reference(self, case):
+        records, size, positions, count = case
+        expected = [sum((records[t * size + (k >> 3)] >> (k & 7) & 1) << t for t in range(count))
+                    for k in positions]
+        assert harness._bit_slices(records, size, positions, count) == expected
 
 
 class TestOperandSlices:
