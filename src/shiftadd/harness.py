@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import itertools
 import math
 import operator
 import os
-import random
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 
@@ -94,6 +92,7 @@ def gen_operands(
         return itertools.product(range(1 << width), repeat=2)
     if dist.kind == "fixed":
         return itertools.repeat((dist.a, dist.b), trials)
+    import random  # here: verify, run and fixed or exhaustive sweeps never import it
     draw = random.Random(dist.seed).getrandbits
     if dist.kind == "uniform":
         return ((draw(width), draw(width)) for _ in range(trials))
@@ -148,6 +147,7 @@ def _operand_slices(
         return
     words = 2 if dist.kind == "uniform" else 3
     positions = [32 * word + 32 - width + j for word in range(words) for j in range(width)]
+    import random  # here, as in gen_operands
     draw = random.Random(dist.seed).getrandbits
     for start in range(0, trials, SWEEP_CHUNK):
         count = min(SWEEP_CHUNK, trials - start)
@@ -164,21 +164,25 @@ def _bit_slices(records: bytes, size: int, positions: Sequence[int], count: int)
     """Bit slices of ``count`` little-endian records of ``size`` bytes: slice
     k's bit t is bit ``positions[k]`` of record t.  For each byte offset,
     column i is every eighth record's byte from record i, one strided slice,
-    so byte g of column i is a byte of record 8g + i; its bit r, masked and
-    moved to bit i by one shift, and OR-ed over the 8 columns, is bit r of
-    that byte of records 8g .. 8g + 7."""
+    so byte g of column i is a byte of record 8g + i.  Byte g of the 8
+    columns is an 8x8 bit matrix, transposed in place in three butterfly
+    rounds (Warren, Hacker's Delight, 7-3): blocks of 4, 2 and 1 bits swap
+    between columns i and i + 4, i + 2, i + 1.  Then column r is bit r of
+    that byte of every record: its bit 8g + i is from record 8g + i."""
     ones = int.from_bytes(b"\x01" * max(1, count + 7 >> 3), "little")
-    places = [ones << i for i in range(8)]  # bit i of every byte
-    columns = {byte: [int.from_bytes(records[byte + size * i::8 * size], "little")
-                      for i in range(8)]
-               for byte in {k >> 3 for k in positions}}
-    slices = []
-    for k in positions:
-        r = k % 8
-        bits = [column & places[r] for column in columns[k >> 3]]
-        slices.append(functools.reduce(operator.or_, [
-            bit << i - r if i >= r else bit >> r - i for i, bit in enumerate(bits)]))
-    return slices
+    rounds = [(step, ones * mask, [i for i in range(8) if not i & step])
+              for step, mask in ((4, 0x0F), (2, 0x33), (1, 0x55))]
+    planes = {}
+    for byte in {k >> 3 for k in positions}:
+        columns = [int.from_bytes(records[byte + size * i::8 * size], "little")
+                   for i in range(8)]
+        for step, mask, rows in rounds:
+            for i in rows:
+                swap = (columns[i] >> step ^ columns[i + step]) & mask
+                columns[i + step] ^= swap
+                columns[i] ^= swap << step
+        planes[byte] = columns
+    return [planes[k >> 3][k % 8] for k in positions]
 
 
 def word_table(width: int) -> list[Word]:
@@ -440,6 +444,7 @@ def emit_report(
                     fh.write("# " + " ".join(
                         f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
                         for k, v in metadata.items()) + "\n")
+                import csv  # here, as json below: only a CSV report needs it
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(REPORT_COLUMNS)
                 for row in rows:

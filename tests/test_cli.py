@@ -736,6 +736,29 @@ class TestEntryPoint:
                               capture_output=True, text=True, check=True)
         return proc.stdout.split()
 
+    @staticmethod
+    def running(runs) -> str:
+        """Statements that run each argv of ``runs`` through ``cli.main``,
+        which must exit 0, with its output discarded."""
+        return "\n".join(["import contextlib, io", f"for argv in {runs!r}:",
+                          "    with contextlib.redirect_stdout(io.StringIO()):",
+                          "        assert shiftadd.cli.main(argv) == 0, argv"])
+
+    def test_csv_and_random_load_only_where_used(self, tmp_path):
+        # verify, run and the sweeps that draw no operand import neither
+        # random nor csv; a uniform sweep draws, and its CSV report loads csv
+        runs = [["verify", "--width", "4"]]
+        runs += [["run", "--arch", "lowpower", "--width", "5", "--a", "19", "--b", "22", *trace]
+                 for trace in ([], ["--trace"])]
+        runs += [["sweep", "--widths", "3", "--dist", kind, "--trials", "20", *operands,
+                  "--format", "json", "--out", str(tmp_path / f"{kind}.json")]
+                 for kind, operands in (("fixed", ["--a", "6", "--b", "5"]), ("exhaustive", []))]
+        assert self.loaded_after_import("csv", "random", then=self.running(runs)) == []
+        uniform = [["sweep", "--widths", "3", "--trials", "20", "--format", "csv",
+                    "--out", str(tmp_path / "uniform.csv")]]
+        assert self.loaded_after_import("csv", "random", then=self.running(uniform)) == [
+            "csv", "random"]
+
     def test_import_loads_no_json(self):
         # only a JSON report needs the json module; verify, run and CSV
         # sweeps do not pay for importing it
@@ -772,10 +795,8 @@ class TestEntryPoint:
                   *(["--a", "6", "--b", "5"] if kind == "fixed" else []),
                   "--format", fmt, "--out", str(tmp_path / f"{kind}.{fmt}")]
                  for kind in harness.DIST_KINDS for fmt in ("csv", "json")]
-        then = "\n".join(["import contextlib, io", f"for argv in {runs!r}:",
-                          "    with contextlib.redirect_stdout(io.StringIO()):",
-                          "        assert shiftadd.cli.main(argv) == 0, argv"])
-        assert self.loaded_after_import("dataclasses", "shiftadd.packed", then=then) == []
+        assert self.loaded_after_import("dataclasses", "shiftadd.packed",
+                                        then=self.running(runs)) == []
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
             f"{kind}.{fmt}" for kind in harness.DIST_KINDS for fmt in ("csv", "json"))
 

@@ -159,7 +159,7 @@ class TestBiasedDecode:
                 sizes.append(k)
                 return super().getrandbits(k)
 
-        monkeypatch.setattr(harness.random, "Random", Recording)
+        monkeypatch.setattr(random, "Random", Recording)
         stream = gen_operands(OperandDistribution(kind, seed=1), width, trials)
         assert not sizes
         for count, _ in enumerate(stream, 1):
@@ -193,7 +193,7 @@ class TestBiasedDecode:
             def getrandbits(self, k):
                 return next(draws)
 
-        monkeypatch.setattr(harness.random, "Random", Scripted)
+        monkeypatch.setattr(random, "Random", Scripted)
         pairs = list(gen_operands(OperandDistribution(kind), 4, 256))
         ones = sum(b.bit_count() for _, b in pairs)
         assert Fraction(ones, 4 * 256) == Fraction(BIT_DENSITY[kind])
@@ -588,7 +588,7 @@ class TestSweep:
                 draws.append(k)
                 return super().getrandbits(k)
 
-        monkeypatch.setattr(harness.random, "Random", Recording)
+        monkeypatch.setattr(random, "Random", Recording)
         monkeypatch.setattr(harness, "SWEEP_CHUNK", 100)
         cost = make_config(Variant.LOW_POWER, 3, s=3, g=2).cost
         for kind, words, trials in (("uniform", 2, 203), ("sparse", 3, 203),
