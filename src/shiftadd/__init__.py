@@ -8,7 +8,6 @@ from .datapath import (
     RingCostModel,
     ToggleLedger,
     Variant,
-    _forward_packed,
     make_config,
     render_trace,
     trace_rows,
@@ -29,10 +28,6 @@ from .power import (
     average_power,
     estimate_energy,
 )
-
-# the packed per-pair kernel's public names, loaded from ``packed`` on first use
-_PACKED = ("SimResult", "run_conventional", "run_lowpower", "simulate")
-__getattr__ = _forward_packed(__name__, _PACKED)
 
 __all__ = [
     "ArchConfig",
@@ -56,7 +51,6 @@ __all__ = [
     "render_trace",
     "sweep",
     "trace_rows",
-    *_PACKED,
 ]
 
 __version__ = "0.1.0"

@@ -35,8 +35,9 @@ once.  ``harness.sweep`` runs it on each chunk of operand slices, and on a
 ``fixed`` pair as one trial (``_slices``), as ``run`` does; ``trace_rows``
 reads a one-trial ``sliced_cycles`` run.
 
-The packed per-pair kernel is the module ``packed``, loaded on first use of
-one of its ``PACKED_NAMES``, which this module still answers to.
+The packed per-pair kernel is the module ``packed``, which only perfbench
+and the tests load.  This module still answers ``simulate`` from it
+(``PACKED_NAMES``), since perfbench imports that name from here.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ class ToggleLedger:
         return {name: getattr(self, name) for name in LEDGER_CATEGORIES}
 
     def add(self, other: ToggleLedger) -> None:
-        # one line per category: called once per simulated multiplication,
-        # where a loop over fields() costs several times as much
+        # one line per category, where a loop over LEDGER_CATEGORIES costs
+        # about three times as much: ``_sliced_totals`` calls it once per
+        # chunk, the tests' summed ledgers once per pair
         self.multiplier_shift += other.multiplier_shift
         self.partial_product_shift += other.partial_product_shift
         self.adder += other.adder
@@ -456,9 +458,9 @@ def render_trace(a: Word, b: Word, cfg: ArchConfig) -> str:
     return "\n".join(lines)
 
 
-# the packed kernel's names, which this module forwards to ``packed``
-PACKED_NAMES = ("CONFIG_CACHE_SIZE", "Lanes", "SimResult", "_packed", "run_conventional",
-                "run_lowpower", "simulate")
+# the packed kernel's one name this module forwards to ``packed``: perfbench's
+# ``measure.py`` imports it from here
+PACKED_NAMES = ("simulate",)
 
 
 def _forward_packed(module: str, names: Sequence[str]) -> Callable[[str], object]:

@@ -185,14 +185,6 @@ def _bit_slices(records: bytes, size: int, positions: Sequence[int], count: int)
     return [planes[k >> 3][k % 8] for k in positions]
 
 
-def word_table(width: int) -> list[Word]:
-    """Every ``width``-bit value wrapped once: entry ``v`` is ``Word(v, width)``."""
-    return [Word(value, width) for value in range(1 << width)]
-
-
-Runner = Callable[[Word, Word, object], "SimResult"]  # SimResult: packed's, not loaded
-
-
 Mismatch = namedtuple("Mismatch", "arch a b got expected")
 
 
@@ -207,8 +199,8 @@ class VerifyOutcome(namedtuple("VerifyOutcome", "width total_pairs mismatches"))
 def exhaustive_verify(
     width: int,
     *,
-    conventional: Runner | None = None,
-    lowpower: Runner | None = None,
+    conventional: Callable | None = None,
+    lowpower: Callable | None = None,
 ) -> VerifyOutcome:
     """Run both datapaths over every operand pair and check products against
     native integer multiplication.  Mismatches are collected, not raised, in
@@ -231,7 +223,7 @@ def exhaustive_verify(
     conventional = conventional or run_conventional
     lowpower = lowpower or run_lowpower
     mismatches: list[Mismatch] = []
-    words = word_table(width)
+    words = [Word(value, width) for value in range(1 << width)]
     for av, bv in pairs:
         expected = av * bv
         a, b = words[av], words[bv]
@@ -318,9 +310,7 @@ REPORT_COLUMNS: tuple[str, ...] = ReportRow._fields
 
 # No caller in the package is left: it stays only because perfbench's tracer
 # wraps it (``_arch_span``), and a traced run fails where the name is missing.
-def _aggregate(
-    cfg, operands: Sequence[tuple[Word, Word]], runner: Runner
-) -> dict[str, int]:
+def _aggregate(cfg, operands: Sequence[tuple[Word, Word]], runner: Callable) -> dict[str, int]:
     totals = ToggleLedger()
     for a, b in operands:
         totals.add(runner(a, b, cfg).ledger)

@@ -7,10 +7,13 @@ in what the multiplier bits drive, B's part of a run, which one branch on the
 variant computes.  ``run_conventional`` and ``run_lowpower`` are the same
 function.  It returns a run's product and a ledger of the caller's own, and
 keeps what it reads of a config alone from the config's first call
-(``_packed``).  ``exhaustive_verify``'s runners default to it, and the tests
-check the sliced engine against it.  Nothing imports this module before one
-of its names is first used (``datapath.PACKED_NAMES``), so no command pays
-for it or for ``dataclasses``.
+(``_packed``).  ``exhaustive_verify``'s runners default to it.
+
+Only perfbench and the tests load this module: the tests import its names
+from here and check the sliced engine against it, and perfbench reaches it
+through three forwarded names, ``datapath.simulate`` and
+``harness.run_conventional`` / ``run_lowpower``, which import it on first
+use.  So no command pays for it or for ``dataclasses``.
 """
 
 from __future__ import annotations

@@ -34,13 +34,8 @@ from array import array
 from dataclasses import dataclass
 
 from shiftadd.bits import Word
-from shiftadd.datapath import (
-    ArchConfig,
-    CycleTrace,
-    RingCostModel,
-    SimResult,
-    ToggleLedger,
-)
+from shiftadd.datapath import ArchConfig, CycleTrace, RingCostModel, ToggleLedger
+from shiftadd.packed import SimResult
 
 
 def check_operands(a: Word, b: Word, cfg: ArchConfig) -> None:

@@ -19,7 +19,7 @@ from oracles import (
 
 from shiftadd.bits import Word
 from shiftadd.cli import main
-from shiftadd.datapath import RingCostModel, Variant, make_config, run_lowpower, trace_rows
+from shiftadd.datapath import RingCostModel, Variant, make_config, trace_rows
 from shiftadd.harness import (
     REPORTED_FPGA_REDUCTION,
     OperandDistribution,
@@ -27,6 +27,7 @@ from shiftadd.harness import (
     gen_operands,
     sweep,
 )
+from shiftadd.packed import run_lowpower
 
 SEED = 20250811
 TRIALS = 100_000

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import SWEEPS, TRACES, sweep_argv
 
 import shiftadd
 from shiftadd import bits, cli, datapath, harness, packed, power
@@ -17,10 +18,10 @@ from shiftadd.datapath import (
     DEFAULT_BLOCK_SIZE,
     LEDGER_CATEGORIES,
     RingCostModel,
-    SimResult,
     Variant,
     make_config,
 )
+from shiftadd.packed import SimResult
 
 
 def run_cli(*argv):
@@ -59,7 +60,7 @@ class TestVerifyCommand:
     def test_mismatches_listed_up_to_ten(self, monkeypatch, capsys):
         # every width-3 pair misses by one on the low-power kernel: 64 mismatches
         def off_by_one(a, b, cfg):
-            result = harness.run_lowpower(a, b, cfg)
+            result = packed.run_lowpower(a, b, cfg)
             return SimResult(Word(result.product.value ^ 1, 6), result.ledger)
 
         monkeypatch.setattr(cli, "exhaustive_verify",
@@ -77,7 +78,7 @@ class TestVerifyCommand:
     def test_pair_missed_by_both_counted_once(self, monkeypatch, capsys):
         # both datapaths miss every width-3 pair: 128 mismatches over 64 pairs
         def off_by_one(a, b, cfg):
-            result = harness.run_lowpower(a, b, cfg)  # the one packed kernel, either config
+            result = packed.run_lowpower(a, b, cfg)  # the one packed kernel, either config
             return SimResult(Word(result.product.value ^ 1, 6), result.ledger)
 
         monkeypatch.setattr(cli, "exhaustive_verify", functools.partial(
@@ -785,34 +786,35 @@ class TestEntryPoint:
         assert self.loaded_after_import("dataclasses", "inspect", "shiftadd.packed") == []
 
     def test_no_command_loads_packed_kernel(self, tmp_path):
-        # every command runs the bit-sliced engine, so none of them makes
-        # that first use: verify, run with and without its trace on both
-        # datapaths, and a sweep of every kind in both report formats
-        runs = [["verify", "--width", "4"]]
-        runs += [["run", "--arch", arch, "--width", "5", "--a", "19", "--b", "22", *trace]
-                 for arch in ("conv", "lowpower") for trace in ([], ["--trace"])]
-        runs += [["sweep", "--widths", "3,4", "--dist", kind, "--trials", "20",
-                  *(["--a", "6", "--b", "5"] if kind == "fixed" else []),
-                  "--format", fmt, "--out", str(tmp_path / f"{kind}.{fmt}")]
-                 for kind in harness.DIST_KINDS for fmt in ("csv", "json")]
+        # every command runs the bit-sliced engine, so none of them loads the
+        # kernel: every golden argv, each golden run with and without its
+        # trace, and verify at widths 4 and 8
+        runs = [["verify", "--width", "4"], ["verify", "--width", "8"]]
+        runs += [argv[:end] for argv in TRACES.values() for end in (None, -1)]
+        runs += [sweep_argv(name, fmt, tmp_path / f"{name}.{fmt}")
+                 for name in SWEEPS for fmt in ("csv", "json")]
         assert self.loaded_after_import("dataclasses", "shiftadd.packed",
                                         then=self.running(runs)) == []
+        assert {argv[argv.index("--dist") + 1] for argv in SWEEPS.values()} == set(
+            harness.DIST_KINDS)
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-            f"{kind}.{fmt}" for kind in harness.DIST_KINDS for fmt in ("csv", "json"))
+            f"{name}.{fmt}" for name in SWEEPS for fmt in ("csv", "json"))
 
     def test_packed_names_forwarded(self):
-        # the packed kernel's old names still resolve in the modules that
-        # held or imported them, to the objects in packed; others do not
-        for module, names in ((datapath, datapath.PACKED_NAMES),
-                              (harness, ("run_conventional", "run_lowpower")),
-                              (shiftadd, ("SimResult", "run_conventional", "run_lowpower",
-                                          "simulate"))):
-            for name in names:
-                assert getattr(module, name) is getattr(packed, name), (module, name)
+        # only the three names perfbench reaches resolve to the objects in
+        # packed: datapath.simulate (measure.py) and the two the tracer wraps
+        # in harness; the kernel's other names, and the package's, do not
+        assert datapath.PACKED_NAMES == ("simulate",)
+        for module, name in ((datapath, "simulate"), (harness, "run_conventional"),
+                             (harness, "run_lowpower")):
+            assert getattr(module, name) is getattr(packed, name), (module, name)
+        for module, name in ((shiftadd, "simulate"), (shiftadd, "SimResult"),
+                             (datapath, "Lanes"), (datapath, "SimResult"),
+                             (datapath, "run_conventional"), (harness, "Lanes"),
+                             (harness, "nonexistent")):
             with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no "
-                               "attribute 'nonexistent'"):
-                module.nonexistent
-        assert not hasattr(harness, "Lanes") and not hasattr(shiftadd, "_packed")
+                               f"attribute '{name}'"):
+                getattr(module, name)
 
     def test_import_loads_no_pathlib(self):
         # os.path and open write reports and read models: no command pays

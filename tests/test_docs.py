@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import shiftadd
+from shiftadd.cli import main
 from shiftadd.harness import OperandDistribution, sweep
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -36,6 +38,39 @@ def test_cited_name_resolves(name):
     obj = importlib.import_module(f"shiftadd.{module}")
     for attr in attrs:
         obj = getattr(obj, attr)
+
+
+def exported_names() -> list[str]:
+    """The bare backticked names README's API section lists as exported: the
+    "`shiftadd` exports ..." sentence and the subject of each record bullet,
+    up to its first " are "."""
+    api = README.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    exports = re.search(r"`shiftadd` exports[^:]*:(.*?)\.\s", api, flags=re.S)
+    assert exports is not None
+    subjects = [exports.group(1)] + [
+        bullet.split(" are ", 1)[0] for bullet in re.findall(r"^- (.*?)(?=^- |^$)", api,
+                                                           flags=re.M | re.S)]
+    return [name for text in subjects for name in re.findall(r"`([A-Za-z_]\w*)`", text)]
+
+
+def test_api_exports_are_in_all():
+    # a name the API section calls exported is in shiftadd.__all__
+    names = exported_names()
+    assert {"make_config", "RingCostModel", "Word"} <= set(names)
+    assert sorted(set(names) - set(shiftadd.__all__)) == []
+
+
+def test_duplicate_width_message(tmp_path, capsys):
+    # README quotes the usage error a repeated --widths entry prints
+    quoted = re.search(r"\(`(shiftadd sweep: error: --widths: [^`]*)`\)", README)
+    assert quoted is not None
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--widths", "4,4", "--trials", "5", "--out", str(tmp_path / "r.csv")])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == quoted.group(1)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reduction_by_distribution():

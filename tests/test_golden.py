@@ -4,9 +4,9 @@ Each case runs ``shiftadd.cli.main`` and compares what it writes, byte for
 byte, with the file of the same name under ``tests/golden/``.  After a change
 that is meant to move the reports, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and record in CHANGES.md why
-the bytes moved.  The ``*_without_packed_kernel`` cases run the commands
-with the packed per-pair kernel made to raise, since every command runs the
-bit-sliced engine.
+the bytes moved.  ``TestEntryPoint.test_no_command_loads_packed_kernel`` in
+``test_cli.py`` runs every argv here in a fresh interpreter and checks that
+none of them loads the packed per-pair kernel.
 """
 
 import contextlib
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from shiftadd import packed
 from shiftadd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,41 +65,13 @@ def test_sweep_report_bytes(name, fmt, tmp_path):
 
 @pytest.mark.parametrize("name", list(TRACES))
 def test_trace_bytes(name):
-    assert run_quietly(TRACES[name]).encode() == (GOLDEN / name).read_bytes()
-
-
-@pytest.fixture
-def no_packed_kernel(monkeypatch):
-    """The packed per-pair kernel made to raise: its lanes, its per-config
-    cache (emptied, so that every call builds lanes) and the names it is
-    called by."""
-    def refuse(*args):
-        raise AssertionError("the packed kernel ran")
-
-    monkeypatch.setattr(packed.Lanes, "build", refuse)
-    for name in ("simulate", "run_conventional", "run_lowpower"):
-        monkeypatch.setattr(packed, name, refuse)
-    packed._packed.cache_clear()
-    yield
-    packed._packed.cache_clear()
-
-
-@pytest.mark.parametrize("name", list(TRACES))
-def test_run_without_packed_kernel(name, no_packed_kernel):
+    golden = (GOLDEN / name).read_bytes()
+    assert run_quietly(TRACES[name]).encode() == golden
     # without --trace, run prints the golden trace's lines from the product on
-    golden = (GOLDEN / name).read_text()
-    assert run_quietly(TRACES[name]) == golden
-    assert run_quietly(TRACES[name][:-1]) == golden[golden.index("product: "):]
+    assert run_quietly(TRACES[name][:-1]).encode() == golden[golden.index(b"product: "):]
 
 
-@pytest.mark.parametrize("name", list(SWEEPS))
-def test_sweep_without_packed_kernel(name, tmp_path, no_packed_kernel):
-    out = tmp_path / f"{name}.csv"
-    run_quietly(sweep_argv(name, "csv", out))
-    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
-
-
-def test_verify_without_packed_kernel(no_packed_kernel):
+def test_verify_stdout():
     assert run_quietly(["verify", "--width", "4"]) == (
         "width 4: 256/256 products match (both architectures, native-multiply oracle)\nPASS\n")
 

@@ -20,12 +20,9 @@ from shiftadd import datapath, harness, packed, power
 from shiftadd.bits import Word
 from shiftadd.datapath import (
     LEDGER_CATEGORIES,
-    SimResult,
     ToggleLedger,
     Variant,
     make_config,
-    run_conventional,
-    simulate,
     sliced_cycles,
 )
 from shiftadd.harness import (
@@ -37,6 +34,7 @@ from shiftadd.harness import (
     gen_operands,
     sweep,
 )
+from shiftadd.packed import SimResult, run_conventional, simulate
 from shiftadd.power import PowerModel
 
 
@@ -383,7 +381,7 @@ class TestExhaustiveVerify:
             calls.append((a, b))
             raise AssertionError("a per-pair kernel ran")
 
-        for module in (harness, datapath, packed):
+        for module in (harness, packed):
             monkeypatch.setattr(module, "run_conventional", kernel)
             monkeypatch.setattr(module, "run_lowpower", kernel)
         outcome = exhaustive_verify(5)
@@ -680,7 +678,7 @@ class TestRecords:
         datapath.RingCostModel(),
         datapath.ArchConfig(datapath.Variant.LOW_POWER, 4),
         datapath.Register("multiplier", 4, datapath.Clocking.NEVER, None),
-        datapath.Lanes.build(4),
+        packed.Lanes.build(4),
         datapath.CycleTrace(0, Word(0, 4), 1, Word(3, 4), Word(3, 8)),
         OperandDistribution("uniform"),
         PowerModel(),
