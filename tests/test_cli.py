@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_golden import SWEEPS, TRACES, sweep_argv
 
 import shiftadd
 from shiftadd import bits, cli, datapath, harness, packed, power
@@ -785,20 +784,14 @@ class TestEntryPoint:
         # SimResult needs, load on first use of one of its names
         assert self.loaded_after_import("dataclasses", "inspect", "shiftadd.packed") == []
 
-    def test_no_command_loads_packed_kernel(self, tmp_path):
+    def test_no_command_loads_packed_kernel(self):
         # every command runs the bit-sliced engine, so none of them loads the
-        # kernel: every golden argv, each golden run with and without its
-        # trace, and verify at widths 4 and 8
+        # kernel: verify at widths 4 and 8 here, and every golden argv (each
+        # run with and without its trace, every sweep kind in both report
+        # formats) in test_golden's *_without_packed_kernel cases
         runs = [["verify", "--width", "4"], ["verify", "--width", "8"]]
-        runs += [argv[:end] for argv in TRACES.values() for end in (None, -1)]
-        runs += [sweep_argv(name, fmt, tmp_path / f"{name}.{fmt}")
-                 for name in SWEEPS for fmt in ("csv", "json")]
         assert self.loaded_after_import("dataclasses", "shiftadd.packed",
                                         then=self.running(runs)) == []
-        assert {argv[argv.index("--dist") + 1] for argv in SWEEPS.values()} == set(
-            harness.DIST_KINDS)
-        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
-            f"{name}.{fmt}" for name in SWEEPS for fmt in ("csv", "json"))
 
     def test_packed_names_forwarded(self):
         # only the three names perfbench reaches resolve to the objects in

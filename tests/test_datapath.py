@@ -489,19 +489,19 @@ class TestFillSchedule:
     """The low-power kernel's forward fill: each bypass lane takes the
     adder state of the nearest add lane below it, those below the first
     add lane the reset state.  Checked through the kernel against the loop
-    oracle on gap patterns above width 8, where
-    ``TestPlanTables.test_plan_equals_plan_function`` stops checking every
-    b: a run of gaps below and above one add lane, of each length about a
-    power of two, where the fill's doubling reach ends."""
+    oracle on gap patterns: every b up to width 8; above it a run of gaps
+    below and above one add lane, of each length about a power of two, where
+    the fill's doubling reach ends."""
 
-    @pytest.mark.parametrize("n", range(9, 33))
+    @pytest.mark.parametrize("n", range(1, 33))
     def test_schedule(self, n):
         cfg = make_config(Variant.LOW_POWER, n)
         full = (1 << n) - 1
         rng = random.Random(n)
         runs = {r + d for r in (1 << j for j in range(6)) for d in (-1, 0, 1)} & set(range(n))
-        values = sorted({0, full, full - 1, full // 3, full // 5, rng.getrandbits(n)}
-                        | {1 | 1 << r for r in runs} | {1 << r for r in runs})
+        values = range(1 << n) if n <= 8 else sorted(
+            {0, full, full - 1, full // 3, full // 5, rng.getrandbits(n)}
+            | {1 | 1 << r for r in runs} | {1 << r for r in runs})
         kernel_equals_loop(cfg, values, [full])
 
 

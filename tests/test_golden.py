@@ -4,20 +4,26 @@ Each case runs ``shiftadd.cli.main`` and compares what it writes, byte for
 byte, with the file of the same name under ``tests/golden/``.  After a change
 that is meant to move the reports, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and record in CHANGES.md why
-the bytes moved.  ``TestEntryPoint.test_no_command_loads_packed_kernel`` in
-``test_cli.py`` runs every argv here in a fresh interpreter and checks that
-none of them loads the packed per-pair kernel.
+the bytes moved.  The ``*_without_packed_kernel`` cases run each golden
+argv again in a fresh interpreter and check that it writes the same bytes
+without loading the packed per-pair kernel, since every command runs the
+bit-sliced engine.
 """
 
 import contextlib
 import io
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from shiftadd.cli import main
+from shiftadd.harness import DIST_KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = "20250811"
 ALL_WIDTHS = ",".join(str(w) for w in range(1, 17))
 
@@ -55,6 +61,26 @@ def run_quietly(argv: list[str]) -> str:
     return stdout.getvalue()
 
 
+def run_fresh(*argvs: list[str]) -> list[str]:
+    """The stdout of each of ``argvs`` run through ``cli.main``, which must
+    exit 0, in one fresh ``python -I -S``; none of them may have imported
+    ``shiftadd.packed`` or the ``dataclasses`` its ``SimResult`` needs."""
+    code = "\n".join([
+        f"import contextlib, io, sys; sys.path.insert(0, {str(SRC)!r}); import shiftadd.cli",
+        "outs = []",
+        f"for argv in {list(argvs)!r}:",
+        "    outs.append(io.StringIO())",
+        "    with contextlib.redirect_stdout(outs[-1]):",
+        "        assert shiftadd.cli.main(argv) == 0, argv",
+        "loaded = [m for m in ('shiftadd.packed', 'dataclasses') if m in sys.modules]",
+        "import json; print(json.dumps([loaded, [out.getvalue() for out in outs]]))"])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    loaded, outs = json.loads(proc.stdout)
+    assert loaded == []
+    return outs
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", list(SWEEPS))
 def test_sweep_report_bytes(name, fmt, tmp_path):
@@ -69,6 +95,25 @@ def test_trace_bytes(name):
     assert run_quietly(TRACES[name]).encode() == golden
     # without --trace, run prints the golden trace's lines from the product on
     assert run_quietly(TRACES[name][:-1]).encode() == golden[golden.index(b"product: "):]
+
+
+@pytest.mark.parametrize("name", list(TRACES))
+def test_run_without_packed_kernel(name):
+    golden = (GOLDEN / name).read_text()
+    assert run_fresh(TRACES[name], TRACES[name][:-1]) == [
+        golden, golden[golden.index("product: "):]]
+
+
+def test_sweeps_cover_every_dist_kind():
+    assert {argv[argv.index("--dist") + 1] for argv in SWEEPS.values()} == set(DIST_KINDS)
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_without_packed_kernel(name, tmp_path):
+    outs = {fmt: tmp_path / f"{name}.{fmt}" for fmt in ("csv", "json")}
+    run_fresh(*(sweep_argv(name, fmt, out) for fmt, out in outs.items()))
+    for fmt, out in outs.items():
+        assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes(), fmt
 
 
 def test_verify_stdout():
