@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import argparse
+# argparse is imported only where a parser is built, so a plain argv never
+# loads it; the annotations that name it are never evaluated
 import math
 import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .bits import Word
 from .datapath import (COST_LEAST, DEFAULT_BLOCK_SIZE, RingCostModel, Variant, _slices, _value,
@@ -216,6 +218,8 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, as subcommands of ``shiftadd``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="shiftadd",
         description="Bit-exact switching-activity simulator for shift-and-add multipliers",
@@ -226,15 +230,69 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The named command's parser alone, built as its subparser would be, at
+    an eighth (verify) to a third (sweep) of the full parser's cost."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=f"shiftadd {command}")
+    COMMANDS[command][1](parser)
+    return parser
+
+
+class _Declared(dict):
+    """Each flag an argument adder declares, recorded without argparse as
+    (type, default, choices, required, stands alone).  A keyword the plain
+    parser does not model, such as ``nargs`` or ``dest``, is a TypeError."""
+
+    def add_argument(self, flag, *, type=str, default=None, choices=None, required=False,
+                     action=None, help=None, metavar=None):
+        alone = action == "store_true"
+        self[flag] = (type, False if alone else default, choices, required, alone)
+
+
+def _parse_plain(command: str, words: Sequence[str]) -> SimpleNamespace | None:
+    """The values the command's parser gives ``words`` where they are plain,
+    else None.  Plain: each word is one of the command's flags, at most once;
+    a value flag is followed by one word that does not start with '-',
+    converts with its type and is among its choices; every required flag is
+    given.  argparse parses anything else (help, ``--flag=value``, an
+    abbreviation, ``--``), and finds every usage error among them."""
+    declared = _Declared()
+    COMMANDS[command][1](declared)
+    given = {}
+    words = iter(words)
+    for flag in words:
+        if flag not in declared or flag in given:
+            return None
+        convert, _, choices, _, alone = declared[flag]
+        if alone:
+            given[flag] = True
+            continue
+        word = next(words, "-")
+        if word.startswith("-"):
+            return None
+        try:
+            given[flag] = convert(word)
+        except ValueError:
+            return None
+        if choices is not None and given[flag] not in choices:
+            return None
+    if any(declared[flag][3] and flag not in given for flag in declared):
+        return None
+    return SimpleNamespace(**{flag[2:].replace("-", "_"): given.get(flag, spec[1])
+                              for flag, spec in declared.items()})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        # only the named command's parser, built as its subparser would be,
-        # at an eighth (verify) to a third (sweep) of the full parser's cost
-        parser = argparse.ArgumentParser(prog=f"shiftadd {argv[0]}")
-        _, add_arguments, handler = COMMANDS[argv[0]]
-        add_arguments(parser)
-        args = parser.parse_args(argv[1:])
+        command, *words = argv
+        # a handler's usage error builds the command's parser to report it,
+        # and argparse parses only an argv that is not plain
+        parser = SimpleNamespace(error=lambda message: _command_parser(command).error(message))
+        args = _parse_plain(command, words) or _command_parser(command).parse_args(words)
+        handler = COMMANDS[command][2]
     else:  # --help, no command or an unknown one
         parser = build_parser()
         args = parser.parse_args(argv)

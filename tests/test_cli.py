@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import functools
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftadd
 from shiftadd import bits, cli, datapath, harness, packed, power
@@ -706,6 +710,126 @@ class TestCommandParsers:
             assert f"{command} " in out and help_text in out
 
 
+def argparse_values(command, words):
+    """``vars()`` of what the command's own parser gives ``words``, or None
+    where it exits (a usage error, or help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._command_parser(command).parse_args(words))
+        except SystemExit:
+            return None
+
+
+def plain_as_argparse(command, words) -> bool:
+    """Whether the plain parser accepts ``words``; where it does, argparse
+    gives the same values, of the same types."""
+    plain = cli._parse_plain(command, words)
+    if plain is None:
+        return False
+    expected = argparse_values(command, words)
+    assert expected is not None, words
+    typed = lambda values: {name: (type(v), v) for name, v in values.items()}  # noqa: E731
+    assert typed(vars(plain)) == typed(expected), words
+    return True
+
+
+# values for any flag: valid and invalid ints, and words argparse reads
+# differently from int() or not as a value at all
+ANY_VALUE = ["0", "2", "4", "4,8", "r.csv", "-1", "+3", " 7", "1_0", "3.0", "", "x", "bogus"]
+ODD_WORDS = ["--width=4", "--width=x", "--dist=uniform", "--arch=bogus", "--wid", "--tra", "-h",
+             "--help", "--", "stray"]
+
+
+@st.composite
+def command_argvs(draw, command):
+    """An argv of ``command``'s own flags: a subset in any order, each value
+    flag with one of its choices (or a small int) or a word of ANY_VALUE,
+    and in a quarter of them a flag given again, a flag without its value or
+    an odd word, anywhere."""
+    declared = cli._Declared()
+    cli.COMMANDS[command][1](declared)
+    pairs = []
+    for flag in draw(st.permutations(list(declared))):
+        _, _, choices, required, alone = declared[flag]
+        if draw(st.integers(0, 7)) if required else draw(st.booleans()):
+            valid = st.sampled_from(choices or ["0", "2", "4"])  # half the time
+            value = draw(st.one_of(valid, st.sampled_from(ANY_VALUE)))
+            pairs.append([flag] if alone else [flag, value])
+    for _ in range(draw(st.integers(1, 2)) if draw(st.integers(0, 3)) == 0 else 0):
+        odd = draw(st.sampled_from([*ODD_WORDS, *declared, *pairs]))
+        pairs.insert(draw(st.integers(0, len(pairs))), odd if isinstance(odd, list) else [odd])
+    return [word for pair in pairs for word in pair]
+
+
+class TestPlainParsing:
+    """A plain argv is parsed without argparse, to the values argparse
+    gives it; argparse parses every other argv."""
+
+    @pytest.mark.parametrize("command", list(COMMAND_ARGV))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_plain_values_are_argparses(self, command, data):
+        words = data.draw(command_argvs(command))
+        plain_as_argparse(command, words)  # or it declines
+
+    @pytest.mark.parametrize("command, words, plain", [
+        pytest.param("verify", ["--width", "2"], True, id="verify"),
+        pytest.param("verify", ["--width", "+3"], True, id="plus-sign"),
+        pytest.param("verify", ["--width", " 7"], True, id="space"),
+        pytest.param("verify", ["--width", "1_0"], True, id="underscore"),
+        pytest.param("verify", ["--width", "-1"], False, id="negative"),
+        pytest.param("verify", ["--width", "3.0"], False, id="float"),
+        pytest.param("verify", ["--width", ""], False, id="empty-int"),
+        pytest.param("verify", ["--width", "2", "--width", "3"], False, id="repeat"),
+        pytest.param("verify", ["--width=4"], False, id="equals"),
+        pytest.param("verify", ["--wid", "4"], False, id="abbreviation"),
+        pytest.param("verify", ["--width", "4", "-h"], False, id="help"),
+        pytest.param("verify", ["--", "--width", "4"], False, id="double-dash-first"),
+        pytest.param("verify", ["--width", "4", "--"], False, id="double-dash-last"),
+        pytest.param("verify", ["--width", "4", "stray"], False, id="stray-word"),
+        pytest.param("verify", ["--width"], False, id="no-value"),
+        pytest.param("verify", [], False, id="missing-required"),
+        pytest.param("run", COMMAND_ARGV["run"][1:], True, id="run"),
+        pytest.param("run", COMMAND_ARGV["run"][1:] + ["--trace"], True, id="trace"),
+        pytest.param("run", ["--trace", *COMMAND_ARGV["run"][1:], "--block-size", "2"], True,
+                     id="trace-first"),
+        pytest.param("run", COMMAND_ARGV["run"][1:] + ["--trace", "yes"], False,
+                     id="trace-value"),
+        pytest.param("run", ["--arch", "bogus", *COMMAND_ARGV["run"][3:]], False,
+                     id="bad-choice"),
+        pytest.param("sweep", ["--out", "", "--widths", ""], True, id="empty-str"),
+        pytest.param("sweep", COMMAND_ARGV["sweep"][1:] + ["--seed", "-1"], False,
+                     id="negative-seed"),
+        pytest.param("sweep", COMMAND_ARGV["sweep"][1:] + ["--dist", "bogus"], False,
+                     id="bad-dist"),
+        pytest.param("sweep", ["--model", "m.cfg", "--format", "json", "--gate-cost", "0",
+                               "--ffs-cost", "3", "--block-size", "2", "--a", "6", "--b", "5",
+                               "--dist", "fixed", "--seed", "7", "--trials", "9",
+                               "--out", "r.json", "--widths", "4,8"], True, id="every-flag"),
+    ])
+    def test_listed_forms(self, command, words, plain):
+        assert plain_as_argparse(command, words) == plain
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["verify", "--width", "0"], "width must be in 1..32, got 0", id="verify"),
+        pytest.param(["run", "--arch", "conv", "--width", "4", "--a", "99", "--b", "1"],
+                     "operands must be in 0..15 for width 4", id="run"),
+        pytest.param(["sweep", "--widths", "4,4", "--trials", "5", "--out", "r.csv"],
+                     "--widths: width 4 is given more than once", id="sweep"),
+        pytest.param(["verify", "--width", "x"], "argument --width: invalid int value: 'x'",
+                     id="argparse"),
+    ])
+    def test_usage_error_bytes(self, argv, message, tmp_path, monkeypatch, capsys):
+        # three raised by handlers, to the parser built only to report them,
+        # and one by argparse: each the whole of the command parser's report
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        usage = cli._command_parser(argv[0]).format_usage()
+        assert capsys.readouterr() == ("", f"{usage}shiftadd {argv[0]}: error: {message}\n")
+
+
 class TestEntryPoint:
     def test_module_invocation_usage_error_exit_code(self):
         proc = subprocess.run(
@@ -808,6 +932,37 @@ class TestEntryPoint:
             with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no "
                                f"attribute '{name}'"):
                 getattr(module, name)
+
+    def test_plain_commands_load_no_argparse(self, tmp_path):
+        # neither the import nor a plain argv of any command loads argparse,
+        # or the gettext and locale its first message lookup imports
+        lazy = ("argparse", "gettext", "locale")
+        assert self.loaded_after_import(*lazy) == []
+        runs = [["verify", "--width", "4"], ["verify", "--width", "8"]]
+        runs += [["run", "--arch", arch, "--width", "5", "--a", "19", "--b", "22", *trace]
+                 for arch in ("conv", "lowpower") for trace in ([], ["--trace"])]
+        runs += [["sweep", "--widths", "3", "--dist", kind, "--trials", "20",
+                  *(["--a", "6", "--b", "5"] if kind == "fixed" else []),
+                  "--format", form, "--out", str(tmp_path / f"{kind}.{form}")]
+                 for kind in harness.DIST_KINDS for form in ("csv", "json")]
+        assert self.loaded_after_import(*lazy, then=self.running(runs)) == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--help"], 0),
+        (["verify", "--width", "0"], 2),
+    ], ids=["help", "usage-error"])
+    def test_help_and_usage_errors_load_argparse(self, argv, code):
+        then = "\n".join([
+            "import contextlib, io",
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):",
+            "    try:",
+            f"        shiftadd.cli.main({argv!r})",
+            "    except SystemExit as exc:",
+            f"        assert exc.code == {code}, exc.code",
+            "    else:",
+            "        raise AssertionError('no exit')"])
+        assert self.loaded_after_import("argparse", then=then) == ["argparse"]
 
     def test_import_loads_no_pathlib(self):
         # os.path and open write reports and read models: no command pays
